@@ -10,11 +10,11 @@ minimal element width.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import distance_field, element_accuracy, eval_cache, evaluate
+from .evaluate import distance_field, eval_cache, evaluate
 from .least_squares import SmoothingWeights, fit_least_squares, idw_prior
 from .mba import mba_update
 from .mesh import LRSurface, Segment, insert_segments, make_tensor_surface
@@ -60,12 +60,19 @@ class IterationReport:
         return "iteration\tcoefficients\tsize_bytes\tmax_dist\tavg_dist\tout_of_tol"
 
 
+def _finite(pts: np.ndarray, what: str = "points") -> np.ndarray:
+    """Return ``pts``; raise ValueError when an x, y or z is not finite."""
+    bad = ~np.isfinite(pts[:, :3]).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{what} must be finite; row {k} is {pts[k, :3].tolist()}")
+    return pts
+
+
 def _report(surface: LRSurface, fld: dict, i: int) -> IterationReport:
     from .formats import binary_size
 
-    r = fld["residual"]
-    ok = ~np.isnan(r)
-    a = np.abs(r[ok])
+    a = np.abs(fld["residual"])
     return IterationReport(
         iteration=i,
         n_coefficients=len(surface.bsplines),
@@ -86,20 +93,17 @@ def refine_step(surface: LRSurface, fld: dict, config: FitConfig) -> dict:
     """
     tau = config.tolerance
     cache = eval_cache(surface)
-    bad = fld["element_id"][(~np.isnan(fld["residual"]))
-                            & (np.abs(fld["residual"]) > tau)]
-    if len(bad) == 0:
+    bad = np.zeros(len(cache.elements), dtype=bool)
+    bad[fld["element_id"][np.abs(fld["residual"]) > tau]] = True
+    if not bad.any():
         return {"inserted": 0, "frozen": 0}
-    bad_elements = np.unique(bad)
-    marked: set[int] = set()
-    for e in bad_elements:
-        marked.update(cache.residents[e].tolist())
+    marked = np.unique(cache.res[bad[cache.pair_element]]).tolist()
     min_w = [config.min_width_fraction * surface.mesh.extent(0),
              config.min_width_fraction * surface.mesh.extent(1)]
     seen: set[tuple] = set()
     segs: list[Segment] = []
     frozen = 0
-    for i in sorted(marked):
+    for i in marked:
         b = surface.bsplines[i]
         du_len = b.ku[-1] - b.ku[0]
         dv_len = b.kv[-1] - b.kv[0]
@@ -134,15 +138,27 @@ def refine_step(surface: LRSurface, fld: dict, config: FitConfig) -> dict:
 
 def _field(surface: LRSurface, pts: np.ndarray, tau: float) -> dict:
     fld = distance_field(surface, pts, tau)
-    r = fld["residual"]
-    fld["n_out"] = int((np.abs(r[~np.isnan(r)]) > tau).sum())
+    fld["n_out"] = int((np.abs(fld["residual"]) > tau).sum())
     return fld
 
 
 def _area_ratio(surface: LRSurface) -> float:
-    cache = eval_cache(surface)
-    areas = np.array([el.area for el in cache.elements])
+    b = eval_cache(surface).bounds
+    areas = (b[:, 1] - b[:, 0]) * (b[:, 3] - b[:, 2])
     return float(areas.max() / areas.min())
+
+
+def _approximate(surface: LRSurface, pts: np.ndarray, config: FitConfig,
+                 iteration: int, residuals: np.ndarray | None = None) -> None:
+    """One approximation pass: least squares while the space is small and
+    uniform, else one correction sweep (residuals recomputed when omitted)."""
+    if (iteration <= config.n_ls
+            and _area_ratio(surface) <= config.mba_switch_ratio):
+        fit_least_squares(surface, pts, alpha1=config.alpha1,
+                          weights=config.smoothing,
+                          prior=lambda x, y: evaluate(surface, x, y))
+    else:
+        mba_update(surface, pts, residuals=residuals, tau=config.tolerance)
 
 
 def fit(points: np.ndarray, config: FitConfig = FitConfig(),
@@ -162,6 +178,7 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 3 or len(pts) == 0:
         raise ValueError("points must be a nonempty (n, 3) array")
+    _finite(pts)
     if start is not None:
         domain = start.mesh.domain
     xmin, xmax = pts[:, 0].min(), pts[:, 0].max()
@@ -191,17 +208,7 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
                           weights=config.smoothing, prior=prior)
     else:
         surface = start.copy()
-        use_ls = (first_iteration <= config.n_ls
-                  and _area_ratio(surface) <= config.mba_switch_ratio)
-        if use_ls:
-            def start_prior(x, y, _s=surface):
-                return evaluate(_s, x, y)
-
-            fit_least_squares(surface, pts, alpha1=config.alpha1,
-                              weights=config.smoothing, prior=start_prior)
-        else:
-            fld0 = _field(surface, pts, tau)
-            mba_update(surface, pts, residuals=fld0["residual"], tau=tau)
+        _approximate(surface, pts, config, first_iteration)
     fld = _field(surface, pts, tau)
     reports = [_report(surface, fld, first_iteration)]
     flags = {"converged": fld["n_out"] == 0, "frozen": False,
@@ -213,16 +220,8 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
         if counts["inserted"] == 0:
             flags["frozen"] = counts["frozen"] > 0
             break
-        use_ls = it <= config.n_ls and _area_ratio(surface) <= config.mba_switch_ratio
-        if use_ls:
-            def surf_prior(x, y, _s=surface):
-                return evaluate(_s, x, y)
-
-            fit_least_squares(surface, pts, alpha1=config.alpha1,
-                              weights=config.smoothing, prior=surf_prior)
-        else:
-            # residuals stay valid across refinement (geometry-preserving)
-            mba_update(surface, pts, residuals=fld["residual"], tau=tau)
+        # residuals stay valid across refinement (geometry-preserving)
+        _approximate(surface, pts, config, it, fld["residual"])
         fld = _field(surface, pts, tau)
         reports.append(_report(surface, fld, it))
         flags["iterations"] = it

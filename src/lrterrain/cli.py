@@ -25,6 +25,7 @@ from .deconflict import Survey, deconflict_fit
 from .evaluate import distance_field
 from .formats import (
     binary_size,
+    is_binary_survey,
     read_surface,
     read_survey,
     write_distance_field,
@@ -43,8 +44,6 @@ from .tiling import (
     stitch_grid,
     write_manifest,
 )
-
-_MAGIC_SURV = b"LRSURV01"
 
 
 def _fail(msg: str):
@@ -232,8 +231,7 @@ def cmd_deconflict(args) -> int:
             except ValueError:
                 _fail(f"{path}: score header is not a number")
         surveys.append(Survey(points=pts, name=name, score=score, meta=meta))
-        with open(path, "rb") as f:
-            binary_in.append(f.read(8) == _MAGIC_SURV)
+        binary_in.append(is_binary_survey(path))
     try:
         surface, cleaned, report = deconflict_fit(surveys, fit_cfg, dcfg)
     except ValueError as e:

@@ -675,8 +675,10 @@ def deconflict_fit(surveys: list[Survey], fit_config=None,
     """
     from dataclasses import replace
 
-    from .adaptive import FitConfig, fit
+    from .adaptive import FitConfig, _finite, fit
 
+    for s in surveys:
+        _finite(s.points, f"survey {s.name!r} points")
     if fit_config is None:
         fit_config = FitConfig(tolerance=cfg.tolerance)
     if abs(fit_config.tolerance - cfg.tolerance) > 1e-12 * cfg.tolerance:

@@ -1,19 +1,25 @@
 """Surface evaluation, derivatives, and distance fields.
 
-Each B-spline restricted to one element is a bivariate polynomial; we cache
-its monomial coefficients in element-local coordinates and evaluate whole
-point batches per element with einsum.  The cache keys on the surface's
-version counter, so refinement invalidates it automatically.
+Each B-spline restricted to one element is a bivariate polynomial.  The
+surface keeps one flat element layer (``eval_cache``): element bounds, the
+element -> resident B-spline map in CSR form, and the monomial coefficients
+of every (element, resident) pair in element-local coordinates, all built
+in one batched pass.  It is stored on the surface and rebuilt when the
+surface's version counter changes, so refinement invalidates it and a
+coefficient update does not.
+
+Every point query goes through one gather: locate the element of each
+point, take its local coordinates and power rows, then contract with the
+element's tensors.  ``evaluate``, ``basis_matrix`` and ``distance_field``
+share it; the fitting layers build on ``basis_matrix`` and the flat arrays.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .mesh import LRSurface, residents_of
+from .mesh import LRSurface, _ranges, residents_of
 
 __all__ = [
     "evaluate",
@@ -22,92 +28,81 @@ __all__ = [
     "element_accuracy",
     "eval_cache",
     "basis_matrix",
-    "basis_matrix_on_element",
 ]
 
-
-@lru_cache(maxsize=200_000)
-def _piece_poly(knots: tuple[float, ...], degree: int, lo: float, hi: float) -> tuple[float, ...]:
-    """Monomial coefficients of one univariate B-spline on [lo, hi].
-
-    Coordinates are local: t = (x - lo) / (hi - lo) in [0, 1].  Returned
-    low-order first, length degree + 1.  The interval must lie inside one
-    knot span (it is an element edge projection, so it always does).
-    """
-    mid = 0.5 * (lo + hi)
-    w = hi - lo
-    if degree == 0:
-        return (1.0,) if knots[0] <= mid < knots[1] else (0.0,)
-    # Cox-de Boor on monomial coefficient arrays in the local coordinate
-    n = len(knots) - 1
-    polys = []
-    for i in range(n):
-        inside = knots[i] <= mid < knots[i + 1]
-        polys.append(np.array([1.0 if inside else 0.0]))
-    for d in range(1, degree + 1):
-        new = []
-        for i in range(n - d):
-            # term1: (x - knots[i]) / (knots[i+d] - knots[i]) * polys[i]
-            acc = np.zeros(d + 1)
-            den1 = knots[i + d] - knots[i]
-            if den1 > 0 and polys[i].any():
-                # x = lo + w t  ->  (x - k)/den = (w t + (lo - k)) / den
-                a = w / den1
-                b = (lo - knots[i]) / den1
-                p = polys[i]
-                acc[1:len(p) + 1] += a * p
-                acc[:len(p)] += b * p
-            den2 = knots[i + d + 1] - knots[i + 1]
-            if den2 > 0 and polys[i + 1].any():
-                a = -w / den2
-                b = (knots[i + d + 1] - lo) / den2
-                p = polys[i + 1]
-                acc[1:len(p) + 1] += a * p
-                acc[:len(p)] += b * p
-            new.append(acc)
-        polys = new
-    return tuple(float(c) for c in polys[0])
+# pairs per batch of the tensor build; bounds its temporary arrays
+_CHUNK = 1 << 14
+# derivative (order in u, order in v) of each evaluate() output column
+_COLUMNS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 @dataclass
 class _EvalCache:
+    """Flat element layer of one surface version.
+
+    Element e spans ``bounds[e]`` = (u_lo, u_hi, v_lo, v_hi) and holds the
+    pairs k in ``offsets[e]:offsets[e + 1]``: B-spline ``res[k]``, whose
+    scaled restriction to the element is sum_jl tensors[k, j, l] t^j s^l in
+    local coordinates t, s in [0, 1].  ``pair_element[k]`` is e.
+    """
+
     version: int
     elements: list
-    residents: list
     cell_map: np.ndarray
     uc: np.ndarray
     vc: np.ndarray
-    tensors: list   # per element: (n_res, du+1, dv+1) scaled monomial tensors
+    bounds: np.ndarray
+    offsets: np.ndarray
+    res: np.ndarray
+    pair_element: np.ndarray
+    tensors: np.ndarray
 
 
-_cache_store: dict[int, tuple] = {}
+def _monomials(knots: np.ndarray, lo: np.ndarray, hi: np.ndarray, d: int) -> np.ndarray:
+    """Monomial coefficients of univariate B-splines on intervals [lo, hi].
+
+    ``knots`` is (n, d + 2); each interval lies inside one knot span.  The
+    B-splines are evaluated by Cox-de Boor at d + 1 interior points of the
+    interval, then mapped to coefficients in t = (x - lo) / (hi - lo) by a
+    fixed inverse Vandermonde matrix.  Returns (n, d + 1), low order first.
+    """
+    t = (np.arange(d + 1) + 0.5) / (d + 1)
+    x = (lo[:, None] + (hi - lo)[:, None] * t)[:, :, None]
+    k = knots[:, None, :]
+    N = ((k[..., :-1] <= x) & (x < k[..., 1:])).astype(float)
+    for p in range(1, d + 1):
+        left = k[..., p:-1] - k[..., :-p - 1]
+        right = k[..., p + 1:] - k[..., 1:-p]
+        N = (np.divide(x - k[..., :-p - 1], left, out=np.zeros(N[..., 1:].shape),
+                       where=left > 0) * N[..., :-1]
+             + np.divide(k[..., p + 1:] - x, right, out=np.zeros(N[..., 1:].shape),
+                         where=right > 0) * N[..., 1:])
+    return N[..., 0] @ np.linalg.inv(np.vander(t, increasing=True)).T
 
 
 def eval_cache(surface: LRSurface) -> _EvalCache:
-    # keyed by id() with a weakref guard: ids of collected surfaces get
-    # recycled by CPython, so the ref must still point at this object
-    key = id(surface)
-    hit = _cache_store.get(key)
-    if hit is not None:
-        ref, entry = hit
-        if ref() is surface and entry.version == surface.version:
-            return entry
+    """The surface's flat element layer; the same object until refinement."""
+    cache = surface._eval_cache
+    if cache is not None and cache.version == surface.version:
+        return cache
     du, dv = surface.degrees
-    elements, residents, cell_map, uc, vc = residents_of(surface)
-    tensors = []
-    for el, res in zip(elements, residents):
-        T = np.empty((len(res), du + 1, dv + 1))
-        for k, i in enumerate(res):
-            b = surface.bsplines[i]
-            pu = _piece_poly(b.ku, du, el.u_lo, el.u_hi)
-            pv = _piece_poly(b.kv, dv, el.v_lo, el.v_hi)
-            T[k] = b.scaling * np.outer(pu, pv)
-        tensors.append(T)
-    entry = _EvalCache(surface.version, elements, residents, cell_map, uc, vc, tensors)
-    if len(_cache_store) > 64:
-        _cache_store.clear()
-    _cache_store[key] = (weakref.ref(surface), entry)
-    return entry
+    elements, offsets, res, cell_map, uc, vc = residents_of(surface)
+    bounds = np.array([el.rect for el in elements])
+    pair_element = np.repeat(np.arange(len(elements)), np.diff(offsets))
+    ku = np.array([b.ku for b in surface.bsplines])
+    kv = np.array([b.kv for b in surface.bsplines])
+    scaling = np.array([b.scaling for b in surface.bsplines])
+    tensors = np.empty((len(res), du + 1, dv + 1))
+    for start in range(0, len(res), _CHUNK):
+        k = slice(start, start + _CHUNK)
+        i, eb = res[k], bounds[pair_element[k]]
+        pu = _monomials(ku[i], eb[:, 0], eb[:, 1], du)
+        pv = _monomials(kv[i], eb[:, 2], eb[:, 3], dv)
+        tensors[k] = scaling[i, None, None] * pu[:, :, None] * pv[:, None, :]
+    cache = _EvalCache(surface.version, elements, cell_map, uc, vc, bounds,
+                       offsets, res, pair_element, tensors)
+    surface._eval_cache = cache
+    return cache
 
 
 def _locate(cache: _EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -127,15 +122,17 @@ def _locate(cache: _EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return cache.cell_map[iu, iv]
 
 
-def _powers(t: np.ndarray, d: int) -> np.ndarray:
-    out = np.empty((len(t), d + 1))
-    out[:, 0] = 1.0
-    for k in range(1, d + 1):
-        out[:, k] = out[:, k - 1] * t
-    return out
+def _gather(cache: _EvalCache, x: np.ndarray, y: np.ndarray):
+    """Point -> element gather: (element id, tu, tv, wu, wv) per point, with
+    local coordinates tu, tv in [0, 1] and element widths wu, wv."""
+    eid = _locate(cache, x, y)
+    b = cache.bounds
+    wu = (b[:, 1] - b[:, 0])[eid]
+    wv = (b[:, 3] - b[:, 2])[eid]
+    return eid, (x - b[eid, 0]) / wu, (y - b[eid, 2]) / wv, wu, wv
 
 
-def _dpowers(t: np.ndarray, d: int, order: int, scale: float) -> np.ndarray:
+def _dpowers(t: np.ndarray, d: int, order: int, scale) -> np.ndarray:
     """Rows of d^order/dx^order of [1, t, t^2, ...] with t = (x-lo)*scale."""
     out = np.zeros((len(t), d + 1))
     for k in range(order, d + 1):
@@ -143,6 +140,34 @@ def _dpowers(t: np.ndarray, d: int, order: int, scale: float) -> np.ndarray:
         for m in range(order):
             f *= (k - m)
         out[:, k] = f * (scale ** order) * t ** (k - order)
+    return out
+
+
+def _pair_values(cache: _EvalCache, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Every pair's tensor contracted with power rows U (in u) and V (in v):
+    (n_pairs, len(U) * len(V)), the value at local grid point (a, b) in
+    column a * len(V) + b."""
+    vals = np.einsum("aj,kjl,bl->kab", U, cache.tensors, V, optimize=True)
+    return vals.reshape(len(cache.res), -1)
+
+
+def _evaluate_at(cache: _EvalCache, coeffs: np.ndarray, eid, tu, tv, wu, wv,
+                 order: int) -> np.ndarray:
+    """Evaluate gathered points; columns as in ``evaluate``."""
+    du, dv = cache.tensors.shape[1] - 1, cache.tensors.shape[2] - 1
+    # one polynomial tensor per element: segment sums of coeffs[res] * T
+    P = np.add.reduceat(coeffs[cache.res, None, None] * cache.tensors,
+                        cache.offsets[:-1], axis=0)
+    U = [_dpowers(tu, du, a, 1.0 / wu) for a in range(order + 1)]
+    V = [_dpowers(tv, dv, b, 1.0 / wv) for b in range(order + 1)]
+    cols = _COLUMNS[:{0: 1, 1: 3, 2: 6}[order]]
+    out = np.zeros((len(eid), len(cols)))
+    # sum over monomials, gathering one coefficient per point at a time
+    for j in range(du + 1):
+        for k in range(dv + 1):
+            p = P[eid, j, k]
+            for c, (a, b) in enumerate(cols):
+                out[:, c] += p * U[a][:, j] * V[b][:, k]
     return out
 
 
@@ -160,59 +185,14 @@ def evaluate(surface: LRSurface, x, y, order: int = 0,
     if x.shape != y.shape:
         raise ValueError("x and y must have the same shape")
     cache = eval_cache(surface)
-    eid = _locate(cache, x, y)
-    ncols = {0: 1, 1: 3, 2: 6}[order]
-    out = np.zeros((len(x), ncols))
-    order_idx = np.argsort(eid, kind="stable")
-    sorted_eid = eid[order_idx]
-    bounds = np.searchsorted(sorted_eid, np.arange(len(cache.elements) + 1))
-    du, dv = surface.degrees
-    if coeffs is None:
-        coeffs = surface.coeffs
-    for e in np.unique(sorted_eid):
-        sel = order_idx[bounds[e]:bounds[e + 1]]
-        el = cache.elements[e]
-        wu = el.u_hi - el.u_lo
-        wv = el.v_hi - el.v_lo
-        tu = (x[sel] - el.u_lo) / wu
-        tv = (y[sel] - el.v_lo) / wv
-        res = cache.residents[e]
-        # contract coefficients into one polynomial tensor for the element
-        P = np.tensordot(coeffs[res], cache.tensors[e], axes=(0, 0))
-        PU0 = _powers(tu, du)
-        PV0 = _powers(tv, dv)
-        out[sel, 0] = np.einsum("pj,jk,pk->p", PU0, P, PV0)
-        if order >= 1:
-            PU1 = _dpowers(tu, du, 1, 1.0 / wu)
-            PV1 = _dpowers(tv, dv, 1, 1.0 / wv)
-            out[sel, 1] = np.einsum("pj,jk,pk->p", PU1, P, PV0)
-            out[sel, 2] = np.einsum("pj,jk,pk->p", PU0, P, PV1)
-        if order >= 2:
-            PU2 = _dpowers(tu, du, 2, 1.0 / wu)
-            PV2 = _dpowers(tv, dv, 2, 1.0 / wv)
-            out[sel, 3] = np.einsum("pj,jk,pk->p", PU2, P, PV0)
-            out[sel, 4] = np.einsum("pj,jk,pk->p", PU1, P, PV1)
-            out[sel, 5] = np.einsum("pj,jk,pk->p", PU0, P, PV2)
-    if order == 0:
-        return out[:, 0]
-    return out
+    out = _evaluate_at(cache, surface.coeffs if coeffs is None else coeffs,
+                       *_gather(cache, x, y), order)
+    return out[:, 0] if order == 0 else out
 
 
 def partition_of_unity(surface: LRSurface, x, y) -> np.ndarray:
     """Sum of scaled basis values at the points (1 everywhere when valid)."""
     return evaluate(surface, x, y, coeffs=np.ones(len(surface.bsplines)))
-
-
-def basis_matrix_on_element(cache: _EvalCache, e: int, x: np.ndarray,
-                            y: np.ndarray) -> np.ndarray:
-    """Scaled basis values, shape (n_points, n_residents), for element e."""
-    el = cache.elements[e]
-    tu = (x - el.u_lo) / (el.u_hi - el.u_lo)
-    tv = (y - el.v_lo) / (el.v_hi - el.v_lo)
-    T = cache.tensors[e]
-    PU = _powers(tu, T.shape[1] - 1)
-    PV = _powers(tv, T.shape[2] - 1)
-    return np.einsum("pj,ijk,pk->pi", PU, T, PV)
 
 
 def basis_matrix(surface: LRSurface, x, y):
@@ -225,25 +205,21 @@ def basis_matrix(surface: LRSurface, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     cache = eval_cache(surface)
-    eid = _locate(cache, x, y)
-    order_idx = np.argsort(eid, kind="stable")
-    sorted_eid = eid[order_idx]
-    bounds = np.searchsorted(sorted_eid, np.arange(len(cache.elements) + 1))
-    rows, cols, vals = [], [], []
-    for e in np.unique(sorted_eid):
-        sel = order_idx[bounds[e]:bounds[e + 1]]
-        res = cache.residents[e]
-        Be = basis_matrix_on_element(cache, e, x[sel], y[sel])
-        rows.append(np.repeat(sel, len(res)))
-        cols.append(np.tile(res, len(sel)))
-        vals.append(Be.ravel())
-    n = len(x)
-    m = len(surface.bsplines)
-    if not rows:
-        return sparse.csr_matrix((n, m)), eid
-    B = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, m)).tocsr()
+    eid, tu, tv, _, _ = _gather(cache, x, y)
+    du, dv = surface.degrees
+    # one entry per (point, resident of its element), grouped by point
+    counts = np.diff(cache.offsets)[eid]
+    pair = _ranges(cache.offsets[eid], counts)
+    U, V = _dpowers(tu, du, 0, 1.0), _dpowers(tv, dv, 0, 1.0)
+    vals = np.zeros(len(pair))
+    # sum over monomials, never gathering a whole tensor per entry
+    for j in range(du + 1):
+        for k in range(dv + 1):
+            vals += cache.tensors[:, j, k][pair] * np.repeat(U[:, j] * V[:, k], counts)
+    indptr = np.zeros(len(x) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    B = sparse.csr_matrix((vals, cache.res[pair], indptr),
+                          shape=(len(x), len(surface.bsplines)))
     return B, eid
 
 
@@ -271,10 +247,10 @@ def distance_field(surface: LRSurface, points: np.ndarray, tau: float) -> dict:
     element_id = np.full(len(pts), -1, dtype=np.int64)
     status = np.full(len(pts), 2, dtype=np.int8)
     if inside.any():
-        xi, yi = x[inside], y[inside]
-        residual[inside] = z[inside] - evaluate(surface, xi, yi)
-        element_id[inside] = _locate(cache, xi, yi)
-        r = residual[inside]
+        located = _gather(cache, x[inside], y[inside])
+        r = z[inside] - _evaluate_at(cache, surface.coeffs, *located, 0)[:, 0]
+        residual[inside] = r
+        element_id[inside] = located[0]
         s = np.zeros(len(r), dtype=np.int8)
         s[r > tau] = 1
         s[r < -tau] = -1

@@ -45,6 +45,7 @@ __all__ = [
     "write_survey_binary",
     "read_survey_binary",
     "read_survey",
+    "is_binary_survey",
     "read_surface",
     "write_distance_field",
 ]
@@ -309,6 +310,8 @@ def read_survey_binary(path):
         raise ValueError("not a binary survey file (bad magic)")
     (hlen,) = struct.unpack_from("<I", data, 8)
     meta = json.loads(data[12:12 + hlen].decode())
+    if not isinstance(meta, dict) or type(meta.get("count")) is not int:
+        raise ValueError(f"{path}: binary survey header lacks an integer 'count'")
     body = data[12 + hlen:]
     n = meta.pop("count")
     pts = np.frombuffer(body, dtype="<f8").reshape(-1, 3)
@@ -319,11 +322,15 @@ def read_survey_binary(path):
     return pts.astype(float), meta
 
 
+def is_binary_survey(path) -> bool:
+    """True when the file starts with the binary survey magic."""
+    with open(path, "rb") as f:
+        return f.read(8) == _MAGIC_SURV
+
+
 def read_survey(path):
     """Sniff text vs binary survey by magic."""
-    with open(path, "rb") as f:
-        magic = f.read(8)
-    if magic == _MAGIC_SURV:
+    if is_binary_survey(path):
         return read_survey_binary(path)
     return read_survey_text(path)
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .evaluate import basis_matrix, eval_cache
+from .evaluate import _dpowers, _locate, _pair_values, basis_matrix, eval_cache
 from .mesh import LRSurface
 
 __all__ = [
@@ -45,40 +45,6 @@ class SmoothingWeights:
     w1: float = 0.0
     w2: float = 1.0
     w3: float = 0.0
-
-
-def _deriv_rows(t: np.ndarray, d: int, order: int, scale: float) -> np.ndarray:
-    """d^order/dx^order of the monomial row [1, t, ...] with t=(x-lo)*scale."""
-    out = np.zeros((len(t), d + 1))
-    for k in range(order, d + 1):
-        f = 1.0
-        for m in range(order):
-            f *= (k - m)
-        out[:, k] = f * (scale ** order) * t ** (k - order)
-    return out
-
-
-def _element_deriv_matrices(cache, e: int, xq: np.ndarray, yq: np.ndarray,
-                            pairs: list[tuple[int, int]]) -> dict:
-    """dict (a, b) -> matrix [q, i] of d^a_u d^b_v (s_i N_i) at quad points."""
-    el = cache.elements[e]
-    wu = el.u_hi - el.u_lo
-    wv = el.v_hi - el.v_lo
-    tu = (xq - el.u_lo) / wu
-    tv = (yq - el.v_lo) / wv
-    T = cache.tensors[e]
-    du = T.shape[1] - 1
-    dv = T.shape[2] - 1
-    rows_u = {}
-    rows_v = {}
-    out = {}
-    for a, b in pairs:
-        if a not in rows_u:
-            rows_u[a] = _deriv_rows(tu, du, a, 1.0 / wu)
-        if b not in rows_v:
-            rows_v[b] = _deriv_rows(tv, dv, b, 1.0 / wv)
-        out[(a, b)] = np.einsum("pj,ijk,pk->pi", rows_u[a], T, rows_v[b])
-    return out
 
 
 # closed-form angular weights: list of (coef, (a1, b1), (a2, b2)) meaning
@@ -122,19 +88,26 @@ def smoothing_matrix(surface: LRSurface, weights: SmoothingWeights = SmoothingWe
     cache = eval_cache(surface)
     gx_u, gw_u = np.polynomial.legendre.leggauss(du + 1)
     gx_v, gw_v = np.polynomial.legendre.leggauss(dv + 1)
+    tu, tv = 0.5 + 0.5 * gx_u, 0.5 + 0.5 * gx_v
+    wu = cache.bounds[:, 1] - cache.bounds[:, 0]
+    wv = cache.bounds[:, 3] - cache.bounds[:, 2]
+    W = 0.25 * (wu * wv)[:, None] * np.outer(gw_u, gw_v).ravel()
+    # D[(a, b)][k, q]: d^a_u d^b_v of pair k's scaled B-spline at Gauss point q
+    pe = cache.pair_element
+    D = {(a, b): _pair_values(cache, _dpowers(tu, du, a, 1.0), _dpowers(tv, dv, b, 1.0))
+         * ((1.0 / wu[pe]) ** a * (1.0 / wv[pe]) ** b)[:, None]
+         for a, b in pairs}
+    # exact per-element blocks, batched over elements with equal resident counts
+    counts = np.diff(cache.offsets)
     rows, cols, vals = [], [], []
-    for el, res in zip(cache.elements, cache.residents):
-        xq = 0.5 * (el.u_lo + el.u_hi) + 0.5 * (el.u_hi - el.u_lo) * gx_u
-        yq = 0.5 * (el.v_lo + el.v_hi) + 0.5 * (el.v_hi - el.v_lo) * gx_v
-        XX, YY = np.meshgrid(xq, yq, indexing="ij")
-        W = (0.25 * (el.u_hi - el.u_lo) * (el.v_hi - el.v_lo)
-             * np.outer(gw_u, gw_v)).ravel()
-        D = _element_deriv_matrices(cache, el.index, XX.ravel(), YY.ravel(), pairs)
-        Se = np.zeros((len(res), len(res)))
-        for c, p, q in terms:
-            Se += c * (D[p].T * W) @ D[q]
-        rows.append(np.repeat(res, len(res)))
-        cols.append(np.tile(res, len(res)))
+    for n_res in np.unique(counts):
+        els = np.flatnonzero(counts == n_res)
+        k = cache.offsets[els, None] + np.arange(n_res)
+        Se = sum(c * (D[p][k] * W[els, None, :]) @ D[q][k].transpose(0, 2, 1)
+                 for c, p, q in terms)
+        res = cache.res[k]
+        rows.append(np.repeat(res, n_res, axis=1).ravel())
+        cols.append(np.tile(res, n_res).ravel())
         vals.append(Se.ravel())
     S = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -177,28 +150,19 @@ def ghost_points(surface: LRSurface, points: np.ndarray, prior=None,
     low-weight anchors; heights come from ``prior`` (default: IDW over the
     data).  Returns (m, 3) array, possibly empty.
     """
-    from .evaluate import _locate
-
     du, dv = surface.degrees
     need = min_support if min_support is not None else (du + 1) * (dv + 1)
     cache = eval_cache(surface)
     pts = np.asarray(points, dtype=float)
     eid = _locate(cache, pts[:, 0], pts[:, 1])
-    ne = len(cache.elements)
-    per_el = np.bincount(eid, minlength=ne)
-    L = len(surface.bsplines)
-    per_bs = np.zeros(L, dtype=np.int64)
-    for e, res in enumerate(cache.residents):
-        per_bs[res] += per_el[e]
+    per_el = np.bincount(eid, minlength=len(cache.elements))
+    per_bs = np.bincount(cache.res, weights=per_el[cache.pair_element],
+                         minlength=len(surface.bsplines))
     starved = per_bs < need
     if not starved.any():
         return np.empty((0, 3))
-    el_ids: set[int] = set()
-    starved_idx = set(np.nonzero(starved)[0].tolist())
-    for e, res in enumerate(cache.residents):
-        if starved_idx.intersection(res.tolist()):
-            el_ids.add(e)
-    centers = np.array([cache.elements[e].center() for e in sorted(el_ids)])
+    b = cache.bounds[np.unique(cache.pair_element[starved[cache.res]])]
+    centers = np.column_stack([0.5 * (b[:, 0] + b[:, 1]), 0.5 * (b[:, 2] + b[:, 3])])
     if prior is None:
         prior = idw_prior(pts)
     z = prior(centers[:, 0], centers[:, 1])
@@ -255,7 +219,7 @@ def fit_least_squares(surface: LRSurface, points: np.ndarray,
             info["solver"] = "splu-after-cg"
     rel = np.linalg.norm(A @ c - b) / max(np.linalg.norm(b), 1e-300)
     info["relative_residual"] = float(rel)
-    if rel > 1e-8:
+    if not rel <= 1e-8:
         raise RuntimeError(f"normal equation solve failed: relative residual {rel:.2e}")
     # coefficient-only update: basis caches stay valid, no version bump
     surface.coeffs = np.asarray(c, dtype=float)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evaluate import basis_matrix_on_element, eval_cache, evaluate, _locate
+from .evaluate import basis_matrix, evaluate
 from .mesh import LRSurface
 
 __all__ = ["mba_update", "mba_fit"]
@@ -31,32 +31,17 @@ def mba_update(surface: LRSurface, points: np.ndarray,
     if residuals is None:
         residuals = z - evaluate(surface, x, y)
     r = np.asarray(residuals, dtype=float)
-    cache = eval_cache(surface)
-    eid = _locate(cache, x, y)
-    order = np.argsort(eid, kind="stable")
-    sorted_eid = eid[order]
-    bounds = np.searchsorted(sorted_eid, np.arange(len(cache.elements) + 1))
+    B, _ = basis_matrix(surface, x, y)
+    rows = np.repeat(np.arange(len(pts)), np.diff(B.indptr))
+    w, cols = B.data, B.indices
+    w2 = w * w
+    # per-point normalization; positive, since the scaled basis sums to one
+    D = np.bincount(rows, weights=w2, minlength=len(pts))
     L = len(surface.bsplines)
-    num = np.zeros(L)
-    den = np.zeros(L)
+    num = np.bincount(cols, weights=w * w2 * (r / D)[rows], minlength=L)
+    den = np.bincount(cols, weights=w2, minlength=L)
     max_abs_r = np.zeros(L)
-    for e in np.unique(sorted_eid):
-        sel = order[bounds[e]:bounds[e + 1]]
-        res = cache.residents[e]
-        Be = basis_matrix_on_element(cache, e, x[sel], y[sel])
-        B2 = Be * Be
-        D = B2.sum(axis=1)           # per-point normalization
-        ok = D > 0
-        if not ok.all():
-            B2 = B2[ok]
-            Be = Be[ok]
-            D = D[ok]
-            sel = sel[ok]
-        num[res] += ((Be * B2) * (r[sel] / D)[:, None]).sum(axis=0)
-        den[res] += B2.sum(axis=0)
-        if len(sel):
-            np.maximum.at(max_abs_r, res,
-                          np.full(len(res), np.abs(r[sel]).max()))
+    np.maximum.at(max_abs_r, cols, np.abs(r)[rows])
     active = (den > 0) & (max_abs_r > tau)
     delta = np.zeros(L)
     delta[active] = num[active] / den[active]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "make_tensor_surface",
     "insert_segment",
     "insert_segments",
-    "elements_of",
     "validate_surface",
     "independence_report",
     "restrict",
@@ -298,6 +297,7 @@ class LRSurface:
         self.units = units
         self._index: dict[tuple, int] = {b.key(): i for i, b in enumerate(bsplines)}
         self.version = 0
+        self._eval_cache = None  # flat element layer, see evaluate.eval_cache
 
     def __len__(self) -> int:
         return len(self.bsplines)
@@ -325,15 +325,6 @@ class LRSurface:
         mesh._cover_pos = [list(p) for p in self.mesh._cover_pos]
         bs = [ScaledBSpline(b.knots, b.scaling) for b in self.bsplines]
         return LRSurface(self.degrees, mesh, bs, self.coeffs.copy(), self.units)
-
-    def replace_contents(self, other: "LRSurface") -> None:
-        self.degrees = other.degrees
-        self.mesh = other.mesh
-        self.bsplines = other.bsplines
-        self.coeffs = other.coeffs
-        self.units = other.units
-        self._index = other._index
-        self.bump()
 
 
 def make_tensor_surface(domain: tuple[float, float, float, float],
@@ -537,30 +528,39 @@ def insert_segments(surface: LRSurface, segments) -> None:
 # -- queries -----------------------------------------------------------
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ranges [starts[k], starts[k] + counts[k]) as one array."""
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return shift + np.arange(len(shift))
+
+
 def residents_of(surface: LRSurface):
     """Per element, the indices of B-splines whose support covers it.
 
-    Returns (elements, residents, cell_map, uc, vc); residents is a list of
-    int arrays aligned with elements.
+    Returns (elements, offsets, res, cell_map, uc, vc): the residents of
+    element e are ``res[offsets[e]:offsets[e + 1]]``, in increasing order.
     """
     elements, cell_map, uc, vc = surface.mesh.elements()
-    res: list[list[int]] = [[] for _ in elements]
-    for i, b in enumerate(surface.bsplines):
-        u0, u1, v0, v1 = b.support()
-        i0 = int(np.searchsorted(uc, u0))
-        i1 = int(np.searchsorted(uc, u1))
-        j0 = int(np.searchsorted(vc, v0))
-        j1 = int(np.searchsorted(vc, v1))
-        for e in np.unique(cell_map[i0:i1, j0:j1]):
-            res[e].append(i)
-    residents = [np.asarray(r, dtype=np.int64) for r in res]
-    return elements, residents, cell_map, uc, vc
-
-
-def elements_of(surface: LRSurface):
-    """Elements of the box partition with their resident B-spline sets."""
-    elements, residents, _, _, _ = residents_of(surface)
-    return list(zip(elements, residents))
+    nu = len(uc) - 1
+    # An element lies inside a support iff its lower-left fine cell does.
+    # Elements are numbered in the scan order of those cells, column by
+    # column, so the cells' flat indices j * nu + i increase with e.
+    anchors = (np.searchsorted(vc, [el.v_lo for el in elements]) * nu
+               + np.searchsorted(uc, [el.u_lo for el in elements]))
+    sup = np.array([b.support() for b in surface.bsplines]).reshape(-1, 4)
+    i0, i1 = np.searchsorted(uc, sup[:, 0]), np.searchsorted(uc, sup[:, 1])
+    j0, j1 = np.searchsorted(vc, sup[:, 2]), np.searchsorted(vc, sup[:, 3])
+    # one search per (B-spline, fine column of its support)
+    bs = np.repeat(np.arange(len(sup)), j1 - j0)
+    col = _ranges(j0, j1 - j0)
+    first = np.searchsorted(anchors, col * nu + i0[bs])
+    count = np.searchsorted(anchors, col * nu + i1[bs]) - first
+    bs = np.repeat(bs, count)
+    el = _ranges(first, count)
+    order = np.argsort(el, kind="stable")
+    offsets = np.zeros(len(elements) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(el, minlength=len(elements)), out=offsets[1:])
+    return elements, offsets, bs[order], cell_map, uc, vc
 
 
 def validate_surface(surface: LRSurface, check_unity: bool = True) -> None:
@@ -614,26 +614,24 @@ def independence_report(surface: LRSurface, samples_per_dir: int | None = None) 
     checks its column rank through the Gram matrix spectrum.  This flags
     dependence reliably at desk scale but is not a structural proof.
     """
-    from .evaluate import basis_matrix_on_element, eval_cache
+    from .evaluate import _dpowers, _pair_values, eval_cache
     du, dv = surface.degrees
     n = samples_per_dir or (max(du, dv) + 2)
-    elements, residents, _, _, _ = residents_of(surface)
     L = len(surface.bsplines)
     if L > 4000:
         raise ValueError("independence diagnostic is limited to 4000 B-splines")
-    gram = np.zeros((L, L))
     cache = eval_cache(surface)
-    for el, res in zip(elements, residents):
-        tu = np.linspace(el.u_lo, el.u_hi, n + 2)[1:-1]
-        tv = np.linspace(el.v_lo, el.v_hi, n + 2)[1:-1]
-        xx, yy = np.meshgrid(tu, tv, indexing="ij")
-        B = basis_matrix_on_element(cache, el.index, xx.ravel(), yy.ravel())
-        gram[np.ix_(res, res)] += B.T @ B
+    t = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    B = _pair_values(cache, _dpowers(t, du, 0, 1.0), _dpowers(t, dv, 0, 1.0))
+    gram = np.zeros((L, L))
+    for e in range(len(cache.elements)):
+        k = slice(cache.offsets[e], cache.offsets[e + 1])
+        gram[np.ix_(cache.res[k], cache.res[k])] += B[k] @ B[k].T
     w = np.linalg.eigvalsh(gram)
     tol = max(w[-1], 1.0) * 1e-12 * L
     rank = int((w > tol).sum())
     cap = (du + 1) * (dv + 1)
-    suspects = [el.index for el, res in zip(elements, residents) if len(res) > cap]
+    suspects = np.flatnonzero(np.diff(cache.offsets) > cap).tolist()
     return {
         "n_bsplines": L,
         "rank": rank,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptive import FitConfig, IterationReport, fit
+from .adaptive import FitConfig, IterationReport, _finite, fit
 from .mesh import (SNAP_REL, LRSurface, Segment, insert_segments, restrict,
                    transpose)
 
@@ -108,7 +108,7 @@ def fit_tiles(points: np.ndarray, tiles: list[Tile],
     A tile whose expanded rectangle contains no points becomes a hole
     (surface None); its neighbors are unaffected.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _finite(np.asarray(points, dtype=float))
     out = []
     for t in tiles:
         e = t.expanded

@@ -124,3 +124,11 @@ def test_report_row_format():
     assert parts[1] == "100"
     assert parts[-1] == "42"
     assert len(IterationReport.header().split("\t")) == 6
+
+
+@pytest.mark.parametrize("row, col, value", [(17, 2, np.nan), (5, 0, np.inf)])
+def test_non_finite_points_raise(row, col, value):
+    pts, tau = benchmark_points(3000)
+    pts[row, col] = value
+    with pytest.raises(ValueError, match=f"finite; row {row}"):
+        fit(pts, FitConfig(tolerance=tau, max_iterations=1))

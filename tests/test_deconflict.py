@@ -451,3 +451,13 @@ def test_mismatched_tolerances_rejected():
         deconflict_fit([Survey(A, name="A")],
                        FitConfig(tolerance=0.3),
                        DeconflictConfig(tolerance=0.5))
+
+
+def test_deconflict_fit_rejects_non_finite_points():
+    rng = np.random.default_rng(7)
+    A = plane_cloud(rng, 0.0, 6.5, 500)
+    B = plane_cloud(rng, 3.5, 10.0, 500)
+    B[3, 2] = np.nan
+    with pytest.raises(ValueError, match="survey 'B' points must be finite"):
+        deconflict_fit([Survey(A, name="A"), Survey(B, name="B")],
+                       small_fit_config(), DeconflictConfig(tolerance=0.5))

@@ -158,3 +158,16 @@ def test_element_accuracy_aggregation(rng):
     assert acc["n_points"].sum() == 1000
     assert acc["n_out"].sum() == int((np.abs(z) > 0.15).sum())
     assert acc["max_abs"].max() == pytest.approx(np.abs(z).max())
+
+
+def test_cache_is_owned_by_the_surface(rng):
+    # the layer lives on the surface: evaluating many other surfaces in
+    # between neither evicts nor rebuilds it
+    s = random_refined_surface(29, n_inserts=10)
+    c1 = eval_cache(s)
+    x = rng.uniform(0, 1, 10)
+    for _ in range(70):
+        evaluate(make_tensor_surface((0, 1, 0, 1), (2, 2), (4, 4)), x, x)
+    assert eval_cache(s) is c1
+    s.coeffs = s.coeffs + 1.0  # coefficient updates keep the layer
+    assert eval_cache(s) is c1

@@ -349,3 +349,14 @@ def test_cli_report_table(bench_file, tmp_path, capsys):
     assert name == "bench" and int(n) == 6000
     assert float(below) >= 0 and float(above) >= 0
     assert float(zr) > 5
+
+
+def test_binary_survey_without_count_exits_2(tmp_path, capsys):
+    header = json.dumps({"name": "x"}).encode()
+    p = tmp_path / "x.survey"
+    p.write_bytes(b"LRSURV01" + len(header).to_bytes(4, "little") + header
+                  + np.zeros(6).tobytes())
+    with pytest.raises(ValueError, match="count"):
+        read_survey_binary(p)
+    assert main(["fit", str(p)]) == 2
+    assert "count" in capsys.readouterr().err

@@ -106,3 +106,27 @@ def test_empty_points_raise():
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
     with pytest.raises(ValueError):
         mba_update(s, np.empty((0, 3)))
+
+
+def test_sweep_matches_dense_reference_with_gate(rng):
+    # delta_i = sum_p w_pi^3 r_p / D_p / sum_p w_pi^2 with D_p = sum_l w_pl^2,
+    # applied only where some point of the support has |r| > tau
+    from lrterrain.evaluate import basis_matrix
+
+    s = random_refined_surface(47, n_inserts=40)
+    x = rng.uniform(0, 1, 1500)
+    y = rng.uniform(0, 1, 1500)
+    r = rng.normal(0, 0.1, 1500)
+    r[x > 0.5] *= 0.01  # the right half stays under the gate
+    tau = 0.05
+    W = basis_matrix(s, x, y)[0].toarray()
+    D = (W ** 2).sum(axis=1)
+    num = (W ** 3 * (r / D)[:, None]).sum(axis=0)
+    den = (W ** 2).sum(axis=0)
+    gate = ((W > 0) * np.abs(r)[:, None]).max(axis=0) > tau
+    assert 0 < gate.sum() < len(s)
+    expect = s.coeffs + np.where(gate & (den > 0), num / np.where(den > 0, den, 1), 0)
+    pts = np.column_stack([x, y, evaluate(s, x, y) + r])
+    stats = mba_update(s, pts, residuals=r, tau=tau)
+    np.testing.assert_allclose(s.coeffs, expect, rtol=0, atol=1e-13)
+    assert stats["n_updated"] == int((gate & (den > 0)).sum())

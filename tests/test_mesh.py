@@ -14,6 +14,7 @@ from lrterrain import (
 from lrterrain.mesh import (
     _insert_knot_1d,
     independence_report,
+    residents_of,
     transpose,
     validate_surface,
 )
@@ -197,3 +198,18 @@ def test_canonical_order_is_deterministic():
     b = random_refined_surface(9, n_inserts=30)
     assert [f.knots for f in a.bsplines] == [f.knots for f in b.bsplines]
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+
+def test_residents_match_support_scan():
+    # loop reference: the elements met by each support's fine-cell block
+    s = random_refined_surface(53, n_inserts=70)
+    elements, offsets, res, cell_map, uc, vc = residents_of(s)
+    expect = [[] for _ in elements]
+    for i, b in enumerate(s.bsplines):
+        u0, u1, v0, v1 = b.support()
+        block = cell_map[np.searchsorted(uc, u0):np.searchsorted(uc, u1),
+                         np.searchsorted(vc, v0):np.searchsorted(vc, v1)]
+        for e in np.unique(block):
+            expect[e].append(i)
+    got = [res[offsets[e]:offsets[e + 1]].tolist() for e in range(len(elements))]
+    assert got == expect

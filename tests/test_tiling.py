@@ -357,3 +357,11 @@ def test_tiled_fit_matches_untiled_accuracy():
         tiled_out += int((np.abs(status) == 1).sum())
     assert untiled_out > 0  # budget chosen so the comparison is not 0 == 0
     assert abs(tiled_out - untiled_out) <= 0.01 * len(pts)
+
+
+def test_fit_tiles_rejects_non_finite_rows():
+    pts, tau = benchmark_points(4000)
+    pts[100] = np.nan
+    tiles = make_tiles((0.0, 100.0, 0.0, 100.0), (2, 2), 0.1)
+    with pytest.raises(ValueError, match="finite; row 100"):
+        fit_tiles(pts, tiles, FitConfig(tolerance=tau, max_iterations=1))
