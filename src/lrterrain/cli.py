@@ -319,9 +319,6 @@ def cmd_stitch(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     counts = tuple(manifest["counts"])
     entries = manifest["tiles"]
-    if len(entries) != counts[0] * counts[1]:
-        _fail(f"{args.manifest}: {len(entries)} tiles listed, "
-              f"{counts[0]}x{counts[1]} expected")
 
     fits = []
     texts = []

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptive import FitConfig, IterationReport, _finite, fit
-from .mesh import (SNAP_REL, LRSurface, Segment, insert_segments, restrict,
-                   transpose)
+from .mesh import SNAP_REL, LRSurface, Segment, insert_segments, restrict
 
 __all__ = [
     "Tile",
@@ -126,13 +125,16 @@ def fit_tiles(points: np.ndarray, tiles: list[Tile],
 
 # -- boundary spline spaces ---------------------------------------------
 #
-# A restricted tile surface is clamped: along each domain edge the B-splines
+# A shared edge lies on a line of constant u (``ax`` 0, the lower surface on
+# the left) or of constant v (``ax`` 1, the lower surface below).  A
+# restricted tile surface is clamped: along each domain edge the B-splines
 # carry the edge coordinate at full multiplicity degree+1 ("row 0", the only
 # functions with a nonzero value on the edge) or at multiplicity degree
 # ("row 1", the only additional ones with a nonzero first derivative there).
 # The boundary curve is therefore the 1D spline whose coefficients are the
-# row-0 coefficients, and stitching reduces to aligning the row v-knots of
-# both sides into windows of one shared global knot vector.
+# row-0 coefficients, and stitching reduces to aligning the row knots along
+# the edge on both sides into windows of one shared global knot vector.
+# ``side`` 0 is the lower surface, whose edge is its upper domain bound.
 
 
 def _edge_mult(kn: tuple[float, ...], pos: float, side: int) -> int:
@@ -145,14 +147,19 @@ def _edge_mult(kn: tuple[float, ...], pos: float, side: int) -> int:
     return m
 
 
-def _trace_knots(surface: LRSurface, xs: float, side: int) -> list[tuple[float, int]]:
+def _edge_pos(surface: LRSurface, ax: int, side: int) -> float:
+    return surface.domain[2 * ax + 1 - side]
+
+
+def _trace_knots(surface: LRSurface, ax: int, side: int) -> list[tuple[float, int]]:
     """(position, multiplicity) pairs of the boundary curve's knot vector."""
-    du = surface.degrees[0]
+    d = surface.degrees[ax]
+    xs = _edge_pos(surface, ax, side)
     mult: dict[float, int] = {}
     for b in surface.bsplines:
-        if _edge_mult(b.ku, xs, side) != du + 1:
+        if _edge_mult(b.knots[ax], xs, side) != d + 1:
             continue
-        for p, m in Counter(b.kv).items():
+        for p, m in Counter(b.knots[1 - ax]).items():
             if mult.get(p, 0) < m:
                 mult[p] = m
     return sorted(mult.items())
@@ -161,103 +168,81 @@ def _trace_knots(surface: LRSurface, xs: float, side: int) -> list[tuple[float, 
 def _merge_trace(ta, tb, tol: float) -> list[tuple[float, int]]:
     """Union of two knot multisets, clustering positions within ``tol``."""
     out: list[tuple[float, int]] = []
-    ia = ib = 0
-    while ia < len(ta) or ib < len(tb):
-        if ib >= len(tb):
-            p, m = ta[ia]; ia += 1
-        elif ia >= len(ta):
-            p, m = tb[ib]; ib += 1
-        elif abs(ta[ia][0] - tb[ib][0]) <= tol:
-            p = ta[ia][0]
-            m = max(ta[ia][1], tb[ib][1])
-            ia += 1; ib += 1
-        elif ta[ia][0] < tb[ib][0]:
-            p, m = ta[ia]; ia += 1
+    for p, m in sorted(ta + tb):
+        if out and p - out[-1][0] <= tol:
+            out[-1] = (out[-1][0], max(out[-1][1], m))
         else:
-            p, m = tb[ib]; ib += 1
-        out.append((p, m))
+            out.append((p, m))
     return out
 
 
-def _complete_edge(surface: LRSurface, xs: float, side: int,
+def _complete_edge(surface: LRSurface, ax: int, side: int,
                    target: list[tuple[float, int]], with_row1: bool) -> bool:
-    """Insert v-knot segments so the edge rows align with ``target``.
+    """Insert segments across the edge so its rows align with ``target``.
 
     Returns True when anything was inserted.  Segments span only the strip
-    (the u-support of the row function that needs the knot), so functions
-    farther than two rows from the boundary are untouched.
+    (the support across the edge of the row function that needs the knot),
+    so functions farther than two rows from the boundary are untouched.
     """
-    du, dv = surface.degrees
-    tol = SNAP_REL * surface.mesh.extent(1)
-    min_mult = du if with_row1 else du + 1
+    d = surface.degrees[ax]
+    xs = _edge_pos(surface, ax, side)
+    tol = SNAP_REL * surface.mesh.extent(1 - ax)
+    min_mult = d if with_row1 else d + 1
     segs = []
     for b in surface.bsplines:
-        if _edge_mult(b.ku, xs, side) < min_mult:
+        across, along = b.knots[ax], b.knots[1 - ax]
+        if _edge_mult(across, xs, side) < min_mult:
             continue
-        kv = b.kv
         for p, m in target:
-            if not (kv[0] + tol < p < kv[-1] - tol):
+            if not (along[0] + tol < p < along[-1] - tol):
                 continue
-            have = sum(1 for t in kv if abs(t - p) <= tol)
+            have = sum(1 for t in along if abs(t - p) <= tol)
             if have < m:
-                u_lo = b.ku[0] if side == 0 else xs
-                u_hi = xs if side == 0 else b.ku[-1]
-                segs.append(Segment(1, p, u_lo, u_hi, m))
+                lo, hi = (across[0], xs) if side == 0 else (xs, across[-1])
+                segs.append(Segment(1 - ax, p, lo, hi, m))
     if segs:
         insert_segments(surface, segs)
     return bool(segs)
 
 
-def _edge_rows(surface: LRSurface, xs: float, side: int, with_row1: bool):
-    """Edge rows as ladders of knot windows.
+def _edge_rows(surface: LRSurface, ax: int, side: int, with_row1: bool):
+    """Edge rows in the order of their knot windows along the edge.
 
-    Returns (windows, row0, row1) where windows[k] is the k-th v-knot window
-    of the boundary spline space and row0/row1 the B-spline index carrying
-    it.  Raises when the edge is not a clean (two-row) tensor strip.
+    Returns (row0, row1): row0[k] is the B-spline index carrying the k-th
+    knot window of the boundary spline space, row1[k] (None unless
+    ``with_row1``) the row-1 B-spline with the same window.  Raises when the
+    edge is not a clean (two-row) tensor strip.
     """
-    du = surface.degrees[0]
+    d = surface.degrees[ax]
+    xs = _edge_pos(surface, ax, side)
     r0: dict[tuple, int] = {}
     r1: dict[tuple, int] = {}
     for i, b in enumerate(surface.bsplines):
-        m = _edge_mult(b.ku, xs, side)
-        if m == du + 1:
-            if b.kv in r0:
+        m = _edge_mult(b.knots[ax], xs, side)
+        rows = r0 if m == d + 1 else r1 if m == d and with_row1 else None
+        if rows is not None:
+            if b.knots[1 - ax] in rows:
                 raise RuntimeError("duplicate boundary window")
-            r0[b.kv] = i
-        elif m == du and with_row1:
-            if b.kv in r1:
-                raise RuntimeError("duplicate boundary window")
-            r1[b.kv] = i
+            rows[b.knots[1 - ax]] = i
     windows = sorted(r0)
     for w, nxt in zip(windows, windows[1:]):
         if w[1:] != nxt[:-1]:
             raise RuntimeError("boundary windows do not chain")
     row0 = [r0[w] for w in windows]
-    row1 = None
-    if with_row1:
-        row1 = []
-        for w in windows:
-            j = r1.get(w)
-            if j is None:
-                raise RuntimeError("boundary strip is not tensor-product")
-            row1.append(j)
-    return windows, row0, row1
+    if not with_row1:
+        return row0, None
+    if any(w not in r1 for w in windows):
+        raise RuntimeError("boundary strip is not tensor-product")
+    return row0, [r1[w] for w in windows]
 
 
-def _unify_edge(a: LRSurface, b: LRSurface, xs: float, with_row1: bool) -> bool:
+def _unify_edge(a: LRSurface, b: LRSurface, ax: int, with_row1: bool) -> bool:
     """One structure pass over a shared edge; True when knots were added."""
-    tol = SNAP_REL * max(a.mesh.extent(1), b.mesh.extent(1))
-    target = _merge_trace(_trace_knots(a, xs, 0), _trace_knots(b, xs, 1), tol)
-    ca = _complete_edge(a, xs, 0, target, with_row1)
-    cb = _complete_edge(b, xs, 1, target, with_row1)
+    tol = SNAP_REL * max(a.mesh.extent(1 - ax), b.mesh.extent(1 - ax))
+    target = _merge_trace(_trace_knots(a, ax, 0), _trace_knots(b, ax, 1), tol)
+    ca = _complete_edge(a, ax, 0, target, with_row1)
+    cb = _complete_edge(b, ax, 1, target, with_row1)
     return ca or cb
-
-
-def _settle_edge(a: LRSurface, b: LRSurface, xs: float, with_row1: bool) -> None:
-    for _ in range(64):
-        if not _unify_edge(a, b, xs, with_row1):
-            return
-    raise RuntimeError("boundary spline spaces failed to settle")
 
 
 def _gamma(surface: LRSurface, rows) -> np.ndarray:
@@ -265,30 +250,30 @@ def _gamma(surface: LRSurface, rows) -> np.ndarray:
     return surface.coeffs[rows] * s
 
 
-def _set_gamma(surface: LRSurface, rows, values: np.ndarray) -> None:
+def _set_gamma(surface: LRSurface, rows, values) -> None:
     for i, g in zip(rows, values):
         surface.coeffs[i] = g / surface.bsplines[i].scaling
     surface.bump()
 
 
-def _check_pair(a: LRSurface, b: LRSurface) -> float:
+def _check_pair(a: LRSurface, b: LRSurface, ax: int) -> None:
+    """Raise ValueError unless ``b`` continues ``a`` across a shared edge."""
     if a.degrees != b.degrees:
         raise ValueError("surfaces have different degrees")
-    xs = a.domain[1]
-    tol = SNAP_REL * max(a.mesh.extent(0), b.mesh.extent(0))
-    if abs(b.domain[0] - xs) > tol:
+    tol = SNAP_REL * max(a.mesh.extent(ax), b.mesh.extent(ax))
+    if abs(b.domain[2 * ax] - a.domain[2 * ax + 1]) > tol:
         raise ValueError("surfaces do not share a boundary")
-    tv = SNAP_REL * max(a.mesh.extent(1), b.mesh.extent(1))
-    if abs(a.domain[2] - b.domain[2]) > tv or abs(a.domain[3] - b.domain[3]) > tv:
+    o = 2 * (1 - ax)
+    tv = SNAP_REL * max(a.mesh.extent(1 - ax), b.mesh.extent(1 - ax))
+    if abs(a.domain[o] - b.domain[o]) > tv or abs(a.domain[o + 1] - b.domain[o + 1]) > tv:
         raise ValueError("shared boundary spans differ")
-    return xs
 
 
-def _c0_edge(a: LRSurface, b: LRSurface, xs: float, weights) -> None:
+def _c0_edge(a: LRSurface, b: LRSurface, ax: int, weights) -> None:
     """Equalize the boundary curves; spaces must be settled already."""
     wa, wb = float(weights[0]), float(weights[1])
-    _, r0a, _ = _edge_rows(a, xs, 0, False)
-    _, r0b, _ = _edge_rows(b, xs, 1, False)
+    r0a, _ = _edge_rows(a, ax, 0, False)
+    r0b, _ = _edge_rows(b, ax, 1, False)
     if len(r0a) != len(r0b):
         raise RuntimeError("boundary spaces disagree after settling")
     g = (wa * _gamma(a, r0a) + wb * _gamma(b, r0b)) / (wa + wb)
@@ -296,29 +281,29 @@ def _c0_edge(a: LRSurface, b: LRSurface, xs: float, weights) -> None:
     _set_gamma(b, r0b, g)
 
 
-def _deriv_factors(surface: LRSurface, xs: float, side: int, row0, row1):
-    """Per-window derivative weights of the two edge rows at the boundary.
+def _row_factors(d: int, xs: float, side: int, k0, k1) -> tuple[float, float]:
+    """Cross-edge derivative factors of a row-0 and a row-1 B-spline.
 
-    d/du of the boundary trace is f0[k] * gamma0[k] + f1[k] * gamma1[k] in
-    the shared 1D basis; the factors follow from the local u-knots.
+    ``k0``/``k1`` are their knot vectors across the edge at ``xs``; the
+    derivative of the trace there is f0 * gamma0 + f1 * gamma1.
     """
-    du = surface.degrees[0]
-    f0 = np.empty(len(row0))
-    f1 = np.empty(len(row0))
-    for k, (i, j) in enumerate(zip(row0, row1)):
-        ku0 = surface.bsplines[i].ku
-        ku1 = surface.bsplines[j].ku
-        if side == 0:
-            f0[k] = du / (xs - ku0[0])
-            f1[k] = -du / (xs - ku1[1])
-        else:
-            f0[k] = -du / (ku0[-1] - xs)
-            f1[k] = du / (ku1[-2] - xs)
-    return f0, f1
+    if side == 0:
+        return d / (xs - k0[0]), -d / (xs - k1[1])
+    return -d / (k0[-1] - xs), d / (k1[-2] - xs)
 
 
-def _c1_edge(a: LRSurface, b: LRSurface, xs: float, weights,
-             skip_lo: bool = False, skip_hi: bool = False) -> None:
+def _deriv_factors(surface: LRSurface, ax: int, side: int, row0, row1):
+    """Per-window derivative weights of the two edge rows at the boundary."""
+    d = surface.degrees[ax]
+    xs = _edge_pos(surface, ax, side)
+    bs = surface.bsplines
+    f = np.array([_row_factors(d, xs, side, bs[i].knots[ax], bs[j].knots[ax])
+                  for i, j in zip(row0, row1)])
+    return f[:, 0], f[:, 1]
+
+
+def _c1_edge(a: LRSurface, b: LRSurface, ax: int, weights,
+             skip_lo: bool, skip_hi: bool) -> None:
     """Equalize the cross-boundary derivative on a settled, C0-equal edge.
 
     Row-0 coefficients stay fixed so the value match is preserved; the two
@@ -326,19 +311,17 @@ def _c1_edge(a: LRSurface, b: LRSurface, xs: float, weights,
     the two windows at that end untouched (they belong to a corner system).
     """
     wa, wb = float(weights[0]), float(weights[1])
-    _, r0a, r1a = _edge_rows(a, xs, 0, True)
-    _, r0b, r1b = _edge_rows(b, xs, 1, True)
+    r0a, r1a = _edge_rows(a, ax, 0, True)
+    r0b, r1b = _edge_rows(b, ax, 1, True)
     nk = len(r0a)
     if nk != len(r0b):
         raise RuntimeError("boundary spaces disagree after settling")
-    fa0, fa1 = _deriv_factors(a, xs, 0, r0a, r1a)
-    fb0, fb1 = _deriv_factors(b, xs, 1, r0b, r1b)
+    fa0, fa1 = _deriv_factors(a, ax, 0, r0a, r1a)
+    fb0, fb1 = _deriv_factors(b, ax, 1, r0b, r1b)
     g0a = _gamma(a, r0a)
     g0b = _gamma(b, r0b)
-    g1a = _gamma(a, r1a)
-    g1b = _gamma(b, r1b)
-    da = fa0 * g0a + fa1 * g1a
-    db = fb0 * g0b + fb1 * g1b
+    da = fa0 * g0a + fa1 * _gamma(a, r1a)
+    db = fb0 * g0b + fb1 * _gamma(b, r1b)
     d = (wa * da + wb * db) / (wa + wb)
     new_a = (d - fa0 * g0a) / fa1
     new_b = (d - fb0 * g0b) / fb1
@@ -347,62 +330,26 @@ def _c1_edge(a: LRSurface, b: LRSurface, xs: float, weights,
         live[:2] = False
     if skip_hi:
         live[-2:] = False
-    keep_a = np.asarray(r1a)[live]
-    keep_b = np.asarray(r1b)[live]
-    _set_gamma(a, list(keep_a), new_a[live])
-    _set_gamma(b, list(keep_b), new_b[live])
+    _set_gamma(a, np.asarray(r1a)[live], new_a[live])
+    _set_gamma(b, np.asarray(r1b)[live], new_b[live])
 
 
-def stitch_c0(a: LRSurface, b: LRSurface, axis: int = 0,
-              weights=(1.0, 1.0)):
-    """Make two adjacent surfaces agree along their shared boundary.
+# -- corners -------------------------------------------------------------
+#
+# Tile keys at a grid corner: A lower-left, B lower-right, C upper-left,
+# D upper-right, with the (u, v) side of the corner each one lies on.
 
-    axis 0: ``a`` left of ``b`` (a-umax == b-umin); axis 1: ``a`` below
-    ``b``.  Boundary knot vectors are unified by local refinement, then the
-    boundary coefficients are replaced by their ``weights``-weighted mean on
-    both sides.  Returns the modified pair; the inputs are untouched.
-    """
-    if axis == 1:
-        ta, tb = stitch_c0(transpose(a), transpose(b), 0, weights)
-        return transpose(ta), transpose(tb)
-    a, b = a.copy(), b.copy()
-    xs = _check_pair(a, b)
-    _settle_edge(a, b, xs, False)
-    _c0_edge(a, b, xs, weights)
-    return a, b
+_CORNER_SIDES = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}
 
 
-def stitch_c1(a: LRSurface, b: LRSurface, axis: int = 0,
-              weights=(1.0, 1.0)):
-    """C0 stitch plus equal first derivatives across the boundary.
-
-    Both sides are refined into a two-row tensor-product strip along the
-    boundary; the value rows get the common boundary curve and the second
-    rows are adjusted (least change) so the cross-boundary derivative is the
-    weighted mean of the two sides'.  Returns the modified pair.
-    """
-    if axis == 1:
-        ta, tb = stitch_c1(transpose(a), transpose(b), 0, weights)
-        return transpose(ta), transpose(tb)
-    a, b = a.copy(), b.copy()
-    xs = _check_pair(a, b)
-    _settle_edge(a, b, xs, True)
-    _c0_edge(a, b, xs, weights)
-    _c1_edge(a, b, xs, weights)
-    return a, b
-
-
-# -- grid stitching ------------------------------------------------------
-
-
-def _corner_block(surface: LRSurface, xs: float, ys: float,
-                  uside: int, vside: int) -> dict:
+def _corner_block(surface: LRSurface, uside: int, vside: int) -> dict:
     """The 2x2 coefficient block of one tile at a grid corner.
 
     Slot names: g (value row both directions), V (u-row0, v-row1),
     H (u-row1, v-row0), Q (u-row1, v-row1).
     """
     du, dv = surface.degrees
+    xs, ys = _edge_pos(surface, 0, uside), _edge_pos(surface, 1, vside)
     slots: dict[str, int] = {}
     for i, b in enumerate(surface.bsplines):
         mu = _edge_mult(b.ku, xs, uside)
@@ -421,68 +368,42 @@ def _corner_block(surface: LRSurface, xs: float, ys: float,
         raise RuntimeError("corner block rows disagree in u")
     if bs[slots["g"]].kv != bs[slots["H"]].kv or bs[slots["V"]].kv != bs[slots["Q"]].kv:
         raise RuntimeError("corner block rows disagree in v")
-    ku0, ku1 = bs[slots["g"]].ku, bs[slots["H"]].ku
-    kv0, kv1 = bs[slots["g"]].kv, bs[slots["V"]].kv
-    if uside == 0:
-        fu0, fu1 = du / (xs - ku0[0]), -du / (xs - ku1[1])
-    else:
-        fu0, fu1 = -du / (ku0[-1] - xs), du / (ku1[-2] - xs)
-    if vside == 0:
-        fv0, fv1 = dv / (ys - kv0[0]), -dv / (ys - kv1[1])
-    else:
-        fv0, fv1 = -dv / (kv0[-1] - ys), dv / (kv1[-2] - ys)
+    fu0, fu1 = _row_factors(du, xs, uside, bs[slots["g"]].ku, bs[slots["H"]].ku)
+    fv0, fv1 = _row_factors(dv, ys, vside, bs[slots["g"]].kv, bs[slots["V"]].kv)
     return {"slots": slots, "fu0": fu0, "fu1": fu1, "fv0": fv0, "fv1": fv1}
 
 
-def _corner_g(surface: LRSurface, xs: float, ys: float,
-              uside: int, vside: int) -> int:
+def _corner_g(surface: LRSurface, uside: int, vside: int) -> int:
     """Index of the single B-spline that is nonzero at a tile corner."""
     du, dv = surface.degrees
-    hit = -1
-    for i, b in enumerate(surface.bsplines):
-        if (_edge_mult(b.ku, xs, uside) == du + 1
-                and _edge_mult(b.kv, ys, vside) == dv + 1):
-            if hit >= 0:
-                raise RuntimeError("corner value function is not unique")
-            hit = i
-    if hit < 0:
-        raise RuntimeError("no corner value function")
-    return hit
+    xs, ys = _edge_pos(surface, 0, uside), _edge_pos(surface, 1, vside)
+    hit = [i for i, b in enumerate(surface.bsplines)
+           if _edge_mult(b.ku, xs, uside) == du + 1
+           and _edge_mult(b.kv, ys, vside) == dv + 1]
+    if len(hit) != 1:
+        raise RuntimeError("corner value function is not unique" if hit
+                           else "no corner value function")
+    return hit[0]
 
 
-def _corner_gamma(surface: LRSurface, i: int) -> float:
-    return surface.coeffs[i] * surface.bsplines[i].scaling
-
-
-def _corner_set(surface: LRSurface, i: int, g: float) -> None:
-    surface.coeffs[i] = g / surface.bsplines[i].scaling
-    surface.bump()
-
-
-def _solve_corner(tiles: dict[str, LRSurface], xs: float, ys: float) -> None:
+def _solve_corner(tiles: dict[str, LRSurface]) -> None:
     """Joint cross-derivative conditions of the four tiles meeting at a corner.
 
-    Tile keys: A lower-left, B lower-right, C upper-left, D upper-right.
     Corner values g are assumed already equal; the remaining eight corner
     coefficients get the smallest change that makes both derivative
     directions continuous through the corner.  The system is consistent
     (constants solve it), so the residual is numerically zero.
     """
-    sides = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}
-    blk = {t: _corner_block(tiles[t], xs, ys, *sides[t]) for t in tiles}
-    g = np.mean([_corner_gamma(tiles[t], blk[t]["slots"]["g"]) for t in tiles])
+    blk = {t: _corner_block(tiles[t], *_CORNER_SIDES[t]) for t in tiles}
 
+    def slot(t, name):
+        return [blk[t]["slots"][name]]
+
+    g = np.mean([_gamma(tiles[t], slot(t, "g"))[0] for t in tiles])
     # variables: V_b, V_t, H_l, H_r, Q_A, Q_B, Q_C, Q_D
-    cur = np.array([
-        _corner_gamma(tiles["A"], blk["A"]["slots"]["V"]),
-        _corner_gamma(tiles["C"], blk["C"]["slots"]["V"]),
-        _corner_gamma(tiles["A"], blk["A"]["slots"]["H"]),
-        _corner_gamma(tiles["B"], blk["B"]["slots"]["H"]),
-        _corner_gamma(tiles["A"], blk["A"]["slots"]["Q"]),
-        _corner_gamma(tiles["B"], blk["B"]["slots"]["Q"]),
-        _corner_gamma(tiles["C"], blk["C"]["slots"]["Q"]),
-        _corner_gamma(tiles["D"], blk["D"]["slots"]["Q"]),
-    ])
+    cur = np.array([_gamma(tiles[t], slot(t, name))[0] for t, name in (
+        ("A", "V"), ("C", "V"), ("A", "H"), ("B", "H"),
+        ("A", "Q"), ("B", "Q"), ("C", "Q"), ("D", "Q"))])
     A, B, C, D = (blk[t] for t in "ABCD")
     M = np.zeros((6, 8))
     r = np.zeros(6)
@@ -503,64 +424,50 @@ def _solve_corner(tiles: dict[str, LRSurface], xs: float, ys: float) -> None:
               ("B", "H", x[3]), ("D", "H", x[3]), ("A", "Q", x[4]),
               ("B", "Q", x[5]), ("C", "Q", x[6]), ("D", "Q", x[7]))
     for t, name, val in writes:
-        _corner_set(tiles[t], blk[t]["slots"][name], val)
+        _set_gamma(tiles[t], slot(t, name), [val])
 
 
-def stitch_grid(fits: list[TileFit], counts, c1: bool = False):
-    """Stitch a whole tile grid; returns the list of stitched surfaces.
+# -- stitching -----------------------------------------------------------
+
+
+def _stitch(surfaces, weights, nx: int, ny: int, c1: bool) -> list:
+    """Stitch copies of an nx x ny row-major grid of surfaces (None: hole).
 
     Runs in phases: all structural refinement first (edge spaces settle
     jointly, since perpendicular edges interact at corners), then corner
     values, then boundary curves, then derivatives with per-corner joint
-    systems.  Averaging weights are the per-tile fit point counts.  Holes
-    are skipped; their edges stay unstitched.
+    systems.  ``weights`` are the per-surface averaging weights.
     """
-    nx, ny = int(counts[0]), int(counts[1])
-    if len(fits) != nx * ny:
-        raise ValueError("tile list does not match grid counts")
-    S: list[LRSurface | None] = [f.surface.copy() if f.surface is not None else None
-                                 for f in fits]
-    w = [max(f.n_points, 1) for f in fits]
+    S = [s.copy() if s is not None else None for s in surfaces]
 
     def at(ix, iy):
         return iy * nx + ix
 
-    v_edges = []  # (left index, right index, skip_lo, skip_hi)
-    h_edges = []
-    for iy in range(ny):
-        for ix in range(nx - 1):
-            i, j = at(ix, iy), at(ix + 1, iy)
-            if S[i] is not None and S[j] is not None:
-                v_edges.append((i, j, iy > 0, iy < ny - 1))
-    for iy in range(ny - 1):
-        for ix in range(nx):
-            i, j = at(ix, iy), at(ix, iy + 1)
-            if S[i] is not None and S[j] is not None:
-                h_edges.append((i, j, ix > 0, ix < nx - 1))
+    # (lower index, upper index, axis, skip_lo, skip_hi); the skip flags
+    # mark edge ends at an interior corner
+    edges = [(at(ix, iy), at(ix + 1, iy), 0, iy > 0, iy < ny - 1)
+             for iy in range(ny) for ix in range(nx - 1)]
+    edges += [(at(ix, iy), at(ix, iy + 1), 1, ix > 0, ix < nx - 1)
+              for iy in range(ny - 1) for ix in range(nx)]
+    edges = [e for e in edges if S[e[0]] is not None and S[e[1]] is not None]
+    for i, j, ax, _, _ in edges:
+        _check_pair(S[i], S[j], ax)
 
     # phase 1: settle all edge spline spaces to a joint fixpoint
     for _ in range(64):
         changed = False
-        for i, j, _, _ in v_edges:
-            xs = _check_pair(S[i], S[j])
-            changed |= _unify_edge(S[i], S[j], xs, c1)
-        for i, j, _, _ in h_edges:
-            ta, tb = transpose(S[i]), transpose(S[j])
-            ys = _check_pair(ta, tb)
-            if _unify_edge(ta, tb, ys, c1):
-                changed = True
-            S[i], S[j] = transpose(ta), transpose(tb)
+        for i, j, ax, _, _ in edges:
+            changed |= _unify_edge(S[i], S[j], ax, c1)
         if not changed:
             break
     else:
-        raise RuntimeError("grid edge spaces failed to settle")
+        raise RuntimeError("edge spline spaces failed to settle")
 
     # phase 2: pin corner values across the tiles that meet there.  Later
     # edge averaging only preserves an already-agreed corner, so this must
     # cover partial corners at holes too; the joint derivative solve still
     # needs all four tiles.
     corners = []
-    sides = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}
     for cy in range(1, ny):
         for cx in range(1, nx):
             quad = {"A": at(cx - 1, cy - 1), "B": at(cx, cy - 1),
@@ -568,41 +475,67 @@ def stitch_grid(fits: list[TileFit], counts, c1: bool = False):
             present = {t: i for t, i in quad.items() if S[i] is not None}
             if len(present) < 2:
                 continue
-            t0, i0 = next(iter(present.items()))
-            us, vs = sides[t0]
-            xs = S[i0].domain[1 - us]
-            ys = S[i0].domain[3 - vs]
-            idx = {t: _corner_g(S[i], xs, ys, *sides[t])
-                   for t, i in present.items()}
-            wsum = sum(w[i] for i in present.values())
-            g = sum(w[i] * _corner_gamma(S[i], idx[t])
+            idx = {t: [_corner_g(S[i], *_CORNER_SIDES[t])] for t, i in present.items()}
+            wsum = sum(weights[i] for i in present.values())
+            g = sum(weights[i] * _gamma(S[i], idx[t])[0]
                     for t, i in present.items()) / wsum
             for t, i in present.items():
-                _corner_set(S[i], idx[t], g)
+                _set_gamma(S[i], idx[t], [g])
             if len(present) == 4:
-                corners.append((quad, xs, ys))
+                corners.append(quad)
 
     # phase 3: boundary curves
-    for i, j, _, _ in v_edges:
-        _c0_edge(S[i], S[j], S[i].domain[1], (w[i], w[j]))
-    for i, j, _, _ in h_edges:
-        ta, tb = transpose(S[i]), transpose(S[j])
-        _c0_edge(ta, tb, ta.domain[1], (w[i], w[j]))
-        S[i], S[j] = transpose(ta), transpose(tb)
-
-    if not c1:
-        return S
-
-    # phase 4: derivatives; corner windows are owned by the joint systems
-    for i, j, skip_lo, skip_hi in v_edges:
-        _c1_edge(S[i], S[j], S[i].domain[1], (w[i], w[j]), skip_lo, skip_hi)
-    for i, j, skip_lo, skip_hi in h_edges:
-        ta, tb = transpose(S[i]), transpose(S[j])
-        _c1_edge(ta, tb, ta.domain[1], (w[i], w[j]), skip_lo, skip_hi)
-        S[i], S[j] = transpose(ta), transpose(tb)
-    for quad, xs, ys in corners:
-        _solve_corner({t: S[i] for t, i in quad.items()}, xs, ys)
+    for i, j, ax, _, _ in edges:
+        _c0_edge(S[i], S[j], ax, (weights[i], weights[j]))
+    if c1:
+        # phase 4: derivatives; corner windows are owned by the joint systems
+        for i, j, ax, skip_lo, skip_hi in edges:
+            _c1_edge(S[i], S[j], ax, (weights[i], weights[j]), skip_lo, skip_hi)
+        for quad in corners:
+            _solve_corner({t: S[i] for t, i in quad.items()})
     return S
+
+
+def stitch_c0(a: LRSurface, b: LRSurface, axis: int = 0,
+              weights=(1.0, 1.0)):
+    """Make two adjacent surfaces agree along their shared boundary.
+
+    axis 0: ``a`` left of ``b`` (a-umax == b-umin); axis 1: ``a`` below
+    ``b``.  Boundary knot vectors are unified by local refinement, then the
+    boundary coefficients are replaced by their ``weights``-weighted mean on
+    both sides.  Returns the modified pair; the inputs are untouched.
+    """
+    nx, ny = (1, 2) if axis == 1 else (2, 1)
+    return tuple(_stitch([a, b], weights, nx, ny, False))
+
+
+def stitch_c1(a: LRSurface, b: LRSurface, axis: int = 0,
+              weights=(1.0, 1.0)):
+    """C0 stitch plus equal first derivatives across the boundary.
+
+    Both sides are refined into a two-row tensor-product strip along the
+    boundary; the value rows get the common boundary curve and the second
+    rows are adjusted (least change) so the cross-boundary derivative is the
+    weighted mean of the two sides'.  Returns the modified pair.
+    """
+    nx, ny = (1, 2) if axis == 1 else (2, 1)
+    return tuple(_stitch([a, b], weights, nx, ny, True))
+
+
+def stitch_grid(fits: list[TileFit], counts, c1: bool = False):
+    """Stitch a whole tile grid; returns the list of stitched surfaces.
+
+    Edges are stitched as in ``stitch_c1`` (or ``stitch_c0``), corner values
+    are pinned first across the tiles that meet there, and the
+    cross-derivative conditions that tie perpendicular edges together at a
+    corner are solved jointly.  Averaging weights are the per-tile fit point
+    counts.  Holes are skipped; their edges stay unstitched.
+    """
+    nx, ny = int(counts[0]), int(counts[1])
+    if len(fits) != nx * ny:
+        raise ValueError("tile list does not match grid counts")
+    return _stitch([f.surface for f in fits], [max(f.n_points, 1) for f in fits],
+                   nx, ny, c1)
 
 
 # -- manifest ------------------------------------------------------------
@@ -635,10 +568,28 @@ def write_manifest(path, tiles: list[Tile], counts, overlap: float,
 
 
 def read_manifest(path) -> dict:
+    """Tile grid description; ValueError when a key ``stitch`` reads is bad."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    for key in ("bbox", "counts", "tiles"):
+    if not isinstance(doc, dict):
+        raise ValueError("manifest is not a JSON object")
+    for key in ("bbox", "counts", "tiles", "overlap"):
         if key not in doc:
             raise ValueError(f"manifest is missing '{key}'")
-    doc["tiles"] = [dict(t) for t in doc["tiles"]]
+    counts = doc["counts"]
+    if not (isinstance(counts, list) and len(counts) == 2
+            and all(type(c) is int and c >= 1 for c in counts)):
+        raise ValueError(f"manifest counts must be two positive integers, not {counts!r}")
+    nx, ny = counts
+    tiles = doc["tiles"]
+    if not isinstance(tiles, list) or len(tiles) != nx * ny:
+        raise ValueError(f"manifest tiles must be a list of {nx}x{ny} entries")
+    for k, t in enumerate(tiles):
+        for key in ("ix", "iy", "core", "expanded", "surface"):
+            if not isinstance(t, dict) or key not in t:
+                raise ValueError(f"manifest tile {k} is missing '{key}'")
+        if (t["ix"], t["iy"]) != (k % nx, k // nx):
+            raise ValueError(f"manifest tile {k} is ({t['ix']}, {t['iy']}), "
+                             f"not ({k % nx}, {k // nx}) of the row-major grid")
+    doc["tiles"] = [dict(t) for t in tiles]
     return doc

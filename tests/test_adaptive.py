@@ -132,3 +132,14 @@ def test_non_finite_points_raise(row, col, value):
     pts[row, col] = value
     with pytest.raises(ValueError, match=f"finite; row {row}"):
         fit(pts, FitConfig(tolerance=tau, max_iterations=1))
+
+
+def test_converged_benchmark_fit_is_full_rank():
+    # local linear dependence is a known hazard of LR refinement; the
+    # converged benchmark space must keep every B-spline independent
+    from lrterrain.mesh import independence_report
+    pts, tau = benchmark_points(100_000)
+    surface, _, flags = fit(pts, FitConfig(tolerance=tau))
+    assert flags["converged"]
+    rep = independence_report(surface)
+    assert rep["full_rank"], (rep["rank"], rep["n_bsplines"])

@@ -360,3 +360,46 @@ def test_binary_survey_without_count_exits_2(tmp_path, capsys):
         read_survey_binary(p)
     assert main(["fit", str(p)]) == 2
     assert "count" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tile_grid(tmp_path_factory):
+    """A 2x2 `fit --tile` run: its directory and its manifest document."""
+    d = tmp_path_factory.mktemp("grid")
+    pts, tau = benchmark_points(6000, seed=3)
+    write_survey_text(d / "bench.xyz", pts, {"id": "bench"})
+    assert main(["fit", str(d / "bench.xyz"), "--tolerance", str(4 * tau),
+                 "--max-iter", "1", "--tile", "2x2", "-o", str(d / "grid.json")]) == 0
+    return d, json.loads((d / "grid.json").read_text())
+
+
+def _stitch_broken(tile_grid, name, edit, capsys):
+    d, doc = tile_grid
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    bad = d / f"{name}.json"
+    bad.write_text(json.dumps(doc))
+    before = sorted(os.listdir(d))
+    capsys.readouterr()
+    code = main(["stitch", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert sorted(os.listdir(d)) == before  # nothing written
+    return err
+
+
+def test_stitch_manifest_without_overlap_exits_2(tile_grid, capsys):
+    err = _stitch_broken(tile_grid, "no_overlap", lambda m: m.pop("overlap"), capsys)
+    assert "overlap" in err
+
+
+def test_stitch_manifest_tile_without_surface_exits_2(tile_grid, capsys):
+    err = _stitch_broken(tile_grid, "no_surface",
+                         lambda m: m["tiles"][2].pop("surface"), capsys)
+    assert "tile 2" in err and "surface" in err
+
+
+def test_stitch_manifest_with_one_count_exits_2(tile_grid, capsys):
+    err = _stitch_broken(tile_grid, "one_count",
+                         lambda m: m.update(counts=[4]), capsys)
+    assert "counts" in err

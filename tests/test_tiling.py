@@ -243,16 +243,19 @@ def test_stitch_weights_pull_toward_heavier_side():
 # -- grid stitching -------------------------------------------------------
 
 
-def grid_fits(seed, c1_noise=0.1):
-    s = random_refined_surface(seed, domain=(0, 2, 0, 2), grid=(9, 9))
+def grid_fits(seed, c1_noise=0.1, counts=(2, 2), degrees=(2, 2)):
+    """Unit tiles cut from one random surface, each perturbed on its own."""
+    nx, ny = counts
+    s = random_refined_surface(seed, domain=(0, nx, 0, ny), degrees=degrees,
+                               grid=(4 * nx + 1, 4 * ny + 1))
     rng = np.random.default_rng(seed + 1)
     fits = []
-    for iy in range(2):
-        for ix in range(2):
+    for iy in range(ny):
+        for ix in range(nx):
             r = restrict(s, (ix, ix + 1, iy, iy + 1))
             r.coeffs += rng.normal(0, c1_noise, len(r))
             fits.append(TileFit(Tile(ix, iy, r.domain, r.domain), r,
-                                n_points=100 * (1 + ix + 2 * iy)))
+                                n_points=100 * (1 + ix + nx * iy)))
     return fits
 
 
@@ -283,6 +286,26 @@ def test_grid_c1_closes_derivatives_through_corner():
         ga = evaluate(a, np.full(3, 1.0), yy, order=1)
         gb = evaluate(b, np.full(3, 1.0), yy, order=1)
         assert np.max(np.abs(ga - gb)) < 1e-7 * scale
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("counts", [(3, 2), (2, 3), (1, 3), (3, 1)])
+def test_grid_c1_closes_every_edge_of_uneven_grids(counts, degrees):
+    # unequal counts and degrees catch an edge helper that reads the wrong
+    # axis: every u-edge and every v-edge must close
+    nx, ny = counts
+    S = stitch_grid(grid_fits(7, counts=counts, degrees=degrees), counts, c1=True)
+    scale = max(np.max(np.abs(evaluate(s, np.linspace(*s.domain[:2], 40),
+                                       np.linspace(*s.domain[2:], 40),
+                                       order=1)[:, 1:])) for s in S)
+    edges = [(S[iy * nx + ix], S[iy * nx + ix + 1], 0)
+             for iy in range(ny) for ix in range(nx - 1)]
+    edges += [(S[iy * nx + ix], S[(iy + 1) * nx + ix], 1)
+              for iy in range(ny - 1) for ix in range(nx)]
+    for a, b, axis in edges:
+        gaps = edge_gap(a, b, axis=axis, order=1)
+        assert gaps[0] <= 1e-10
+        assert max(gaps[1:]) <= 1e-7 * scale
 
 
 def test_grid_stitch_is_deterministic():
