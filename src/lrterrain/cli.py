@@ -25,6 +25,7 @@ from .deconflict import Survey, deconflict_fit
 from .evaluate import distance_field
 from .formats import (
     binary_size,
+    is_binary_surface,
     is_binary_survey,
     read_surface,
     read_survey,
@@ -331,8 +332,7 @@ def cmd_stitch(args) -> int:
         p = os.path.join(base_dir, e["surface"])
         fits.append(TileFit(tile, _load_surface(p), [],
                             int(e.get("n_points", 0)), dict(e.get("flags", {}))))
-        with open(p, "rb") as f:
-            texts.append(f.read(8) != b"LRSURF01")
+        texts.append(not is_binary_surface(p))
     try:
         stitched = stitch_grid(fits, counts, c1=args.c1)
     except (ValueError, RuntimeError) as e:

@@ -8,17 +8,21 @@ Binary surface (magic ``LRSURF01``, little-endian throughout):
     units            2 x (u32 length + UTF-8 bytes)
     u knot table     u32 count + f64[count]      (strictly increasing)
     v knot table     u32 count + f64[count]
-    segments         u32 count + per segment:
+    segments         u32 count + per segment (16 bytes):
                      u8 axis, u8 mult, u16 reserved, u32 pos/lo/hi indices
                      (pos indexes the axis table, lo/hi the other table)
     B-splines        u32 count + per function:
                      u32[du+2] u-knot indices, u32[dv+2] v-knot indices,
                      f64 scaling, f64 coefficient
 
-All knot values are stored once in the per-axis tables; B-splines refer to
-them by index, which makes shared knots exact by construction and the
-round trip bit-identical.  The text format carries the same sections
-line-oriented with full-precision ``repr`` floats.
+The knot tables are the mesh's coordinate tables: every knot, line
+position and segment endpoint is a mesh coordinate, stored once; segments
+and B-splines refer to them by index, which makes shared knots exact by
+construction and the round trip bit-identical.  The text format carries
+the same sections line-oriented with full-precision ``repr`` floats.  A
+table that is not strictly increasing, an index outside its table, or a
+file that ends early is malformed: the readers raise ``ValueError`` and
+the CLI exits 2.
 
 Survey text format: optional ``# key value`` header lines, then one
 ``x y z`` row per point.  Binary survey: magic ``LRSURV01``, u32 JSON
@@ -46,6 +50,7 @@ __all__ = [
     "read_survey_binary",
     "read_survey",
     "is_binary_survey",
+    "is_binary_surface",
     "read_surface",
     "write_distance_field",
 ]
@@ -55,34 +60,20 @@ _MAGIC_SURV = b"LRSURV01"
 
 
 def _knot_tables(surface: LRSurface):
-    """Sorted unique knot values per axis and index lookup dicts."""
-    tables = []
-    lookups = []
-    for axis in (0, 1):
-        vals = set(surface.mesh._coords[axis])
-        for b in surface.bsplines:
-            vals.update(b.knots[axis])
-        for pos, parts in surface.mesh._cover[axis].items():
-            vals.add(pos)
-        for pos, parts in surface.mesh._cover[1 - axis].items():
-            for lo, hi, _ in parts:
-                vals.add(lo)
-                vals.add(hi)
-        tab = sorted(vals)
-        tables.append(tab)
-        lookups.append({v: i for i, v in enumerate(tab)})
-    return tables, lookups
+    """The mesh coordinate tables per axis and index lookup dicts."""
+    tables = [surface.mesh.coords(axis).tolist() for axis in (0, 1)]
+    return tables, [{v: i for i, v in enumerate(tab)} for tab in tables]
 
 
 def binary_size(surface: LRSurface) -> int:
     """Exact byte count of the binary serialization."""
-    tables, _ = _knot_tables(surface)
+    mesh = surface.mesh
     du, dv = surface.degrees
-    n_seg = len(surface.mesh.segments())
+    n_seg = len(mesh.segments())
     size = 8 + 4 + 32
     for unit in surface.units:
         size += 4 + len(unit.encode())
-    size += 4 + 8 * len(tables[0]) + 4 + 8 * len(tables[1])
+    size += 4 + 8 * len(mesh.coords(0)) + 4 + 8 * len(mesh.coords(1))
     size += 4 + n_seg * 16
     size += 4 + len(surface.bsplines) * (4 * (du + 2) + 4 * (dv + 2) + 16)
     return size
@@ -136,6 +127,29 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
+def _seed_table(mesh: BoxMesh, axis: int, table) -> list[float]:
+    """Add a knot table to the mesh coordinates; returns the snapped table."""
+    if not np.all(np.diff(table) > 0):
+        raise ValueError(f"knot table of axis {axis} is not strictly increasing")
+    return [mesh.snap(axis, c, insert=True) for c in table]
+
+
+def _at(table: list[float], idx) -> tuple[float, ...]:
+    """Knot values at ``idx``; an index outside the table is a malformed file."""
+    if min(idx) < 0 or max(idx) >= len(table):
+        raise ValueError(f"knot index out of range: {list(idx)} in a table of "
+                         f"{len(table)}")
+    return tuple(table[k] for k in idx)
+
+
+def _add_segment(mesh: BoxMesh, tables, axis: int, mult: int, *idx: int) -> None:
+    """Add one segment record: ``idx`` indexes the pos, lo and hi values."""
+    if axis not in (0, 1):
+        raise ValueError(f"segment axis {axis} is not 0 or 1")
+    (pos,), (lo, hi) = _at(tables[axis], idx[:1]), _at(tables[1 - axis], idx[1:])
+    mesh.add_cover(axis, pos, lo, hi, mult)
+
+
 def read_surface_binary(path) -> LRSurface:
     with open(path, "rb") as f:
         data = f.read()
@@ -148,29 +162,23 @@ def read_surface_binary(path) -> LRSurface:
     for _ in range(2):
         (n,) = r.unpack("<I")
         units.append(r.take(n).decode())
-    tables = []
-    for _ in range(2):
-        (n,) = r.unpack("<I")
-        tables.append(np.frombuffer(r.take(8 * n), dtype="<f8"))
     mesh = BoxMesh(domain)
-    mesh._coords = [sorted(set(tables[0]) | {domain[0], domain[1]}),
-                    sorted(set(tables[1]) | {domain[2], domain[3]})]
+    tables = []
+    for axis in range(2):
+        (n,) = r.unpack("<I")
+        tables.append(_seed_table(mesh, axis, r.unpack(f"<{n}d")))
     (n_seg,) = r.unpack("<I")
     for _ in range(n_seg):
-        axis, mult, _, pi, li, hi = r.unpack("<BBHIII")
-        mesh.add_cover(axis, float(tables[axis][pi]),
-                       float(tables[1 - axis][li]), float(tables[1 - axis][hi]),
-                       mult)
+        axis, mult, _, *idx = r.unpack("<BBHIII")
+        _add_segment(mesh, tables, axis, mult, *idx)
     (n_bs,) = r.unpack("<I")
     bsplines = []
     coeffs = np.empty(n_bs)
     for i in range(n_bs):
-        ku = np.frombuffer(r.take(4 * (du + 2)), dtype="<u4")
-        kv = np.frombuffer(r.take(4 * (dv + 2)), dtype="<u4")
+        ku = _at(tables[0], r.unpack(f"<{du + 2}I"))
+        kv = _at(tables[1], r.unpack(f"<{dv + 2}I"))
         s, c = r.unpack("<dd")
-        bsplines.append(ScaledBSpline(
-            (tuple(float(tables[0][k]) for k in ku),
-             tuple(float(tables[1][k]) for k in kv)), s))
+        bsplines.append(ScaledBSpline((ku, kv), s))
         coeffs[i] = c
     if r.off != len(data):
         raise ValueError("trailing bytes after surface data")
@@ -203,40 +211,44 @@ def write_surface_text(surface: LRSurface, path) -> None:
 
 def read_surface_text(path) -> LRSurface:
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    it = iter(lines)
+        rows = [ln.split() for ln in f if ln.strip()]
+    it = iter(rows)
 
-    def expect(tag: str) -> list[str]:
-        parts = next(it).split()
+    def row(n: int) -> list[str]:
+        parts = next(it, None)
+        if parts is None:
+            raise ValueError("truncated surface file")
+        if len(parts) != n:
+            raise ValueError(f"expected {n} fields, got {' '.join(parts)!r}")
+        return parts
+
+    def expect(tag: str, n: int) -> list[str]:
+        parts = row(n + 1)
         if parts[0] != tag:
             raise ValueError(f"expected '{tag}' section, got '{parts[0]}'")
         return parts[1:]
 
-    if expect("lrsurface")[0] != "1":
+    if expect("lrsurface", 1) != ["1"]:
         raise ValueError("unsupported text surface version")
-    du, dv = (int(v) for v in expect("degrees"))
-    domain = tuple(float(v) for v in expect("domain"))
-    units = tuple(expect("units"))
-    tables = []
-    for name in ("uknots", "vknots"):
-        (n,) = (int(v) for v in expect(name))
-        tables.append([float(next(it)) for _ in range(n)])
+    du, dv = (int(v) for v in expect("degrees", 2))
+    domain = tuple(float(v) for v in expect("domain", 4))
+    units = tuple(expect("units", 2))
     mesh = BoxMesh(domain)
-    mesh._coords = [sorted(set(tables[0]) | {domain[0], domain[1]}),
-                    sorted(set(tables[1]) | {domain[2], domain[3]})]
-    (n_seg,) = (int(v) for v in expect("segments"))
+    tables = []
+    for axis, name in enumerate(("uknots", "vknots")):
+        n = int(expect(name, 1)[0])
+        tables.append(_seed_table(mesh, axis, [float(row(1)[0]) for _ in range(n)]))
+    n_seg = int(expect("segments", 1)[0])
     for _ in range(n_seg):
-        axis, mult, pi, li, hi = (int(v) for v in next(it).split())
-        mesh.add_cover(axis, tables[axis][pi], tables[1 - axis][li],
-                       tables[1 - axis][hi], mult)
-    (n_bs,) = (int(v) for v in expect("bsplines"))
+        _add_segment(mesh, tables, *(int(v) for v in row(5)))
+    n_bs = int(expect("bsplines", 1)[0])
     bsplines = []
     coeffs = np.empty(n_bs)
+    nu, nv = du + 2, dv + 2
     for i in range(n_bs):
-        parts = next(it).split()
-        nu, nv = du + 2, dv + 2
-        ku = tuple(tables[0][int(k)] for k in parts[:nu])
-        kv = tuple(tables[1][int(k)] for k in parts[nu:nu + nv])
+        parts = row(nu + nv + 2)
+        ku = _at(tables[0], [int(k) for k in parts[:nu]])
+        kv = _at(tables[1], [int(k) for k in parts[nu:nu + nv]])
         bsplines.append(ScaledBSpline((ku, kv), float(parts[nu + nv])))
         coeffs[i] = float(parts[nu + nv + 1])
     return LRSurface((du, dv), mesh, bsplines, coeffs, units)
@@ -335,11 +347,15 @@ def read_survey(path):
     return read_survey_text(path)
 
 
+def is_binary_surface(path) -> bool:
+    """True when the file starts with the binary surface magic."""
+    with open(path, "rb") as f:
+        return f.read(8) == _MAGIC_SURF
+
+
 def read_surface(path) -> LRSurface:
     """Sniff text vs binary surface by magic."""
-    with open(path, "rb") as f:
-        magic = f.read(8)
-    if magic == _MAGIC_SURF:
+    if is_binary_surface(path):
         return read_surface_binary(path)
     return read_surface_text(path)
 

@@ -65,13 +65,6 @@ class Element:
     def rect(self) -> tuple[float, float, float, float]:
         return (self.u_lo, self.u_hi, self.v_lo, self.v_hi)
 
-    @property
-    def area(self) -> float:
-        return (self.u_hi - self.u_lo) * (self.v_hi - self.v_lo)
-
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.u_lo + self.u_hi), 0.5 * (self.v_lo + self.v_hi))
-
 
 def _merge_cover(parts: list[tuple[float, float, int]], lo: float, hi: float,
                  mult: int) -> list[tuple[float, float, int]]:
@@ -96,6 +89,22 @@ def _merge_cover(parts: list[tuple[float, float, int]], lo: float, hi: float,
             else:
                 out.append((a, b, m))
     return out
+
+
+def _min_mult(parts: list[tuple[float, float, int]], lo: float, hi: float) -> int:
+    """Minimal multiplicity of a piece list over [lo, hi]; 0 if any gap."""
+    cur = lo
+    m = 1 << 30
+    for a, b, pm in parts:
+        if b <= cur:
+            continue
+        if a > cur:
+            return 0
+        m = min(m, pm)
+        cur = b
+        if cur >= hi:
+            return m
+    return 0
 
 
 class BoxMesh:
@@ -136,13 +145,6 @@ class BoxMesh:
         coords.insert(i, float(value))
         return float(value)
 
-    def has_coord(self, axis: int, value: float) -> bool:
-        try:
-            self.snap(axis, value)
-            return True
-        except KeyError:
-            return False
-
     def coords(self, axis: int) -> np.ndarray:
         return np.asarray(self._coords[axis])
 
@@ -164,21 +166,7 @@ class BoxMesh:
 
     def cover_mult(self, axis: int, pos: float, lo: float, hi: float) -> int:
         """Minimal multiplicity of coverage over [lo, hi]; 0 if any gap."""
-        parts = self._cover[axis].get(pos)
-        if not parts:
-            return 0
-        cur = lo
-        m = 1 << 30
-        for a, b, pm in parts:
-            if b <= cur:
-                continue
-            if a > cur:
-                return 0
-            m = min(m, pm)
-            cur = b
-            if cur >= hi:
-                return m
-        return 0
+        return _min_mult(self._cover[axis].get(pos, []), lo, hi)
 
     def covered_positions(self, axis: int, lo: float, hi: float) -> list[float]:
         """Coverage positions strictly inside (lo, hi) on ``axis``."""
@@ -193,6 +181,13 @@ class BoxMesh:
             for pos in self._cover_pos[axis]:
                 for lo, hi, m in self._cover[axis][pos]:
                     out.append(Segment(axis, pos, lo, hi, m))
+        return out
+
+    def copy(self) -> "BoxMesh":
+        out = BoxMesh(self.domain)
+        out._coords = [list(c) for c in self._coords]
+        out._cover = [{p: list(parts) for p, parts in cov.items()} for cov in self._cover]
+        out._cover_pos = [list(p) for p in self._cover_pos]
         return out
 
     # -- elements ----------------------------------------------------
@@ -318,13 +313,9 @@ class LRSurface:
         self.bump()
 
     def copy(self) -> "LRSurface":
-        mesh = BoxMesh(self.mesh.domain)
-        mesh._coords = [list(c) for c in self.mesh._coords]
-        mesh._cover = [{p: list(parts) for p, parts in cov.items()}
-                       for cov in self.mesh._cover]
-        mesh._cover_pos = [list(p) for p in self.mesh._cover_pos]
         bs = [ScaledBSpline(b.knots, b.scaling) for b in self.bsplines]
-        return LRSurface(self.degrees, mesh, bs, self.coeffs.copy(), self.units)
+        return LRSurface(self.degrees, self.mesh.copy(), bs, self.coeffs.copy(),
+                         self.units)
 
 
 def make_tensor_surface(domain: tuple[float, float, float, float],
@@ -456,15 +447,15 @@ def insert_segment(surface: LRSurface, seg: Segment) -> None:
 
     The segment must be axis-parallel inside the domain, its endpoints must
     lie on existing mesh lines, and it must fully traverse at least one
-    B-spline support (or be already contained in the mesh, a no-op).
-    Geometry is preserved exactly up to floating point.
+    B-spline support (or be already contained in the mesh, a no-op).  A
+    rejected segment leaves the surface unchanged.  Geometry is preserved
+    exactly up to floating point.
     """
     mesh = surface.mesh
     axis = seg.axis
     if axis not in (0, 1):
         raise ValueError("segment axis must be 0 or 1")
-    lo_d, hi_d = mesh.domain[2 * axis], mesh.domain[2 * axis + 1]
-    if not (lo_d <= seg.pos <= hi_d):
+    if not (mesh.domain[2 * axis] <= seg.pos <= mesh.domain[2 * axis + 1]):
         raise ValueError(f"segment position {seg.pos} outside domain axis {axis}")
     try:
         lo = mesh.snap(1 - axis, seg.lo)
@@ -473,38 +464,23 @@ def insert_segment(surface: LRSurface, seg: Segment) -> None:
         raise ValueError(f"segment endpoints must lie on existing mesh lines: {exc}") from exc
     if not lo < hi:
         raise ValueError("segment has empty extent")
-    pos = mesh.snap(axis, seg.pos, insert=True)
-
+    try:
+        pos = mesh.snap(axis, seg.pos)
+    except KeyError:
+        pos = float(seg.pos)
     # legality: after merging, the segment must traverse some support at a
     # multiplicity its knot vector does not yet carry, unless it is a no-op
-    old_parts = list(mesh._cover[axis].get(pos, []))
-    changed = mesh.add_cover(axis, pos, lo, hi, seg.mult)
-    if not changed:
+    old = mesh._cover[axis].get(pos, [])
+    new = _merge_cover(old, lo, hi, seg.mult)
+    if new == old:
         return
-    splittable = False
     for b in surface.bsplines:
-        kn = b.knots[axis]
-        if not (kn[0] < pos < kn[-1]):
-            continue
-        other = b.knots[1 - axis]
-        avail = mesh.cover_mult(axis, pos, other[0], other[-1])
-        if avail > kn.count(pos):
-            splittable = True
+        kn, other = b.knots[axis], b.knots[1 - axis]
+        if kn[0] < pos < kn[-1] and _min_mult(new, other[0], other[-1]) > kn.count(pos):
             break
-    if not splittable:
-        # roll back: a new line must span at least one B-spline support
-        if old_parts:
-            mesh._cover[axis][pos] = old_parts
-        else:
-            del mesh._cover[axis][pos]
-            mesh._cover_pos[axis].remove(pos)
-            mesh._coords[axis].remove(pos) if pos not in (lo_d, hi_d) and not any(
-                pos in (b.knots[axis]) for b in surface.bsplines) else None
-        mesh.version += 1
-        mesh._el_cache = None
+    else:
         raise ValueError("segment does not traverse any B-spline support")
-    _split_worklist(surface, range(len(surface.bsplines)))
-    surface.bump()
+    insert_segments(surface, [Segment(axis, pos, lo, hi, seg.mult)])
 
 
 def insert_segments(surface: LRSurface, segments) -> None:
@@ -566,18 +542,26 @@ def residents_of(surface: LRSurface):
 def validate_surface(surface: LRSurface, check_unity: bool = True) -> None:
     """Structural invariants; raises AssertionError with a diagnostic.
 
-    Checks that every B-spline knot lies on a segment traversing its
-    support, that scaling factors are positive, that the element partition
-    is consistent with the segment arrangement, and (optionally) partition
-    of unity at random sample points.
+    Checks that every B-spline knot, line position and segment endpoint is
+    a mesh coordinate (the file formats index the coordinate tables), that
+    every knot lies on a segment traversing its support, that scaling
+    factors are positive, that the element partition is consistent with the
+    segment arrangement, and (optionally) partition of unity at random
+    sample points.
     """
     mesh = surface.mesh
     du, dv = surface.degrees
+    coords = [set(mesh._coords[0]), set(mesh._coords[1])]
+    for s in mesh.segments():
+        assert s.pos in coords[s.axis] and {s.lo, s.hi} <= coords[1 - s.axis], (
+            f"segment {s} has an end or position that is not a mesh coordinate")
     for i, b in enumerate(surface.bsplines):
         assert b.scaling > 0, f"B-spline {i} has non-positive scaling"
         for axis, d in ((0, du), (1, dv)):
             kn = b.knots[axis]
             assert len(kn) == d + 2, f"B-spline {i} axis {axis} has wrong knot count"
+            assert set(kn) <= coords[axis], (
+                f"B-spline {i} axis {axis} has a knot that is not a mesh coordinate")
             other = b.knots[1 - axis]
             for pos in set(kn):
                 m = mesh.cover_mult(axis, pos, other[0], other[-1])
@@ -695,14 +679,11 @@ def restrict(surface: LRSurface, rect: tuple[float, float, float, float]) -> LRS
 
 def transpose(surface: LRSurface) -> LRSurface:
     """Swap the two parameter directions (u, v) -> (v, u)."""
-    d = surface.mesh.domain
-    mesh = BoxMesh((d[2], d[3], d[0], d[1]))
-    mesh._coords = [list(surface.mesh._coords[1]), list(surface.mesh._coords[0])]
-    mesh._cover = [
-        {p: list(parts) for p, parts in surface.mesh._cover[1].items()},
-        {p: list(parts) for p, parts in surface.mesh._cover[0].items()},
-    ]
-    mesh._cover_pos = [list(surface.mesh._cover_pos[1]), list(surface.mesh._cover_pos[0])]
+    mesh = surface.mesh.copy()
+    d = mesh.domain
+    mesh.domain = (d[2], d[3], d[0], d[1])
+    for per_axis in (mesh._coords, mesh._cover, mesh._cover_pos):
+        per_axis.reverse()
     bs = [ScaledBSpline((b.kv, b.ku), b.scaling) for b in surface.bsplines]
     out = LRSurface((surface.degrees[1], surface.degrees[0]), mesh, bs,
                     surface.coeffs.copy(), surface.units)

@@ -97,6 +97,65 @@ def test_binary_surface_rejects_damage(tmp_path):
         read_surface_binary(tmp_path / "trail.lrs")
 
 
+def _empty_text(s, path):
+    path.write_text("")
+
+
+def _truncated_text(s, path):
+    write_surface_text(s, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:len(lines) // 2]) + "\n")
+
+
+def _text_index_out_of_range(s, path):
+    write_surface_text(s, path)
+    lines = path.read_text().splitlines()
+    last = lines[-1].split()
+    lines[-1] = " ".join(["999999"] + last[1:])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _text_negative_index(s, path):
+    write_surface_text(s, path)
+    lines = path.read_text().splitlines()
+    i = lines.index(next(ln for ln in lines if ln.startswith("segments"))) + 1
+    axis, mult, pos, lo, hi = lines[i].split()
+    lines[i] = f"{axis} {mult} {pos} {lo} -1"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _binary_index_out_of_range(s, path):
+    write_surface_binary(s, path)
+    data = bytearray(path.read_bytes())
+    # the last v-knot index of the last B-spline, before its two f64
+    data[-20:-16] = (2**32 - 1).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+
+
+def _binary_table_not_increasing(s, path):
+    write_surface_binary(s, path)
+    data = bytearray(path.read_bytes())
+    # the first two u knots, right after the u table count
+    at = 44 + sum(4 + len(u.encode()) for u in s.units) + 4
+    data[at:at + 16] = data[at + 8:at + 16] + data[at:at + 8]
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("damage", [
+    _empty_text, _truncated_text, _text_index_out_of_range, _text_negative_index,
+    _binary_index_out_of_range, _binary_table_not_increasing])
+def test_cli_eval_of_malformed_surface_exits_2(damage, tmp_path, capsys):
+    s = random_refined_surface(2, n_inserts=5)
+    path = tmp_path / "bad.lrs"
+    damage(s, path)
+    with pytest.raises(ValueError):
+        read_surface(path)
+    pts = tmp_path / "pts.xyz"
+    pts.write_text("0.5 0.5 0.0\n")
+    assert main(["eval", str(path), str(pts)]) == 2
+    assert "bad.lrs" in capsys.readouterr().err
+
+
 # -- survey files -----------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from lrterrain import (
     partition_of_unity,
     restrict,
 )
+from lrterrain.formats import binary_size
 from lrterrain.mesh import (
     _insert_knot_1d,
     independence_report,
@@ -93,8 +94,26 @@ def test_insert_rejects_dangling_endpoints():
 def test_insert_rejects_too_short_segment():
     # a segment spanning less than one B-spline support must be refused
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
+    coords, size = s.mesh.coords(0).tolist(), binary_size(s)
     with pytest.raises(ValueError):
         insert_segment(s, Segment(0, 0.5, 0.2, 0.4))
+    assert s.mesh.coords(0).tolist() == coords  # u = 0.5 was never added
+    assert binary_size(s) == size
+
+
+def test_rejected_insert_leaves_surface_untouched():
+    # restriction keeps the coordinate u = 0.5 but drops its short line, so
+    # u = 0.5 is a mesh coordinate that no segment or knot uses
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (11, 11))
+    insert_segment(s, Segment(0, 0.5, 0.0, 0.333333333333333))
+    r = restrict(s, (0.0, 1.0, 0.4444444444444444, 1.0))
+    coords = [r.mesh.coords(0).tolist(), r.mesh.coords(1).tolist()]
+    size, segments = binary_size(r), r.mesh.segments()
+    with pytest.raises(ValueError, match="traverse"):
+        insert_segment(r, Segment(0, 0.5, 0.5555555555555556, 0.6666666666666666))
+    assert [r.mesh.coords(0).tolist(), r.mesh.coords(1).tolist()] == coords
+    assert binary_size(r) == size
+    assert r.mesh.segments() == segments
 
 
 def test_multiplicity_two_midline():
@@ -155,6 +174,17 @@ def test_validate_catches_broken_scaling():
     s.bsplines[10].scaling *= 1.5
     s.bump()
     with pytest.raises(AssertionError):
+        validate_surface(s)
+
+
+def test_validate_catches_segment_end_off_the_coordinates():
+    # the full line u = 0.5 changes multiplicity at v = 0.55, which is not a
+    # mesh coordinate; coverage, elements and B-splines are otherwise intact
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
+    insert_segment(s, Segment(0, 0.5, 0.0, 1.0))
+    validate_surface(s)
+    s.mesh._cover[0][0.5] = [(0.0, 0.55, 1), (0.55, 1.0, 2)]
+    with pytest.raises(AssertionError, match="not a mesh coordinate"):
         validate_surface(s)
 
 
