@@ -35,7 +35,7 @@ def main():
           f"{len(surface)} coefficients, "
           f"{int((fld['status'] != 0).sum())} points out of tolerance")
     if args.output:
-        write_surface_binary(args.output, surface)
+        write_surface_binary(surface, args.output)
         print(f"surface written to {args.output}")
 
 

@@ -19,8 +19,10 @@ The knot tables are the mesh's coordinate tables: every knot, line
 position and segment endpoint is a mesh coordinate, stored once; segments
 and B-splines refer to them by index, which makes shared knots exact by
 construction and the round trip bit-identical.  The text format carries
-the same sections line-oriented with full-precision ``repr`` floats.  A
-table that is not strictly increasing, an index outside its table, or a
+the same sections line-oriented with full-precision ``repr`` floats, and
+each unit as one whitespace-free word (the text writer rejects others).  A
+table that is not strictly increasing, an index outside its table, a
+B-spline knot-index list that decreases or spans an empty support, or a
 file that ends early is malformed: the readers raise ``ValueError`` and
 the CLI exits 2.
 
@@ -142,12 +144,22 @@ def _at(table: list[float], idx) -> tuple[float, ...]:
     return tuple(table[k] for k in idx)
 
 
+def _bspline_knots(table: list[float], idx, i: int, axis: int) -> tuple[float, ...]:
+    """Knot values of B-spline ``i`` on ``axis``; its indices must be
+    nondecreasing and span a non-empty support."""
+    idx = list(idx)
+    if any(a > b for a, b in zip(idx, idx[1:])) or idx[0] >= idx[-1]:
+        raise ValueError(f"B-spline {i}: {'uv'[axis]}-knot indices {idx} are not "
+                         f"nondecreasing over a non-empty support")
+    return _at(table, idx)
+
+
 def _add_segment(mesh: BoxMesh, tables, axis: int, mult: int, *idx: int) -> None:
     """Add one segment record: ``idx`` indexes the pos, lo and hi values."""
     if axis not in (0, 1):
         raise ValueError(f"segment axis {axis} is not 0 or 1")
     (pos,), (lo, hi) = _at(tables[axis], idx[:1]), _at(tables[1 - axis], idx[1:])
-    mesh.add_cover(axis, pos, lo, hi, mult)
+    mesh.add_cover(axis, pos, [(lo, hi, mult)])
 
 
 def read_surface_binary(path) -> LRSurface:
@@ -175,8 +187,8 @@ def read_surface_binary(path) -> LRSurface:
     bsplines = []
     coeffs = np.empty(n_bs)
     for i in range(n_bs):
-        ku = _at(tables[0], r.unpack(f"<{du + 2}I"))
-        kv = _at(tables[1], r.unpack(f"<{dv + 2}I"))
+        ku = _bspline_knots(tables[0], r.unpack(f"<{du + 2}I"), i, 0)
+        kv = _bspline_knots(tables[1], r.unpack(f"<{dv + 2}I"), i, 1)
         s, c = r.unpack("<dd")
         bsplines.append(ScaledBSpline((ku, kv), s))
         coeffs[i] = c
@@ -186,6 +198,10 @@ def read_surface_binary(path) -> LRSurface:
 
 
 def write_surface_text(surface: LRSurface, path) -> None:
+    for unit in surface.units:
+        if unit.split() != [unit]:
+            raise ValueError(f"unit {unit!r} cannot be written to a text surface: "
+                             f"it must be non-empty and hold no whitespace")
     tables, lookups = _knot_tables(surface)
     du, dv = surface.degrees
     lines = ["lrsurface 1"]
@@ -247,8 +263,8 @@ def read_surface_text(path) -> LRSurface:
     nu, nv = du + 2, dv + 2
     for i in range(n_bs):
         parts = row(nu + nv + 2)
-        ku = _at(tables[0], [int(k) for k in parts[:nu]])
-        kv = _at(tables[1], [int(k) for k in parts[nu:nu + nv]])
+        ku = _bspline_knots(tables[0], [int(k) for k in parts[:nu]], i, 0)
+        kv = _bspline_knots(tables[1], [int(k) for k in parts[nu:nu + nv]], i, 1)
         bsplines.append(ScaledBSpline((ku, kv), float(parts[nu + nv])))
         coeffs[i] = float(parts[nu + nv + 1])
     return LRSurface((du, dv), mesh, bsplines, coeffs, units)

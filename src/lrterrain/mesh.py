@@ -4,14 +4,25 @@ A surface is a collection of scaled B-splines, each defined by short local
 knot vectors (degree + 2 knots per direction) over a rectangular domain.
 The mesh is the set of axis-parallel knot-line segments; elements are the
 maximal rectangles not crossed by any segment.  Refinement inserts segments
-that span at least one B-spline support; affected B-splines are split by
-univariate knot insertion until every knot line that fully traverses a
-support is reflected in that B-spline's knot vector.
+that span at least one B-spline support; a B-spline is split by univariate
+knot insertion wherever a mesh line fully traverses its support at a
+multiplicity its knot vector lacks, until no such line is left.
+
+Refinement and the element partition work on whole arrays.  The split
+engine turns the knots into integer index rows into the mesh coordinate
+tables and runs one generation at a time: it finds the first traversing
+line of every queued B-spline with lookups into per-line coverage, splits
+all hits at once, merges products with equal knots (among themselves and
+into live B-splines), and queues the products that are new.  The element
+partition finds each fine cell's element by walking left to the nearest
+cut, then down.
 """
 from __future__ import annotations
 
 import bisect
-from collections import deque
+import functools
+import itertools
+from operator import attrgetter
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +46,8 @@ __all__ = [
 # domain extent) are considered the same mesh line.  Must stay well below
 # half the minimal element width enforced by refinement (extent / 2**15).
 SNAP_REL = 1e-9
+# B-splines per slice of the split search; bounds its temporary arrays
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -66,23 +79,19 @@ class Element:
         return (self.u_lo, self.u_hi, self.v_lo, self.v_hi)
 
 
-def _merge_cover(parts: list[tuple[float, float, int]], lo: float, hi: float,
-                 mult: int) -> list[tuple[float, float, int]]:
-    """Merge interval [lo, hi] at multiplicity ``mult`` into a sorted,
-    disjoint piece list, taking the pointwise maximum multiplicity."""
-    events = {lo, hi}
-    for a, b, _ in parts:
-        events.add(a)
-        events.add(b)
-    cuts = sorted(events)
+def _merge_cover(parts: list[tuple[float, float, int]],
+                 new: list[tuple[float, float, int]]) -> list[tuple[float, float, int]]:
+    """Merge intervals (lo, hi, mult) into a sorted, disjoint piece list,
+    taking the pointwise maximum multiplicity."""
+    items = parts + new
+    cuts = sorted({x for a, b, _ in items for x in (a, b)})
+    at = {c: k for k, c in enumerate(cuts)}
+    mult = [0] * (len(cuts) - 1)
+    for a, b, m in items:
+        for k in range(at[a], at[b]):
+            mult[k] = max(mult[k], m)
     out: list[tuple[float, float, int]] = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        m = 0
-        for pa, pb, pm in parts:
-            if pa <= a and b <= pb:
-                m = max(m, pm)
-        if lo <= a and b <= hi:
-            m = max(m, mult)
+    for a, b, m in zip(cuts[:-1], cuts[1:], mult):
         if m > 0:
             if out and out[-1][1] == a and out[-1][2] == m:
                 out[-1] = (out[-1][0], b, m)
@@ -150,11 +159,13 @@ class BoxMesh:
 
     # -- coverage ----------------------------------------------------
 
-    def add_cover(self, axis: int, pos: float, lo: float, hi: float, mult: int) -> bool:
-        """Merge coverage; returns True when the mesh actually changed."""
+    def add_cover(self, axis: int, pos: float,
+                  parts: list[tuple[float, float, int]]) -> bool:
+        """Merge intervals (lo, hi, mult) into the coverage of one line;
+        returns True when the mesh actually changed."""
         cov = self._cover[axis]
         old = cov.get(pos, [])
-        new = _merge_cover(old, lo, hi, mult)
+        new = _merge_cover(old, parts)
         if new == old:
             return False
         cov[pos] = new
@@ -168,12 +179,16 @@ class BoxMesh:
         """Minimal multiplicity of coverage over [lo, hi]; 0 if any gap."""
         return _min_mult(self._cover[axis].get(pos, []), lo, hi)
 
-    def covered_positions(self, axis: int, lo: float, hi: float) -> list[float]:
-        """Coverage positions strictly inside (lo, hi) on ``axis``."""
-        pos = self._cover_pos[axis]
-        i = bisect.bisect_right(pos, lo)
-        j = bisect.bisect_left(pos, hi)
-        return pos[i:j]
+    def _pieces(self, axis: int):
+        """Coverage of ``axis`` as index arrays (pos, lo, hi, mult), sorted by
+        line, then by interval start.  ``pos`` indexes the axis's coordinate
+        table, ``lo`` and ``hi`` the other axis's."""
+        flat = [(p, lo, hi, m) for p in self._cover_pos[axis]
+                for lo, hi, m in self._cover[axis][p]]
+        a = np.array(flat, dtype=float).reshape(-1, 4)
+        own, other = self.coords(axis), self.coords(1 - axis)
+        return (np.searchsorted(own, a[:, 0]), np.searchsorted(other, a[:, 1]),
+                np.searchsorted(other, a[:, 2]), a[:, 3].astype(np.int64))
 
     def segments(self) -> list[Segment]:
         out = []
@@ -198,49 +213,52 @@ class BoxMesh:
         Returns (elements, cell_map, ucells, vcells) where ucells/vcells are
         the fine-grid cut coordinates and cell_map maps fine cells to element
         indices.  Cached until the mesh changes.
+
+        An element is found from any of its fine cells by walking left to the
+        nearest cut, then down: that reaches its lower-left cell.  Elements
+        are numbered in the scan order of those cells, by v, then by u (flat
+        index j * nu + i).
         """
         if self._el_cache is not None:
             return self._el_cache
         uc = self.coords(0)
         vc = self.coords(1)
         nu, nv = len(uc) - 1, len(vc) - 1
-
-        # vcut[i, j]: vertical edge at u=uc[i+1] between cells (i,j),(i+1,j)
-        vcut = np.zeros((max(nu - 1, 0), nv), dtype=bool)
-        ucut = np.zeros((nu, max(nv - 1, 0)), dtype=bool)
-        for pos in self._cover_pos[0]:
-            i = int(np.searchsorted(uc, pos))
-            if not (0 < i < nu):
-                continue
-            for lo, hi, _ in self._cover[0][pos]:
-                j0 = int(np.searchsorted(vc, lo))
-                j1 = int(np.searchsorted(vc, hi))
-                vcut[i - 1, j0:j1] = True
-        for pos in self._cover_pos[1]:
-            j = int(np.searchsorted(vc, pos))
-            if not (0 < j < nv):
-                continue
-            for lo, hi, _ in self._cover[1][pos]:
-                i0 = int(np.searchsorted(uc, lo))
-                i1 = int(np.searchsorted(uc, hi))
-                ucut[i0:i1, j - 1] = True
-
-        cell_map = np.full((nu, nv), -1, dtype=np.int32)
-        elements: list[Element] = []
-        for j0 in range(nv):
-            for i0 in range(nu):
-                if cell_map[i0, j0] >= 0:
-                    continue
-                i1 = i0
-                while i1 + 1 < nu and not vcut[i1, j0]:
-                    i1 += 1
-                j1 = j0
-                while j1 + 1 < nv and not ucut[i0:i1 + 1, j1].any():
-                    j1 += 1
-                idx = len(elements)
-                elements.append(Element(idx, float(uc[i0]), float(uc[i1 + 1]),
-                                        float(vc[j0]), float(vc[j1 + 1])))
-                cell_map[i0:i1 + 1, j0:j1 + 1] = idx
+        # left[i, j] / below[i, j]: the left / lower edge of fine cell (i, j)
+        # lies on the domain boundary or on a segment
+        left = np.zeros((nu, nv), dtype=bool)
+        below = np.zeros((nu, nv), dtype=bool)
+        left[0] = below[:, 0] = True
+        for axis, cut, n in ((0, left, nu), (1, below, nv)):
+            pos, lo, hi, _ = self._pieces(axis)
+            inner = (pos > 0) & (pos < n)
+            pos, lo, hi = pos[inner], lo[inner], hi[inner]
+            line, cell = np.repeat(pos, hi - lo), _ranges(lo, hi - lo)
+            cut[(line, cell) if axis == 0 else (cell, line)] = True
+        i_left = np.where(left, np.arange(nu, dtype=np.int32)[:, None], 0)
+        np.maximum.accumulate(i_left, axis=0, out=i_left)
+        j_down = np.where(below, np.arange(nv, dtype=np.int32), 0)
+        np.maximum.accumulate(j_down, axis=1, out=j_down)
+        # flat index j * nu + i of each cell's lower-left cell
+        anchor = np.take_along_axis(j_down, i_left, axis=0)
+        anchor *= nu
+        anchor += i_left
+        del i_left, j_down
+        is_anchor = np.zeros(nu * nv, dtype=bool)
+        is_anchor[anchor] = True
+        rank = np.cumsum(is_anchor, dtype=np.int32)
+        rank -= 1
+        cell_map = rank[anchor]
+        del anchor, rank
+        j0, i0 = np.divmod(np.flatnonzero(is_anchor), nu)
+        # far ends: the nearest cut right of the anchor in its row, and above
+        # it in its column
+        right = np.flatnonzero(np.roll(left, -1, axis=0).T)
+        i1 = right[np.searchsorted(right, j0 * nu + i0)] - j0 * nu
+        up = np.flatnonzero(np.roll(below, -1, axis=1))
+        j1 = up[np.searchsorted(up, i0 * nv + j0)] - i0 * nv
+        rects = zip(uc[i0].tolist(), uc[i1 + 1].tolist(), vc[j0].tolist(), vc[j1 + 1].tolist())
+        elements = [Element(k, *r) for k, r in enumerate(rects)]
         self._el_cache = (elements, cell_map, uc, vc)
         return self._el_cache
 
@@ -290,7 +308,6 @@ class LRSurface:
         self.bsplines = bsplines
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.units = units
-        self._index: dict[tuple, int] = {b.key(): i for i, b in enumerate(bsplines)}
         self.version = 0
         self._eval_cache = None  # flat element layer, see evaluate.eval_cache
 
@@ -309,7 +326,6 @@ class LRSurface:
         order = sorted(range(len(self.bsplines)), key=lambda i: self.bsplines[i].key())
         self.bsplines = [self.bsplines[i] for i in order]
         self.coeffs = self.coeffs[order]
-        self._index = {b.key(): i for i, b in enumerate(self.bsplines)}
         self.bump()
 
     def copy(self) -> "LRSurface":
@@ -341,10 +357,10 @@ def make_tensor_surface(domain: tuple[float, float, float, float],
         o_lo = mesh.domain[2 * (1 - axis)]
         o_hi = mesh.domain[2 * (1 - axis) + 1]
         lo, hi = mesh.domain[2 * axis], mesh.domain[2 * axis + 1]
-        mesh.add_cover(axis, lo, o_lo, o_hi, d + 1)
-        mesh.add_cover(axis, hi, o_lo, o_hi, d + 1)
+        mesh.add_cover(axis, lo, [(o_lo, o_hi, d + 1)])
+        mesh.add_cover(axis, hi, [(o_lo, o_hi, d + 1)])
         for c in full[axis][d + 1:-(d + 1)]:
-            mesh.add_cover(axis, c, o_lo, o_hi, 1)
+            mesh.add_cover(axis, c, [(o_lo, o_hi, 1)])
     bsplines = []
     for i in range(nu):
         ku = tuple(full[0][i:i + du + 2])
@@ -358,6 +374,19 @@ def make_tensor_surface(domain: tuple[float, float, float, float],
 # -- knot insertion ---------------------------------------------------
 
 
+def _split_weights(t: np.ndarray, d: int, c: np.ndarray):
+    """Weights (a1, a2) of degree-``d`` knot vectors split at ``c``.
+
+    ``t`` is (n, d + 2) and ``c`` is (n,), with t[:, 0] < c < t[:, -1].  With
+    t1 and t2 the first and the last d + 2 knots of t with c inserted,
+    N_t = a1 * N_t1 + a2 * N_t2.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a1 = np.where(c >= t[:, d], 1.0, (c - t[:, 0]) / (t[:, d] - t[:, 0]))
+        a2 = np.where(c <= t[:, 1], 1.0, (t[:, d + 1] - c) / (t[:, d + 1] - t[:, 1]))
+    return a1, a2
+
+
 def _insert_knot_1d(t: tuple[float, ...], d: int, c: float):
     """Split one degree-``d`` B-spline knot vector at ``c``.
 
@@ -365,81 +394,181 @@ def _insert_knot_1d(t: tuple[float, ...], d: int, c: float):
     N_t = alpha1 * N_t1 + alpha2 * N_t2.
     """
     ext = sorted(t + (c,))
-    t1 = tuple(ext[:-1])
-    t2 = tuple(ext[1:])
-    if c >= t[d]:
-        a1 = 1.0
-    else:
-        a1 = (c - t[0]) / (t[d] - t[0])
-    if c <= t[1]:
-        a2 = 1.0
-    else:
-        a2 = (t[d + 1] - c) / (t[d + 1] - t[1])
-    return (a1, t1), (a2, t2)
+    a1, a2 = _split_weights(np.array([t], dtype=float), d, np.array([c], dtype=float))
+    return (float(a1[0]), tuple(ext[:-1])), (float(a2[0]), tuple(ext[1:]))
 
 
-def _find_split(surface: LRSurface, b: ScaledBSpline):
-    """First (axis, pos) where mesh coverage fully traverses the support
-    at higher multiplicity than the B-spline's own knot vector carries."""
-    mesh = surface.mesh
-    for axis in (0, 1):
-        kn = b.knots[axis]
-        lo, hi = kn[0], kn[-1]
-        other = b.knots[1 - axis]
-        olo, ohi = other[0], other[-1]
-        for pos in mesh.covered_positions(axis, lo, hi):
-            have = kn.count(pos)
-            if have >= surface.degrees[axis] + 1:
-                continue
-            avail = mesh.cover_mult(axis, pos, olo, ohi)
-            if avail > have:
-                return axis, pos
-    return None
+def _knot_rows(surface: LRSurface) -> np.ndarray:
+    """Per B-spline, its du + 2 u-knot and dv + 2 v-knot indices into the
+    mesh coordinate tables, as one int32 row."""
+    du, dv = surface.degrees
+    knots = map(attrgetter("knots"), surface.bsplines)
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(knots))
+    k = np.fromiter(flat, dtype=float).reshape(-1, du + dv + 4)
+    rows = np.empty(k.shape, dtype=np.int32)
+    rows[:, :du + 2] = np.searchsorted(surface.mesh.coords(0), k[:, :du + 2])
+    rows[:, du + 2:] = np.searchsorted(surface.mesh.coords(1), k[:, du + 2:])
+    return rows
 
 
-def _split_worklist(surface: LRSurface, seeds) -> None:
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per knot row; keys compare like the rows do
+    lexicographically, so sorting them gives the canonical order."""
+    big = np.ascontiguousarray(rows, dtype=">u4")
+    return big.view(np.dtype((np.void, 4 * big.shape[1]))).ravel()
+
+
+def _line_cover(mesh: BoxMesh, axis: int, d: int):
+    """Per-line coverage of ``axis`` for traversal queries.
+
+    Returns (lines, keys, reach, n): the covered line positions, the piece
+    keys pos * n + lo in increasing order (n is the size of the other
+    coordinate table), and reach[t, k] for t = 0..d: the far end of the run
+    of abutting pieces of one line, from piece k on, whose multiplicities
+    all exceed t; -1 where piece k's own does not.
+    """
+    pos, lo, hi, mult = mesh._pieces(axis)
+    n = len(mesh._coords[1 - axis])
+    abut = (pos[1:] == pos[:-1]) & (lo[1:] == hi[:-1])
+    idx = np.arange(len(pos))
+    reach = np.empty((d + 1, len(pos)), dtype=np.int64)
+    for t in range(d + 1):
+        ok = mult > t
+        stop = np.ones(len(pos), dtype=bool)
+        stop[:-1] = ~(abut & ok[1:])
+        last = np.minimum.accumulate(np.where(stop, idx, len(pos))[::-1])[::-1]
+        reach[t] = np.where(ok, hi[last], -1)
+    return np.unique(pos), pos * n + lo, reach, n
+
+
+def _first_splits(rows: np.ndarray, cols, lines, degrees):
+    """The first line that splits each row's B-spline, as (axis, pos).
+
+    Scans the covered lines strictly inside the support, axis 0 before
+    axis 1 and lower positions first, for one that fully traverses the
+    support at a multiplicity above the row's own; ``pos`` is -1 where none
+    does.  Works through the rows in slices of ``_CHUNK``, which bounds
+    the (row, line) pair arrays.
+    """
+    axis = np.zeros(len(rows), dtype=np.int8)
+    pos = np.full(len(rows), -1, dtype=np.int64)
+    for base, ax in itertools.product(range(0, len(rows), _CHUNK), (0, 1)):
+        todo = base + np.flatnonzero(pos[base:base + _CHUNK] < 0)
+        kn, other = rows[todo][:, cols[ax]], rows[todo][:, cols[1 - ax]]
+        covered, keys, reach, n = lines[ax]
+        start = np.searchsorted(covered, kn[:, 0], side="right")
+        count = np.maximum(np.searchsorted(covered, kn[:, -1]) - start, 0)
+        b = np.repeat(np.arange(len(todo)), count)
+        p = covered[_ranges(start, count)]
+        have = sum(col[b] == p for col in kn.T)
+        room = have <= degrees[ax]
+        b, p, have = b[room], p[room], have[room]
+        # the last piece starting at or before the support's low end
+        q = p * n + other[b, 0]
+        k = np.maximum(np.searchsorted(keys, q, side="right") - 1, 0)
+        hit = ((keys[k] <= q) & (keys[k] >= p * n)
+               & (reach[have, k] >= other[b, -1]))
+        b, p = b[hit], p[hit]
+        first = np.flatnonzero(np.diff(b, prepend=-1))
+        pos[todo[b[first]]] = p[first]
+        axis[todo[b[first]]] = ax
+    return axis, pos
+
+
+def _split_worklist(surface: LRSurface) -> None:
     """Split every B-spline (transitively) that a mesh line now traverses.
 
-    ``seeds`` is an iterable of indices to start from; products re-enter the
-    queue.  Duplicate products merge by summing scaled contributions.
+    Works on knot index rows, one generation at a time.  Generation 0 is
+    every B-spline.  Each generation finds the first traversing line of
+    every queued B-spline (``_first_splits``), splits all hits at once and
+    merges the products that have equal knots: with each other, and into
+    the live B-spline that already has those knots, by summing scaled
+    contributions.  The products that are new form the next generation.
+    The live B-splines are kept as sorted row keys, so the result comes out
+    in canonical order; untouched B-splines keep their objects.
     """
-    bs = surface.bsplines
-    coeffs = list(surface.coeffs)
-    index = surface._index
-    alive = [True] * len(bs)
-    work = deque(seeds)
-    while work:
-        i = work.popleft()
-        if i >= len(bs) or not alive[i]:
-            continue
-        b = bs[i]
-        hit = _find_split(surface, b)
-        if hit is None:
-            continue
-        axis, pos = hit
-        (a1, t1), (a2, t2) = _insert_knot_1d(b.knots[axis], surface.degrees[axis], pos)
-        alive[i] = False
-        del index[b.key()]
-        for a, tk in ((a1, t1), (a2, t2)):
-            knots = (tk, b.knots[1]) if axis == 0 else (b.knots[0], tk)
-            s_new = b.scaling * a
-            j = index.get(knots)
-            if j is not None and alive[j]:
-                ex = bs[j]
-                tot = ex.scaling + s_new
-                coeffs[j] = (ex.scaling * coeffs[j] + s_new * coeffs[i]) / tot
-                bs[j] = ScaledBSpline(knots, tot)
-            else:
-                bs.append(ScaledBSpline(knots, s_new))
-                coeffs.append(coeffs[i])
-                alive.append(True)
-                j = len(bs) - 1
-                index[knots] = j
-                work.append(j)
-    surface.bsplines = [b for b, a in zip(bs, alive) if a]
-    surface.coeffs = np.array([c for c, a in zip(coeffs, alive) if a])
-    surface._index = {b.key(): i for i, b in enumerate(surface.bsplines)}
-    surface.canonical_order()
+    mesh = surface.mesh
+    deg = surface.degrees
+    cols = (slice(0, deg[0] + 2), slice(deg[0] + 2, None))
+    coords = (mesh.coords(0), mesh.coords(1))
+    lines = [_line_cover(mesh, ax, deg[ax]) for ax in (0, 1)]
+    queue = _knot_rows(surface)
+    chunks = [queue]
+    n0 = len(queue)
+    scal = np.fromiter(map(attrgetter("scaling"), surface.bsplines), dtype=float)
+    coef = np.array(surface.coeffs, dtype=float)
+    merged = np.zeros(n0, dtype=bool)
+    # live B-splines: sorted row keys and the storage slot of each
+    keys = _row_keys(queue)
+    slot = np.argsort(keys, kind="stable")
+    keys = keys[slot]
+    at = np.empty(n0, dtype=np.int64)  # where each queued B-spline sits in keys
+    at[slot] = np.arange(n0)
+    base = 0  # storage slot of queue[0]
+    while len(queue):
+        axis, pos = _first_splits(queue, cols, lines, deg)
+        hit = np.flatnonzero(pos >= 0)
+        if not len(hit):
+            break
+        keys, slot = np.delete(keys, at[hit]), np.delete(slot, at[hit])
+        rows, s, c = [], [], []
+        for ax in (0, 1):
+            h = hit[axis[hit] == ax]
+            r, p = queue[h], pos[h]
+            t = r[:, cols[ax]]
+            a1, a2 = _split_weights(coords[ax][t], deg[ax], coords[ax][p])
+            ext = np.sort(np.column_stack([t, p]), axis=1)
+            for a, tk in ((a1, ext[:, :-1]), (a2, ext[:, 1:])):
+                prod = r.copy()
+                prod[:, cols[ax]] = tk
+                rows.append(prod)
+                s.append(scal[base + h] * a)
+                c.append(coef[base + h])
+        rows, s, c = np.concatenate(rows), np.concatenate(s), np.concatenate(c)
+        pkey, first, group = np.unique(_row_keys(rows), return_index=True,
+                                       return_inverse=True)
+        tot, wsum = np.bincount(group, s), np.bincount(group, s * c)
+        alone = np.bincount(group) == 1
+        rows, c = rows[first], c[first]
+        c[~alone] = wsum[~alone] / tot[~alone]
+        # products that a live B-spline already has merge into it
+        at = np.searchsorted(keys, pkey)
+        live = at < len(keys)
+        live[live] = keys[at[live]] == pkey[live]
+        j = slot[at[live]]
+        coef[j] = (scal[j] * coef[j] + wsum[live]) / (scal[j] + tot[live])
+        scal[j] += tot[live]
+        merged[j[j < n0]] = True
+        new = ~live
+        base = len(scal)
+        at = at[new]
+        keys = np.insert(keys, at, pkey[new])
+        slot = np.insert(slot, at, base + np.arange(len(at)))
+        at += np.arange(len(at))
+        scal, coef = np.append(scal, tot[new]), np.append(coef, c[new])
+        queue = rows[new]
+        chunks.append(queue)
+    rows = np.concatenate(chunks)
+    reuse = slot < n0
+    reuse[reuse] = ~merged[slot[reuse]]
+    out = np.empty(len(slot), dtype=object)
+    out[reuse] = np.fromiter(surface.bsplines, dtype=object)[slot[reuse]]
+    out[~reuse] = _bsplines_from_rows(rows[slot[~reuse]], scal[slot[~reuse]], mesh, cols)
+    surface.bsplines = out.tolist()
+    surface.coeffs = coef[slot]
+
+
+def _bsplines_from_rows(rows, scal, mesh: BoxMesh, cols) -> list[ScaledBSpline]:
+    """ScaledBSpline objects for knot index rows and scalings.  Equal knot
+    vectors share one tuple of the mesh's own coordinate values."""
+    knots = []
+    for ax in (0, 1):
+        r = rows[:, cols[ax]]
+        _, first, inv = np.unique(_row_keys(r), return_index=True, return_inverse=True)
+        table = mesh._coords[ax]
+        shared = [tuple(map(table.__getitem__, q)) for q in r[first].tolist()]
+        knots.append(map(shared.__getitem__, inv.tolist()))
+    return list(map(ScaledBSpline, zip(*knots), scal.tolist()))
 
 
 def insert_segment(surface: LRSurface, seg: Segment) -> None:
@@ -471,7 +600,7 @@ def insert_segment(surface: LRSurface, seg: Segment) -> None:
     # legality: after merging, the segment must traverse some support at a
     # multiplicity its knot vector does not yet carry, unless it is a no-op
     old = mesh._cover[axis].get(pos, [])
-    new = _merge_cover(old, lo, hi, seg.mult)
+    new = _merge_cover(old, [(lo, hi, seg.mult)])
     if new == old:
         return
     for b in surface.bsplines:
@@ -484,20 +613,23 @@ def insert_segment(surface: LRSurface, seg: Segment) -> None:
 
 
 def insert_segments(surface: LRSurface, segments) -> None:
-    """Batch insert: merge all coverage first, then one global split pass.
+    """Batch insert: merge all coverage first, once per line, then one
+    global split pass.
 
     Intended for refinement batches whose legality is known by construction
     (each segment spans the support of the B-spline that requested it).
     """
-    any_change = False
     mesh = surface.mesh
+    snap = functools.cache(mesh.snap)  # segments share most coordinates
+    lines: dict[tuple[int, float], list[tuple[float, float, int]]] = {}
     for seg in segments:
-        pos = mesh.snap(seg.axis, seg.pos, insert=True)
-        lo = mesh.snap(1 - seg.axis, seg.lo)
-        hi = mesh.snap(1 - seg.axis, seg.hi)
-        any_change |= mesh.add_cover(seg.axis, pos, lo, hi, seg.mult)
-    if any_change:
-        _split_worklist(surface, range(len(surface.bsplines)))
+        pos = snap(seg.axis, seg.pos, True)
+        lo = snap(1 - seg.axis, seg.lo)
+        hi = snap(1 - seg.axis, seg.hi)
+        lines.setdefault((seg.axis, pos), []).append((lo, hi, seg.mult))
+    changed = [mesh.add_cover(axis, pos, parts) for (axis, pos), parts in lines.items()]
+    if any(changed):
+        _split_worklist(surface)
         surface.bump()
 
 
@@ -560,6 +692,9 @@ def validate_surface(surface: LRSurface, check_unity: bool = True) -> None:
         for axis, d in ((0, du), (1, dv)):
             kn = b.knots[axis]
             assert len(kn) == d + 2, f"B-spline {i} axis {axis} has wrong knot count"
+            assert all(a <= b for a, b in zip(kn, kn[1:])) and kn[0] < kn[-1], (
+                f"B-spline {i} axis {axis} knots are not nondecreasing over a "
+                f"non-empty support")
             assert set(kn) <= coords[axis], (
                 f"B-spline {i} axis {axis} has a knot that is not a mesh coordinate")
             other = b.knots[1 - axis]
@@ -671,7 +806,7 @@ def restrict(surface: LRSurface, rect: tuple[float, float, float, float]) -> LRS
             for lo, hi, m in parts:
                 lo2, hi2 = max(lo, o_lo), min(hi, o_hi)
                 if lo2 < hi2:
-                    mesh.add_cover(axis, pos, lo2, hi2, m)
+                    mesh.add_cover(axis, pos, [(lo2, hi2, m)])
     res = LRSurface(out.degrees, mesh, bsplines, coeffs, out.units)
     res.canonical_order()
     return res

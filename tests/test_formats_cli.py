@@ -59,6 +59,18 @@ def test_text_surface_round_trip(tmp_path):
     assert t.units == s.units
 
 
+@pytest.mark.parametrize("units", [("local xy", "m"), ("", "m"), ("local-xy", "m\n")])
+def test_text_writer_rejects_units_it_cannot_write(units, tmp_path):
+    s = random_refined_surface(2, n_inserts=5)
+    s.units = units
+    with pytest.raises(ValueError, match="unit"):
+        write_surface_text(s, tmp_path / "s.lrs.txt")
+    assert not (tmp_path / "s.lrs.txt").exists()
+    # the binary format keeps such units
+    write_surface_binary(s, tmp_path / "s.lrs")
+    assert read_surface_binary(tmp_path / "s.lrs").units == units
+
+
 def test_restricted_surface_round_trips(tmp_path):
     # restriction leaves partial-width knot segments; those must survive
     s = restrict(random_refined_surface(15, domain=(0, 2, 0, 1), grid=(9, 5)),
@@ -124,6 +136,39 @@ def _text_negative_index(s, path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _text_knots_not_nondecreasing(s, path):
+    # swap the first and last u index of the last B-spline
+    write_surface_text(s, path)
+    lines = path.read_text().splitlines()
+    idx = lines[-1].split()
+    du = s.degrees[0]
+    idx[0], idx[du + 1] = idx[du + 1], idx[0]
+    lines[-1] = " ".join(idx)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _text_empty_support(s, path):
+    # the last B-spline's u indices all equal its first
+    write_surface_text(s, path)
+    lines = path.read_text().splitlines()
+    idx = lines[-1].split()
+    du = s.degrees[0]
+    idx[1:du + 2] = [idx[0]] * (du + 1)
+    lines[-1] = " ".join(idx)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _binary_knots_not_nondecreasing(s, path):
+    # swap the first and last u index of the last B-spline record
+    write_surface_binary(s, path)
+    data = bytearray(path.read_bytes())
+    du, dv = s.degrees
+    at = len(data) - (4 * (du + 2) + 4 * (dv + 2) + 16)
+    end = at + 4 * (du + 1)
+    data[at:at + 4], data[end:end + 4] = data[end:end + 4], data[at:at + 4]
+    path.write_bytes(bytes(data))
+
+
 def _binary_index_out_of_range(s, path):
     write_surface_binary(s, path)
     data = bytearray(path.read_bytes())
@@ -143,7 +188,8 @@ def _binary_table_not_increasing(s, path):
 
 @pytest.mark.parametrize("damage", [
     _empty_text, _truncated_text, _text_index_out_of_range, _text_negative_index,
-    _binary_index_out_of_range, _binary_table_not_increasing])
+    _binary_index_out_of_range, _binary_table_not_increasing,
+    _text_knots_not_nondecreasing, _text_empty_support, _binary_knots_not_nondecreasing])
 def test_cli_eval_of_malformed_surface_exits_2(damage, tmp_path, capsys):
     s = random_refined_surface(2, n_inserts=5)
     path = tmp_path / "bad.lrs"

@@ -188,6 +188,15 @@ def test_validate_catches_segment_end_off_the_coordinates():
         validate_surface(s)
 
 
+def test_validate_catches_knots_out_of_order():
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
+    b = s.bsplines[10]
+    ku = b.ku
+    b.knots = ((ku[-1],) + ku[1:-1] + (ku[0],), b.kv)
+    with pytest.raises(AssertionError, match="not nondecreasing"):
+        validate_surface(s)
+
+
 def test_independence_full_rank_after_refinement():
     s = random_refined_surface(7, n_inserts=50)
     rep = independence_report(s)
