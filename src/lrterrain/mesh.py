@@ -387,17 +387,6 @@ def _split_weights(t: np.ndarray, d: int, c: np.ndarray):
     return a1, a2
 
 
-def _insert_knot_1d(t: tuple[float, ...], d: int, c: float):
-    """Split one degree-``d`` B-spline knot vector at ``c``.
-
-    Returns ((alpha1, t1), (alpha2, t2)) such that
-    N_t = alpha1 * N_t1 + alpha2 * N_t2.
-    """
-    ext = sorted(t + (c,))
-    a1, a2 = _split_weights(np.array([t], dtype=float), d, np.array([c], dtype=float))
-    return (float(a1[0]), tuple(ext[:-1])), (float(a2[0]), tuple(ext[1:]))
-
-
 def _knot_rows(surface: LRSurface) -> np.ndarray:
     """Per B-spline, its du + 2 u-knot and dv + 2 v-knot indices into the
     mesh coordinate tables, as one int32 row."""

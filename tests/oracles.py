@@ -1,16 +1,38 @@
 """One-at-a-time reference implementations of the mesh's array engines.
 
 ``split_worklist`` splits one B-spline at a time from a queue, scanning
-the covered lines of its support in Python; ``element_scan`` grows each
-element cell by cell.  Both are slow and simple, and the tests compare
-``lrterrain.mesh._split_worklist`` and ``BoxMesh.elements`` against them.
+the covered lines of its support in Python and weighting the products with
+the scalar formulas of ``insert_knot_1d``; ``element_scan`` grows each
+element cell by cell.  All are slow and simple and share no code with the
+library's engines, and the tests compare ``lrterrain.mesh._split_worklist``,
+``lrterrain.mesh._split_weights`` and ``BoxMesh.elements`` against them.
 """
 import bisect
 from collections import deque
 
 import numpy as np
 
-from lrterrain.mesh import Element, ScaledBSpline, _insert_knot_1d
+from lrterrain.mesh import Element, ScaledBSpline
+
+
+def insert_knot_1d(t, d, c):
+    """Split one degree-``d`` B-spline knot vector at ``c``.
+
+    Returns ((alpha1, t1), (alpha2, t2)) such that
+    N_t = alpha1 * N_t1 + alpha2 * N_t2.
+    """
+    ext = sorted(t + (c,))
+    t1 = tuple(ext[:-1])
+    t2 = tuple(ext[1:])
+    if c >= t[d]:
+        a1 = 1.0
+    else:
+        a1 = (c - t[0]) / (t[d] - t[0])
+    if c <= t[1]:
+        a2 = 1.0
+    else:
+        a2 = (t[d + 1] - c) / (t[d + 1] - t[1])
+    return (a1, t1), (a2, t2)
 
 
 def _find_split(surface, b, covered):
@@ -54,7 +76,7 @@ def split_worklist(surface) -> None:
         if hit is None:
             continue
         axis, pos = hit
-        (a1, t1), (a2, t2) = _insert_knot_1d(b.knots[axis], surface.degrees[axis], pos)
+        (a1, t1), (a2, t2) = insert_knot_1d(b.knots[axis], surface.degrees[axis], pos)
         alive[i] = False
         del index[b.key()]
         for a, tk in ((a1, t1), (a2, t2)):

@@ -12,7 +12,7 @@ from lrterrain import mesh, restrict
 from lrterrain.formats import binary_size
 from lrterrain.tiling import stitch_grid
 from conftest import random_refined_surface
-from oracles import element_scan, split_worklist
+from oracles import element_scan, insert_knot_1d, split_worklist
 from test_tiling import grid_fits
 
 RECT = (0.23, 0.81, 0.31, 0.77)
@@ -42,6 +42,27 @@ def both_engines(monkeypatch, build):
         m.setattr(mesh, "_split_worklist", split_worklist)
         old = build()
     return new, old
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_split_weights_match_scalar_formulas(rng, d):
+    # random knot vectors with repeated knots, cut at interior knots and
+    # between them, so both branches of each weight are taken
+    grid = np.linspace(0.0, 1.0, 6)
+    t = np.sort(rng.choice(grid, size=(400, d + 2)), axis=1)
+    t = t[t[:, 0] < t[:, -1]]
+    c = rng.uniform(t[:, 0], t[:, -1])
+    snap = rng.random(len(t)) < 0.5
+    c[snap] = t[snap, 1 + rng.integers(0, d, snap.sum())]
+    keep = (t[:, 0] < c) & (c < t[:, -1])
+    t, c = t[keep], c[keep]
+    a1, a2 = mesh._split_weights(t, d, c)
+    ref = [insert_knot_1d(tuple(row), d, ci) for row, ci in zip(t.tolist(), c.tolist())]
+    assert len(ref) > 200
+    assert np.any(a1 == 1.0) and np.any(a1 < 1.0)
+    assert np.any(a2 == 1.0) and np.any(a2 < 1.0)
+    np.testing.assert_allclose(a1, [r[0][0] for r in ref], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(a2, [r[1][0] for r in ref], rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("degrees", [(2, 2), (3, 2), (3, 3)])

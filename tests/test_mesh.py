@@ -13,7 +13,7 @@ from lrterrain import (
 )
 from lrterrain.formats import binary_size
 from lrterrain.mesh import (
-    _insert_knot_1d,
+    _split_weights,
     independence_report,
     residents_of,
     transpose,
@@ -35,10 +35,17 @@ def test_tensor_grid_too_small_raises():
         make_tensor_surface((0, 1, 0, 1), (2, 2), (2, 7))
 
 
+def split_1d(t, d, c):
+    """Knot vector ``t`` split at ``c`` by ``_split_weights``."""
+    (a1,), (a2,) = _split_weights(np.array([t]), d, np.array([c]))
+    ext = sorted(t + (c,))
+    return (a1, tuple(ext[:-1])), (a2, tuple(ext[1:]))
+
+
 def test_insert_knot_1d_hat_function():
     # degree-1 hat on (0, 1, 2) split at 0.5: the left product must carry
     # weight 0.5 and the right product weight 1 (hand computation)
-    (a1, t1), (a2, t2) = _insert_knot_1d((0.0, 1.0, 2.0), 1, 0.5)
+    (a1, t1), (a2, t2) = split_1d((0.0, 1.0, 2.0), 1, 0.5)
     assert t1 == (0.0, 0.5, 1.0)
     assert t2 == (0.5, 1.0, 2.0)
     assert a1 == pytest.approx(0.5)
@@ -51,7 +58,7 @@ def test_insert_knot_1d_partition():
 
     t = (0.0, 0.3, 1.1, 2.0)
     c = 0.7
-    (a1, t1), (a2, t2) = _insert_knot_1d(t, 2, c)
+    (a1, t1), (a2, t2) = split_1d(t, 2, c)
     x = np.linspace(0.01, 1.99, 211)
 
     def val(knots):
