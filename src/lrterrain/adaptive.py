@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import distance_field, eval_cache, evaluate
+from .evaluate import basis_matrix, eval_cache, evaluate
 from .least_squares import SmoothingWeights, fit_least_squares, idw_prior
 from .mba import mba_update
 from .mesh import LRSurface, Segment, insert_segments, make_tensor_surface
@@ -136,10 +136,12 @@ def refine_step(surface: LRSurface, fld: dict, config: FitConfig) -> dict:
     return {"inserted": len(segs), "frozen": frozen}
 
 
-def _field(surface: LRSurface, pts: np.ndarray, tau: float) -> dict:
-    fld = distance_field(surface, pts, tau)
-    fld["n_out"] = int((np.abs(fld["residual"]) > tau).sum())
-    return fld
+def _field(surface: LRSurface, pts: np.ndarray, tau: float, basis) -> dict:
+    """Residuals z - B c of the points and their element ids, from their
+    basis matrix on the current mesh (the ``distance_field`` of the fit)."""
+    B, eid = basis
+    r = pts[:, 2] - B @ surface.coeffs
+    return {"residual": r, "element_id": eid, "n_out": int((np.abs(r) > tau).sum())}
 
 
 def _area_ratio(surface: LRSurface) -> float:
@@ -149,16 +151,23 @@ def _area_ratio(surface: LRSurface) -> float:
 
 
 def _approximate(surface: LRSurface, pts: np.ndarray, config: FitConfig,
-                 iteration: int, residuals: np.ndarray | None = None) -> None:
+                 iteration: int, residuals: np.ndarray | None = None):
     """One approximation pass: least squares while the space is small and
-    uniform, else one correction sweep (residuals recomputed when omitted)."""
+    uniform, else one correction sweep (residuals z - B c when omitted).
+    Returns the points' basis matrix on the current mesh, (B, element id),
+    which the pass used."""
+    basis = basis_matrix(surface, pts[:, 0], pts[:, 1])
     if (iteration <= config.n_ls
             and _area_ratio(surface) <= config.mba_switch_ratio):
         fit_least_squares(surface, pts, alpha1=config.alpha1,
                           weights=config.smoothing,
-                          prior=lambda x, y: evaluate(surface, x, y))
+                          prior=lambda x, y: evaluate(surface, x, y), basis=basis)
     else:
-        mba_update(surface, pts, residuals=residuals, tau=config.tolerance)
+        if residuals is None:
+            residuals = pts[:, 2] - basis[0] @ surface.coeffs
+        mba_update(surface, pts, residuals=residuals, tau=config.tolerance,
+                   basis=basis)
+    return basis
 
 
 def fit(points: np.ndarray, config: FitConfig = FitConfig(),
@@ -203,13 +212,16 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
     tau = config.tolerance
     if start is None:
         surface = make_tensor_surface(domain, config.degrees, config.initial_grid)
-        prior = idw_prior(pts)
+        basis = basis_matrix(surface, pts[:, 0], pts[:, 1])
         fit_least_squares(surface, pts, alpha1=config.alpha1,
-                          weights=config.smoothing, prior=prior)
+                          weights=config.smoothing, prior=idw_prior(pts),
+                          basis=basis)
     else:
         surface = start.copy()
-        _approximate(surface, pts, config, first_iteration)
-    fld = _field(surface, pts, tau)
+        basis = _approximate(surface, pts, config, first_iteration)
+    fld = _field(surface, pts, tau, basis)
+    # one basis matrix per mesh version: refinement needs only the field
+    del basis
     reports = [_report(surface, fld, first_iteration)]
     flags = {"converged": fld["n_out"] == 0, "frozen": False,
              "iterations": first_iteration}
@@ -221,8 +233,8 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
             flags["frozen"] = counts["frozen"] > 0
             break
         # residuals stay valid across refinement (geometry-preserving)
-        _approximate(surface, pts, config, it, fld["residual"])
-        fld = _field(surface, pts, tau)
+        fld = _field(surface, pts, tau,
+                     _approximate(surface, pts, config, it, fld["residual"]))
         reports.append(_report(surface, fld, it))
         flags["iterations"] = it
         flags["converged"] = fld["n_out"] == 0

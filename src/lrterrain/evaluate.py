@@ -9,9 +9,11 @@ surface's version counter changes, so refinement invalidates it and a
 coefficient update does not.
 
 Every point query goes through one gather: locate the element of each
-point, take its local coordinates and power rows, then contract with the
-element's tensors.  ``evaluate``, ``basis_matrix`` and ``distance_field``
-share it; the fitting layers build on ``basis_matrix`` and the flat arrays.
+point and take its local coordinates.  ``evaluate`` and ``distance_field``
+then sum the coefficient-weighted tensors of only the elements their
+points hit, so a query costs what its points touch, not the size of the
+surface; ``basis_matrix`` instead keeps one entry per (point, resident).
+The fitting layers build on ``basis_matrix`` and the flat arrays.
 """
 from __future__ import annotations
 
@@ -153,21 +155,32 @@ def _pair_values(cache: _EvalCache, U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _evaluate_at(cache: _EvalCache, coeffs: np.ndarray, eid, tu, tv, wu, wv,
                  order: int) -> np.ndarray:
-    """Evaluate gathered points; columns as in ``evaluate``."""
+    """Evaluate gathered points; columns as in ``evaluate``.
+
+    Only the elements the points hit get a polynomial tensor: the segment
+    sum of coeffs[res] * T over that element's pairs, in the same order as
+    over the whole layer.  Each point then gathers its element's tensor
+    once and contracts it with its power rows in v, then in u.
+    """
     du, dv = cache.tensors.shape[1] - 1, cache.tensors.shape[2] - 1
-    # one polynomial tensor per element: segment sums of coeffs[res] * T
-    P = np.add.reduceat(coeffs[cache.res, None, None] * cache.tensors,
-                        cache.offsets[:-1], axis=0)
-    U = [_dpowers(tu, du, a, 1.0 / wu) for a in range(order + 1)]
-    V = [_dpowers(tv, dv, b, 1.0 / wv) for b in range(order + 1)]
     cols = _COLUMNS[:{0: 1, 1: 3, 2: 6}[order]]
-    out = np.zeros((len(eid), len(cols)))
-    # sum over monomials, gathering one coefficient per point at a time
-    for j in range(du + 1):
-        for k in range(dv + 1):
-            p = P[eid, j, k]
-            for c, (a, b) in enumerate(cols):
-                out[:, c] += p * U[a][:, j] * V[b][:, k]
+    if len(eid) == 0:
+        return np.zeros((0, len(cols)))
+    offsets = cache.offsets
+    is_hit = np.bincount(eid, minlength=len(offsets) - 1) > 0
+    hit = np.flatnonzero(is_hit)
+    counts = offsets[hit + 1] - offsets[hit]
+    pair = _ranges(offsets[hit], counts)
+    P = np.add.reduceat(coeffs[cache.res[pair], None, None] * cache.tensors[pair],
+                        np.cumsum(counts) - counts, axis=0)
+    # element id -> row of P
+    Pe = P[(np.cumsum(is_hit) - 1)[eid]]
+    U = [_dpowers(tu, du, a, 1.0 / wu) for a in range(order + 1)]
+    PV = [np.einsum("njk,nk->nj", Pe, _dpowers(tv, dv, b, 1.0 / wv))
+          for b in range(order + 1)]
+    out = np.empty((len(eid), len(cols)))
+    for c, (a, b) in enumerate(cols):
+        out[:, c] = np.einsum("nj,nj->n", U[a], PV[b])
     return out
 
 
@@ -175,10 +188,12 @@ def evaluate(surface: LRSurface, x, y, order: int = 0,
              coeffs: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the surface (and optionally derivatives) at points.
 
-    order 0 returns shape (n,); order 1 returns (n, 3) columns F, Fu, Fv;
-    order 2 returns (n, 6) columns F, Fu, Fv, Fuu, Fuv, Fvv.  Points outside
-    the domain raise ValueError.  ``coeffs`` overrides the stored
-    coefficients without touching the surface.
+    ``x`` and ``y`` are scalars or arrays of one shape S, such as a
+    meshgrid.  Order 0 returns shape S; order 1 returns S + (3,), columns
+    F, Fu, Fv; order 2 returns S + (6,), columns F, Fu, Fv, Fuu, Fuv, Fvv
+    (a scalar counts as shape (1,)).  Points outside the domain raise
+    ValueError.  ``coeffs`` overrides the stored coefficients without
+    touching the surface.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -186,8 +201,10 @@ def evaluate(surface: LRSurface, x, y, order: int = 0,
         raise ValueError("x and y must have the same shape")
     cache = eval_cache(surface)
     out = _evaluate_at(cache, surface.coeffs if coeffs is None else coeffs,
-                       *_gather(cache, x, y), order)
-    return out[:, 0] if order == 0 else out
+                       *_gather(cache, x.ravel(), y.ravel()), order)
+    if order == 0:
+        return out[:, 0].reshape(x.shape)
+    return out.reshape(x.shape + out.shape[1:])
 
 
 def partition_of_unity(surface: LRSurface, x, y) -> np.ndarray:
@@ -198,12 +215,16 @@ def partition_of_unity(surface: LRSurface, x, y) -> np.ndarray:
 def basis_matrix(surface: LRSurface, x, y):
     """Global sparse collocation matrix B with B[p, i] = s_i N_i(x_p, y_p).
 
-    Returns (B in CSR, element_id per point).
+    ``x`` and ``y`` are 1-D arrays of equal length.  Returns (B in CSR,
+    element_id per point).
     """
     from scipy import sparse
 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("basis_matrix needs 1-D x and y of equal length; "
+                         f"got shapes {x.shape} and {y.shape}")
     cache = eval_cache(surface)
     eid, tu, tv, _, _ = _gather(cache, x, y)
     du, dv = surface.degrees

@@ -150,11 +150,17 @@ def ghost_points(surface: LRSurface, points: np.ndarray, prior=None,
     low-weight anchors; heights come from ``prior`` (default: IDW over the
     data).  Returns (m, 3) array, possibly empty.
     """
+    pts = np.asarray(points, dtype=float)
+    eid = _locate(eval_cache(surface), pts[:, 0], pts[:, 1])
+    return _ghosts(surface, pts, eid, prior, min_support)
+
+
+def _ghosts(surface: LRSurface, pts: np.ndarray, eid: np.ndarray, prior=None,
+            min_support: int | None = None) -> np.ndarray:
+    """``ghost_points`` for points already located in elements ``eid``."""
     du, dv = surface.degrees
     need = min_support if min_support is not None else (du + 1) * (dv + 1)
     cache = eval_cache(surface)
-    pts = np.asarray(points, dtype=float)
-    eid = _locate(cache, pts[:, 0], pts[:, 1])
     per_el = np.bincount(eid, minlength=len(cache.elements))
     per_bs = np.bincount(cache.res, weights=per_el[cache.pair_element],
                          minlength=len(surface.bsplines))
@@ -173,19 +179,23 @@ def fit_least_squares(surface: LRSurface, points: np.ndarray,
                       alpha1: float = 1e-6,
                       weights: SmoothingWeights = SmoothingWeights(),
                       prior=None, ghost_weight: float = 1e-3,
-                      cg_threshold: int = 25_000) -> dict:
+                      cg_threshold: int = 25_000, basis=None) -> dict:
     """Solve the penalized normal equations and update the coefficients.
 
     Direct sparse LU up to ``cg_threshold`` unknowns, Jacobi-preconditioned
     CG beyond.  Ghost anchors keep the system nonsingular on elements the
-    data does not reach.  Returns solver diagnostics.
+    data does not reach.  ``basis`` is ``basis_matrix(surface, x, y)`` of
+    these points on the current mesh, when the caller already has it; it is
+    built here when omitted.  Returns solver diagnostics.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 3 or len(pts) == 0:
         raise ValueError("points must be a nonempty (n, 3) array")
     alpha2 = 1.0 - alpha1
-    ghosts = ghost_points(surface, pts, prior=prior)
-    B, _ = basis_matrix(surface, pts[:, 0], pts[:, 1])
+    if basis is None:
+        basis = basis_matrix(surface, pts[:, 0], pts[:, 1])
+    B, eid = basis
+    ghosts = _ghosts(surface, pts, eid, prior)
     z = pts[:, 2]
     BtB = B.T @ B
     Btz = B.T @ z

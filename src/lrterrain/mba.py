@@ -17,12 +17,16 @@ __all__ = ["mba_update", "mba_fit"]
 
 
 def mba_update(surface: LRSurface, points: np.ndarray,
-               residuals: np.ndarray | None = None, tau: float = 0.0) -> dict:
+               residuals: np.ndarray | None = None, tau: float = 0.0,
+               basis=None) -> dict:
     """Apply one correction sweep in place.
 
-    ``residuals`` are z - F per point; recomputed when omitted.  B-splines
-    whose support holds no point with |residual| > ``tau`` are left alone,
-    as are B-splines with no data support at all.  Returns sweep stats.
+    ``residuals`` are z - F per point; recomputed with ``evaluate`` when
+    omitted.  ``basis`` is ``basis_matrix(surface, x, y)`` of these points
+    on the current mesh, when the caller already has it; it is built here
+    when omitted.  B-splines whose support holds no point with
+    |residual| > ``tau`` are left alone, as are B-splines with no data
+    support at all.  Returns sweep stats.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 3 or len(pts) == 0:
@@ -31,7 +35,9 @@ def mba_update(surface: LRSurface, points: np.ndarray,
     if residuals is None:
         residuals = z - evaluate(surface, x, y)
     r = np.asarray(residuals, dtype=float)
-    B, _ = basis_matrix(surface, x, y)
+    if basis is None:
+        basis = basis_matrix(surface, x, y)
+    B, _ = basis
     rows = np.repeat(np.arange(len(pts)), np.diff(B.indptr))
     w, cols = B.data, B.indices
     w2 = w * w

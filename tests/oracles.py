@@ -1,4 +1,4 @@
-"""One-at-a-time reference implementations of the mesh's array engines.
+"""Slow, simple reference implementations of the library's array engines.
 
 ``split_worklist`` splits one B-spline at a time from a queue, scanning
 the covered lines of its support in Python and weighting the products with
@@ -6,12 +6,18 @@ the scalar formulas of ``insert_knot_1d``; ``element_scan`` grows each
 element cell by cell.  All are slow and simple and share no code with the
 library's engines, and the tests compare ``lrterrain.mesh._split_worklist``,
 ``lrterrain.mesh._split_weights`` and ``BoxMesh.elements`` against them.
+
+``evaluate_at_all_elements`` is the point evaluation that builds the
+polynomial of every element of the surface, whatever points are asked for,
+and sums monomial by monomial; it shares the power rows (``_dpowers``) with
+``lrterrain.evaluate._evaluate_at``, which the tests compare against it.
 """
 import bisect
 from collections import deque
 
 import numpy as np
 
+from lrterrain.evaluate import _COLUMNS, _dpowers
 from lrterrain.mesh import Element, ScaledBSpline
 
 
@@ -135,3 +141,21 @@ def element_scan(mesh):
                                     float(vc[j0]), float(vc[j1 + 1])))
             cell_map[i0:i1 + 1, j0:j1 + 1] = idx
     return elements, cell_map
+
+
+def evaluate_at_all_elements(cache, coeffs, eid, tu, tv, wu, wv, order):
+    """Gathered points evaluated as ``_evaluate_at`` does, from the segment
+    sums of all elements and one strided gather per monomial."""
+    du, dv = cache.tensors.shape[1] - 1, cache.tensors.shape[2] - 1
+    P = np.add.reduceat(coeffs[cache.res, None, None] * cache.tensors,
+                        cache.offsets[:-1], axis=0)
+    U = [_dpowers(tu, du, a, 1.0 / wu) for a in range(order + 1)]
+    V = [_dpowers(tv, dv, b, 1.0 / wv) for b in range(order + 1)]
+    cols = _COLUMNS[:{0: 1, 1: 3, 2: 6}[order]]
+    out = np.zeros((len(eid), len(cols)))
+    for j in range(du + 1):
+        for k in range(dv + 1):
+            p = P[eid, j, k]
+            for c, (a, b) in enumerate(cols):
+                out[:, c] += p * U[a][:, j] * V[b][:, k]
+    return out

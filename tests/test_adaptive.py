@@ -143,3 +143,48 @@ def test_converged_benchmark_fit_is_full_rank():
     assert flags["converged"]
     rep = independence_report(surface)
     assert rep["full_rank"], (rep["rank"], rep["n_bsplines"])
+
+
+def _resumed_fit(pts, tau):
+    """A fit, then a resume on the same points that starts in MBA sweeps
+    (iteration 4 > n_ls) and so takes its residuals from z - B c."""
+    s, _, _ = fit(pts, FitConfig(tolerance=tau, max_iterations=2))
+    return fit(pts, FitConfig(tolerance=tau, max_iterations=5), start=s,
+               first_iteration=4)
+
+
+def test_fit_residuals_agree_with_distance_field(monkeypatch):
+    # every field fit measures (z - B c from the pass's basis matrix) is
+    # the distance field of the surface at that moment
+    import lrterrain.adaptive as adaptive
+    from lrterrain.evaluate import distance_field
+
+    real, seen = adaptive._field, []
+
+    def checked(surface, pts, tau, basis):
+        fld = real(surface, pts, tau, basis)
+        ref = distance_field(surface, pts, tau)
+        scale = np.abs(pts[:, 2]).max()
+        assert np.abs(fld["residual"] - ref["residual"]).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(fld["element_id"], ref["element_id"])
+        seen.append(fld["n_out"])
+        return fld
+
+    monkeypatch.setattr(adaptive, "_field", checked)
+    pts, tau = benchmark_points(4000)
+    _resumed_fit(pts, tau)
+    assert len(seen) == 3 + 2
+
+
+def test_fit_never_calls_distance_field(monkeypatch):
+    import sys
+
+    def raiser(*args, **kwargs):
+        raise AssertionError("fit called distance_field")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lrterrain") and hasattr(module, "distance_field"):
+            monkeypatch.setattr(module, "distance_field", raiser)
+    pts, tau = benchmark_points(4000)
+    _, reports, _ = _resumed_fit(pts, tau)
+    assert len(reports) == 2

@@ -61,6 +61,22 @@ def test_t_quantile_matches_integration_oracle(df):
     assert got == pytest.approx(want, abs=1e-7)
 
 
+def test_quantiles_are_the_floats_of_scipy_stats():
+    # the special functions are called directly; the values must not move
+    from scipy import stats
+
+    from lrterrain.deconflict import _std_upper
+
+    dfs = [*range(1, 60), 75, 120, 333, 1000, 2500, 5000, 1.5, 7.25, 123.45]
+    for df in dfs:
+        for alpha in (0.01, 0.05, 0.1):
+            assert students_t_quantile(alpha, df) == float(stats.t.ppf(1 - alpha / 2, df))
+    for n in [n for n in dfs if n == int(n)]:
+        n = int(n) + 1
+        assert _std_upper(2.0, n) == 2.0 * math.sqrt((n - 1) / stats.chi2.ppf(1 - 0.95, n - 1))
+    assert students_t_quantile(0.05, math.inf) == float(stats.norm.ppf(0.975))
+
+
 def test_t_quantile_known_values():
     assert students_t_quantile(0.05, 10) == pytest.approx(2.228, abs=5e-4)
     assert students_t_quantile(0.05, float("inf")) == pytest.approx(1.96, abs=1e-3)

@@ -3,12 +3,15 @@ import pytest
 
 from lrterrain import evaluate, make_tensor_surface, partition_of_unity
 from lrterrain.evaluate import (
+    _evaluate_at,
+    _gather,
     basis_matrix,
     distance_field,
     element_accuracy,
     eval_cache,
 )
 from conftest import random_refined_surface
+from oracles import evaluate_at_all_elements
 
 
 def brute_force_eval(surface, x, y):
@@ -171,3 +174,55 @@ def test_cache_is_owned_by_the_surface(rng):
     assert eval_cache(s) is c1
     s.coeffs = s.coeffs + 1.0  # coefficient updates keep the layer
     assert eval_cache(s) is c1
+
+
+def _query_cases(surface, rng):
+    """Point sets of a query: one point, a chunk inside a few elements,
+    the center of every element, and no point."""
+    cache = eval_cache(surface)
+    b = cache.bounds
+    few = b[rng.choice(len(b), 3, replace=False)]
+    t = rng.uniform(0, 1, (2, 40))
+    k = rng.integers(3, size=40)
+    chunk = (few[k, 0] + t[0] * (few[k, 1] - few[k, 0]),
+             few[k, 2] + t[1] * (few[k, 3] - few[k, 2]))
+    centers = (0.5 * (b[:, 0] + b[:, 1]), 0.5 * (b[:, 2] + b[:, 3]))
+    return {"one": (rng.uniform(0, 1, 1), rng.uniform(0, 1, 1)), "chunk": chunk,
+            "every element": centers, "none": (np.empty(0), np.empty(0))}
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_hit_element_evaluation_matches_all_element_oracle(degrees, order):
+    rng = np.random.default_rng(7)
+    s = random_refined_surface(31, n_inserts=50, degrees=degrees)
+    cache = eval_cache(s)
+    for label, (x, y) in _query_cases(s, rng).items():
+        located = _gather(cache, x, y)
+        got = _evaluate_at(cache, s.coeffs, *located, order)
+        want = evaluate_at_all_elements(cache, s.coeffs, *located, order)
+        assert got.shape == want.shape == (len(x), (1, 3, 6)[order]), label
+        scale = max(np.abs(want).max(initial=0.0), 1.0)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale, label
+    # the public call drops the column of an order-0 query
+    empty = np.empty(0)
+    assert evaluate(s, empty, empty, order=order).shape == ((0,), (0, 3), (0, 6))[order]
+
+
+@pytest.mark.parametrize("order, tail", [(0, ()), (1, (3,)), (2, (6,))])
+def test_evaluate_on_meshgrid_keeps_its_shape(order, tail):
+    s = random_refined_surface(43, n_inserts=20)
+    X, Y = np.meshgrid(np.linspace(0, 1, 7), np.linspace(0, 1, 5))
+    got = evaluate(s, X, Y, order=order)
+    assert got.shape == X.shape + tail
+    flat = evaluate(s, X.ravel(), Y.ravel(), order=order)
+    np.testing.assert_array_equal(got.reshape(flat.shape), flat)
+
+
+def test_basis_matrix_rejects_grids():
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (5, 5))
+    X, Y = np.meshgrid(np.linspace(0, 1, 4), np.linspace(0, 1, 3))
+    with pytest.raises(ValueError, match="1-D"):
+        basis_matrix(s, X, Y)
+    with pytest.raises(ValueError, match="1-D"):
+        basis_matrix(s, [0.1, 0.2], [0.3])

@@ -135,6 +135,22 @@ def test_ghost_points_cover_starved_bsplines(rng):
     assert np.abs(evaluate(s, gx, gy) - 1.0).max() < 0.05
 
 
+def test_given_basis_gives_the_same_fit(rng):
+    # a caller's basis matrix replaces both the collocation build and the
+    # point location of the ghost count; starved corners need ghosts here
+    from lrterrain.evaluate import basis_matrix
+
+    x = rng.uniform(0, 0.6, 400)
+    y = rng.uniform(0, 0.6, 400)
+    pts = np.column_stack([x, y, np.sin(3 * x) + y])
+    a = random_refined_surface(53, n_inserts=25)
+    b = a.copy()
+    info_a = fit_least_squares(a, pts, alpha1=1e-6)
+    info_b = fit_least_squares(b, pts, alpha1=1e-6, basis=basis_matrix(b, x, y))
+    assert info_a["n_ghosts"] == info_b["n_ghosts"] > 0
+    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+
 def test_ghost_points_absent_on_dense_data(rng):
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
     x = rng.uniform(0, 1, 5000)

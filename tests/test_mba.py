@@ -130,3 +130,17 @@ def test_sweep_matches_dense_reference_with_gate(rng):
     stats = mba_update(s, pts, residuals=r, tau=tau)
     np.testing.assert_allclose(s.coeffs, expect, rtol=0, atol=1e-13)
     assert stats["n_updated"] == int((gate & (den > 0)).sum())
+
+
+def test_given_basis_gives_the_same_sweep(rng):
+    from lrterrain.evaluate import basis_matrix
+
+    a = random_refined_surface(59, n_inserts=30)
+    b = a.copy()
+    x = rng.uniform(0, 1, 800)
+    y = rng.uniform(0, 1, 800)
+    pts = np.column_stack([x, y, np.cos(4 * x) * y])
+    r = pts[:, 2] - evaluate(a, x, y)
+    mba_update(a, pts, residuals=r, tau=0.01)
+    mba_update(b, pts, residuals=r, tau=0.01, basis=basis_matrix(b, x, y))
+    np.testing.assert_array_equal(a.coeffs, b.coeffs)
