@@ -154,26 +154,36 @@ def _resumed_fit(pts, tau):
 
 
 def test_fit_residuals_agree_with_distance_field(monkeypatch):
-    # every field fit measures (z - B c from the pass's basis matrix) is
-    # the distance field of the surface at that moment
+    # every field fit measures (z - B c from the pass's basis matrix), and
+    # every residual a correction sweep gets, is the distance field of the
+    # surface at that moment
     import lrterrain.adaptive as adaptive
     from lrterrain.evaluate import distance_field
 
-    real, seen = adaptive._field, []
+    real_field, real_sweep, seen = adaptive._field, adaptive.mba_update, []
 
-    def checked(surface, pts, tau, basis):
-        fld = real(surface, pts, tau, basis)
-        ref = distance_field(surface, pts, tau)
-        scale = np.abs(pts[:, 2]).max()
-        assert np.abs(fld["residual"] - ref["residual"]).max() <= 1e-12 * scale
+    def close(r, surface, pts):
+        ref = distance_field(surface, pts, 1.0)
+        assert np.abs(r - ref["residual"]).max() <= 1e-12 * np.abs(pts[:, 2]).max()
+        return ref
+
+    def field(surface, pts, tau, basis):
+        fld = real_field(surface, pts, tau, basis)
+        ref = close(fld["residual"], surface, pts)
         np.testing.assert_array_equal(fld["element_id"], ref["element_id"])
-        seen.append(fld["n_out"])
+        seen.append("field")
         return fld
 
-    monkeypatch.setattr(adaptive, "_field", checked)
+    def sweep(surface, pts, residuals, **kwargs):
+        close(residuals, surface, pts)
+        seen.append("sweep")
+        return real_sweep(surface, pts, residuals, **kwargs)
+
+    monkeypatch.setattr(adaptive, "_field", field)
+    monkeypatch.setattr(adaptive, "mba_update", sweep)
     pts, tau = benchmark_points(4000)
     _resumed_fit(pts, tau)
-    assert len(seen) == 3 + 2
+    assert seen == ["field"] * 3 + ["sweep", "field"] * 2
 
 
 def test_fit_never_calls_distance_field(monkeypatch):

@@ -204,7 +204,7 @@ def test_hit_element_evaluation_matches_all_element_oracle(degrees, order):
         assert got.shape == want.shape == (len(x), (1, 3, 6)[order]), label
         scale = max(np.abs(want).max(initial=0.0), 1.0)
         assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale, label
-    # the public call drops the column of an order-0 query
+    # an empty public query has the shape of its order
     empty = np.empty(0)
     assert evaluate(s, empty, empty, order=order).shape == ((0,), (0, 3), (0, 6))[order]
 
