@@ -2,7 +2,6 @@
 
 from .mesh import (
     BoxMesh,
-    Element,
     LRSurface,
     ScaledBSpline,
     Segment,
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoxMesh",
-    "Element",
     "LRSurface",
     "ScaledBSpline",
     "Segment",

@@ -93,7 +93,7 @@ def refine_step(surface: LRSurface, fld: dict, config: FitConfig) -> dict:
     """
     tau = config.tolerance
     cache = eval_cache(surface)
-    bad = np.zeros(len(cache.elements), dtype=bool)
+    bad = np.zeros(len(cache.bounds), dtype=bool)
     bad[fld["element_id"][np.abs(fld["residual"]) > tau]] = True
     if not bad.any():
         return {"inserted": 0, "frozen": 0}

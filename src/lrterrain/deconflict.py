@@ -28,7 +28,6 @@ __all__ = [
     "DeconflictConfig",
     "students_t_quantile",
     "two_sample_t",
-    "confidence_interval",
     "combined_std",
     "element_consistency",
     "pairwise_element_test",
@@ -140,15 +139,6 @@ def two_sample_t(a: SampleStats, b: SampleStats) -> dict:
     else:
         df_welch = float(df_pooled)
     return {"t": t, "df_pooled": df_pooled, "df_welch": df_welch}
-
-
-def confidence_interval(s: SampleStats, alpha: float = 0.05) -> tuple[float, float]:
-    """Two-sided confidence interval for the sample mean."""
-    if s.std is None:
-        return (s.mean, s.mean)
-    q = students_t_quantile(alpha, s.n - 1)
-    h = q * s.std / math.sqrt(s.n)
-    return (s.mean - h, s.mean + h)
 
 
 @dataclass(frozen=True)
@@ -559,6 +549,15 @@ def default_scores(surveys: list[Survey]) -> list[float]:
 # -- pipeline ------------------------------------------------------------
 
 
+def _check_surveys(surveys: list[Survey]) -> None:
+    """Reject an empty survey list and a survey without points."""
+    if len(surveys) == 0:
+        raise ValueError("no surveys given")
+    for s in surveys:
+        if len(s.points) == 0:
+            raise ValueError(f"survey {s.name!r} has no points")
+
+
 def deconflict(surveys: list[Survey], reference: LRSurface,
                cfg: DeconflictConfig = DeconflictConfig()):
     """Element-wise, score-ordered pairwise deconfliction.
@@ -570,8 +569,7 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
     """
     from .evaluate import eval_cache
 
-    if len(surveys) == 0:
-        raise ValueError("no surveys given")
+    _check_surveys(surveys)
     scores = default_scores(surveys)
     cache = eval_cache(reference)
     tau = cfg.tolerance
@@ -580,25 +578,28 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
                float(s.points[:, 1].min()), float(s.points[:, 1].max()))
               for s in surveys]
     keep_masks = [np.ones(len(s.points), dtype=bool) for s in surveys]
-    ne = len(cache.elements)
+    ne = len(cache.bounds)
     verdict_log: list[dict] = []
     pending: dict[tuple[int, int], list[tuple[int, np.ndarray, np.ndarray]]] = {}
     pair_decisions: dict[tuple[int, int], list[str]] = {}
     any_overlap = False
 
-    # per-element survey membership
+    # per-element survey membership: each survey's point indices grouped by
+    # element, in increasing order within a group
     members: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(ne)]
-    for si, (s, fld) in enumerate(zip(surveys, fields)):
+    for si, fld in enumerate(fields):
         eid = fld["element_id"]
-        ok = eid >= 0
-        for e in np.unique(eid[ok]):
-            members[e].append((si, np.nonzero(eid == e)[0]))
+        by_el = np.argsort(eid, kind="stable")
+        for idx in np.split(by_el, np.flatnonzero(np.diff(eid[by_el])) + 1):
+            if eid[idx[0]] >= 0:
+                members[eid[idx[0]]].append((si, idx))
 
     for e in range(ne):
         present = members[e]
         if len(present) < 2:
             continue
         any_overlap = True
+        rect = tuple(cache.bounds[e].tolist())
         order = sorted(present, key=lambda t: (-scores[t[0]], t[0]))
         accepted: list[tuple[int, np.ndarray]] = [order[0]]
         for si, idx in order[1:]:
@@ -621,15 +622,14 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
                         continue
                 v, mask, pend, detail = pairwise_element_test(
                     hi_xy, hi_r, cand_xy, cand_r, cfg, reference=reference,
-                    rect=cache.elements[e].rect, hi_cover=covers[sj])
+                    rect=rect, hi_cover=covers[sj])
                 verdict_log.append({"element": e, "hi": sj, "cand": si,
                                     "verdict": v,
                                     **{k: detail[k] for k in ("t", "t_limit")
                                        if k in detail}})
                 cand_keep &= mask
                 if v == INDETERMINATE:
-                    cut = pend & _in_rect(cand_xy, _rect_intersect(
-                        cache.elements[e].rect, covers[sj]))
+                    cut = pend & _in_rect(cand_xy, _rect_intersect(rect, covers[sj]))
                     pending.setdefault((sj, si), []).append((e, idx, cut))
                 else:
                     pair_decisions.setdefault((sj, si), []).append(v)
@@ -684,6 +684,7 @@ def deconflict_fit(surveys: list[Survey], fit_config=None,
 
     from .adaptive import FitConfig, _finite, fit
 
+    _check_surveys(surveys)
     for s in surveys:
         _finite(s.points, f"survey {s.name!r} points")
     if fit_config is None:

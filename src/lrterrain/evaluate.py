@@ -6,13 +6,18 @@ element -> resident B-spline map in CSR form, and the monomial coefficients
 of every (element, resident) pair in element-local coordinates, all built
 in one batched pass.  It is stored on the surface and rebuilt when the
 surface's version counter changes, so refinement invalidates it and a
-coefficient update does not.
+coefficient update does not.  It is the one cache of the element
+partition: the bounds are the array ``BoxMesh.elements`` returns.
 
 Every point query goes through one gather: locate the element of each
-point and take its local coordinates.  ``evaluate`` and ``distance_field``
-then sum the coefficient-weighted tensors of only the elements their
-points hit, so a query costs what its points touch, not the size of the
-surface; ``basis_matrix`` instead keeps one entry per (point, resident).
+point and take its local coordinates.  One domain rule decides which
+points are inside for every query; a NaN or infinite coordinate is
+outside, so ``evaluate`` and ``basis_matrix`` raise on it and
+``distance_field`` reports it with status 2.  ``evaluate`` and
+``distance_field`` then sum the coefficient-weighted tensors of only the
+elements their points hit, so a query costs what its points touch, not
+the size of the surface; ``basis_matrix`` instead keeps one entry per
+(point, resident).
 The fitting layers build on ``basis_matrix`` and the flat arrays.
 """
 from __future__ import annotations
@@ -49,7 +54,6 @@ class _EvalCache:
     """
 
     version: int
-    elements: list
     cell_map: np.ndarray
     uc: np.ndarray
     vc: np.ndarray
@@ -88,9 +92,8 @@ def eval_cache(surface: LRSurface) -> _EvalCache:
     if cache is not None and cache.version == surface.version:
         return cache
     du, dv = surface.degrees
-    elements, offsets, res, cell_map, uc, vc = residents_of(surface)
-    bounds = np.array([el.rect for el in elements])
-    pair_element = np.repeat(np.arange(len(elements)), np.diff(offsets))
+    bounds, offsets, res, cell_map, uc, vc = residents_of(surface)
+    pair_element = np.repeat(np.arange(len(bounds)), np.diff(offsets))
     ku = np.array([b.ku for b in surface.bsplines])
     kv = np.array([b.kv for b in surface.bsplines])
     scaling = np.array([b.scaling for b in surface.bsplines])
@@ -101,21 +104,29 @@ def eval_cache(surface: LRSurface) -> _EvalCache:
         pu = _monomials(ku[i], eb[:, 0], eb[:, 1], du)
         pv = _monomials(kv[i], eb[:, 2], eb[:, 3], dv)
         tensors[k] = scaling[i, None, None] * pu[:, :, None] * pv[:, None, :]
-    cache = _EvalCache(surface.version, elements, cell_map, uc, vc, bounds,
+    cache = _EvalCache(surface.version, cell_map, uc, vc, bounds,
                        offsets, res, pair_element, tensors)
     surface._eval_cache = cache
     return cache
 
 
-def _locate(cache: _EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Element index per point; raises on points outside the domain."""
+def _inside(cache: _EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per point, whether it lies in the domain widened by 1e-9 of its
+    extent on each side.  The one domain rule of every query; NaN and
+    infinite coordinates are outside."""
     uc, vc = cache.uc, cache.vc
     eps_u = 1e-9 * (uc[-1] - uc[0])
     eps_v = 1e-9 * (vc[-1] - vc[0])
-    bad = (x < uc[0] - eps_u) | (x > uc[-1] + eps_u) | \
-          (y < vc[0] - eps_v) | (y > vc[-1] + eps_v)
-    if bad.any():
-        k = int(np.argmax(bad))
+    return ((x >= uc[0] - eps_u) & (x <= uc[-1] + eps_u)
+            & (y >= vc[0] - eps_v) & (y <= vc[-1] + eps_v))
+
+
+def _locate(cache: _EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Element index per point; raises on points outside the domain."""
+    uc, vc = cache.uc, cache.vc
+    inside = _inside(cache, x, y)
+    if not inside.all():
+        k = int(np.argmin(inside))
         raise ValueError(
             f"point ({x[k]}, {y[k]}) outside surface domain "
             f"[{uc[0]}, {uc[-1]}] x [{vc[0]}, {vc[-1]}]")
@@ -259,11 +270,7 @@ def distance_field(surface: LRSurface, points: np.ndarray, tau: float) -> dict:
         raise ValueError("points must be (n, 3)")
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     cache = eval_cache(surface)
-    uc, vc = cache.uc, cache.vc
-    eps_u = 1e-9 * (uc[-1] - uc[0])
-    eps_v = 1e-9 * (vc[-1] - vc[0])
-    inside = (x >= uc[0] - eps_u) & (x <= uc[-1] + eps_u) & \
-             (y >= vc[0] - eps_v) & (y <= vc[-1] + eps_v)
+    inside = _inside(cache, x, y)
     residual = np.full(len(pts), np.nan)
     element_id = np.full(len(pts), -1, dtype=np.int64)
     status = np.full(len(pts), 2, dtype=np.int8)
@@ -286,7 +293,7 @@ def element_accuracy(surface: LRSurface, field: dict, tau: float) -> dict:
     n_out (count with |r| > tau).
     """
     cache = eval_cache(surface)
-    ne = len(cache.elements)
+    ne = len(cache.bounds)
     eid = field["element_id"]
     r = field["residual"]
     ok = eid >= 0

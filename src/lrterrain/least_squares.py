@@ -161,7 +161,7 @@ def _ghosts(surface: LRSurface, pts: np.ndarray, eid: np.ndarray, prior=None,
     du, dv = surface.degrees
     need = min_support if min_support is not None else (du + 1) * (dv + 1)
     cache = eval_cache(surface)
-    per_el = np.bincount(eid, minlength=len(cache.elements))
+    per_el = np.bincount(eid, minlength=len(cache.bounds))
     per_bs = np.bincount(cache.res, weights=per_el[cache.pair_element],
                          minlength=len(surface.bsplines))
     starved = per_bs < need

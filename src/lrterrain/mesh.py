@@ -15,7 +15,8 @@ line of every queued B-spline with lookups into per-line coverage, splits
 all hits at once, merges products with equal knots (among themselves and
 into live B-splines), and queues the products that are new.  The element
 partition finds each fine cell's element by walking left to the nearest
-cut, then down.
+cut, then down.  The partition is arrays only: element e is row e of an
+(n, 4) bounds array and the cells it covers, with no object of its own.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "Segment",
-    "Element",
     "BoxMesh",
     "ScaledBSpline",
     "LRSurface",
@@ -64,19 +64,6 @@ class Segment:
     lo: float
     hi: float
     mult: int = 1
-
-
-@dataclass(frozen=True)
-class Element:
-    index: int
-    u_lo: float
-    u_hi: float
-    v_lo: float
-    v_hi: float
-
-    @property
-    def rect(self) -> tuple[float, float, float, float]:
-        return (self.u_lo, self.u_hi, self.v_lo, self.v_hi)
 
 
 def _merge_cover(parts: list[tuple[float, float, int]],
@@ -133,7 +120,6 @@ class BoxMesh:
         self._cover: list[dict[float, list[tuple[float, float, int]]]] = [{}, {}]
         self._cover_pos: list[list[float]] = [[], []]
         self.version = 0
-        self._el_cache: tuple | None = None
 
     # -- coordinates -------------------------------------------------
 
@@ -172,7 +158,6 @@ class BoxMesh:
         if not old:
             bisect.insort(self._cover_pos[axis], pos)
         self.version += 1
-        self._el_cache = None
         return True
 
     def cover_mult(self, axis: int, pos: float, lo: float, hi: float) -> int:
@@ -210,17 +195,17 @@ class BoxMesh:
     def elements(self):
         """Compute the box partition.
 
-        Returns (elements, cell_map, ucells, vcells) where ucells/vcells are
-        the fine-grid cut coordinates and cell_map maps fine cells to element
-        indices.  Cached until the mesh changes.
+        Returns (bounds, cell_map, ucells, vcells) where ucells/vcells are
+        the fine-grid cut coordinates, cell_map maps fine cells to element
+        indices and bounds is the (n, 4) array of element rectangles
+        (u_lo, u_hi, v_lo, v_hi).  Computed afresh on every call; the
+        surface's ``evaluate.eval_cache`` is what keeps it.
 
         An element is found from any of its fine cells by walking left to the
         nearest cut, then down: that reaches its lower-left cell.  Elements
         are numbered in the scan order of those cells, by v, then by u (flat
         index j * nu + i).
         """
-        if self._el_cache is not None:
-            return self._el_cache
         uc = self.coords(0)
         vc = self.coords(1)
         nu, nv = len(uc) - 1, len(vc) - 1
@@ -257,10 +242,8 @@ class BoxMesh:
         i1 = right[np.searchsorted(right, j0 * nu + i0)] - j0 * nu
         up = np.flatnonzero(np.roll(below, -1, axis=1))
         j1 = up[np.searchsorted(up, i0 * nv + j0)] - i0 * nv
-        rects = zip(uc[i0].tolist(), uc[i1 + 1].tolist(), vc[j0].tolist(), vc[j1 + 1].tolist())
-        elements = [Element(k, *r) for k, r in enumerate(rects)]
-        self._el_cache = (elements, cell_map, uc, vc)
-        return self._el_cache
+        bounds = np.column_stack([uc[i0], uc[i1 + 1], vc[j0], vc[j1 + 1]])
+        return bounds, cell_map, uc, vc
 
 
 @dataclass
@@ -295,9 +278,10 @@ class LRSurface:
     """Locally refined B-spline elevation surface F(u, v) = sum s_i P_i N_i.
 
     Evaluation is read-only and cache-backed; refinement and coefficient
-    updates mutate the surface in place and bump ``version`` so caches
-    rebuild.  Single-writer semantics: never refine while another part of
-    the program holds evaluation state for the same surface.
+    updates mutate the surface in place.  Refinement bumps ``version`` so
+    the evaluation cache rebuilds; a coefficient update leaves it valid.
+    Single-writer semantics: never refine while another part of the
+    program holds evaluation state for the same surface.
     """
 
     def __init__(self, degrees: tuple[int, int], mesh: BoxMesh,
@@ -634,16 +618,17 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def residents_of(surface: LRSurface):
     """Per element, the indices of B-splines whose support covers it.
 
-    Returns (elements, offsets, res, cell_map, uc, vc): the residents of
-    element e are ``res[offsets[e]:offsets[e + 1]]``, in increasing order.
+    Returns (bounds, offsets, res, cell_map, uc, vc): the residents of
+    element e are ``res[offsets[e]:offsets[e + 1]]``, in increasing order;
+    the other arrays are those of ``BoxMesh.elements``.
     """
-    elements, cell_map, uc, vc = surface.mesh.elements()
+    bounds, cell_map, uc, vc = surface.mesh.elements()
     nu = len(uc) - 1
     # An element lies inside a support iff its lower-left fine cell does.
     # Elements are numbered in the scan order of those cells, column by
     # column, so the cells' flat indices j * nu + i increase with e.
-    anchors = (np.searchsorted(vc, [el.v_lo for el in elements]) * nu
-               + np.searchsorted(uc, [el.u_lo for el in elements]))
+    anchors = (np.searchsorted(vc, bounds[:, 2]) * nu
+               + np.searchsorted(uc, bounds[:, 0]))
     sup = np.array([b.support() for b in surface.bsplines]).reshape(-1, 4)
     i0, i1 = np.searchsorted(uc, sup[:, 0]), np.searchsorted(uc, sup[:, 1])
     j0, j1 = np.searchsorted(vc, sup[:, 2]), np.searchsorted(vc, sup[:, 3])
@@ -655,9 +640,9 @@ def residents_of(surface: LRSurface):
     bs = np.repeat(bs, count)
     el = _ranges(first, count)
     order = np.argsort(el, kind="stable")
-    offsets = np.zeros(len(elements) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(el, minlength=len(elements)), out=offsets[1:])
-    return elements, offsets, bs[order], cell_map, uc, vc
+    offsets = np.zeros(len(bounds) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(el, minlength=len(bounds)), out=offsets[1:])
+    return bounds, offsets, bs[order], cell_map, uc, vc
 
 
 def validate_surface(surface: LRSurface, check_unity: bool = True) -> None:
@@ -691,7 +676,7 @@ def validate_surface(surface: LRSurface, check_unity: bool = True) -> None:
                 m = mesh.cover_mult(axis, pos, other[0], other[-1])
                 assert m >= kn.count(pos), (
                     f"B-spline {i} knot {pos} on axis {axis} not fully traversed")
-    elements, cell_map, uc, vc = mesh.elements()
+    _, cell_map, uc, vc = mesh.elements()
     assert (cell_map >= 0).all(), "unassigned fine cells"
     # covered edges must separate elements, uncovered edges must not
     for i in range(len(uc) - 2):
@@ -732,7 +717,7 @@ def independence_report(surface: LRSurface, samples_per_dir: int | None = None) 
     t = np.linspace(0.0, 1.0, n + 2)[1:-1]
     B = _pair_values(cache, _dpowers(t, du, 0, 1.0), _dpowers(t, dv, 0, 1.0))
     gram = np.zeros((L, L))
-    for e in range(len(cache.elements)):
+    for e in range(len(cache.bounds)):
         k = slice(cache.offsets[e], cache.offsets[e + 1])
         gram[np.ix_(cache.res[k], cache.res[k])] += B[k] @ B[k].T
     w = np.linalg.eigvalsh(gram)

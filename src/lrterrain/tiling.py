@@ -253,7 +253,6 @@ def _gamma(surface: LRSurface, rows) -> np.ndarray:
 def _set_gamma(surface: LRSurface, rows, values) -> None:
     for i, g in zip(rows, values):
         surface.coeffs[i] = g / surface.bsplines[i].scaling
-    surface.bump()
 
 
 def _check_pair(a: LRSurface, b: LRSurface, ax: int) -> None:

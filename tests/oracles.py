@@ -18,7 +18,7 @@ from collections import deque
 import numpy as np
 
 from lrterrain.evaluate import _COLUMNS, _dpowers
-from lrterrain.mesh import Element, ScaledBSpline
+from lrterrain.mesh import ScaledBSpline
 
 
 def insert_knot_1d(t, d, c):
@@ -107,8 +107,9 @@ def split_worklist(surface) -> None:
 
 
 def element_scan(mesh):
-    """Box partition by a cell scan: (elements, cell_map), numbered in the
-    scan order of each element's lower-left cell."""
+    """Box partition by a cell scan: (rects, cell_map), numbered in the
+    scan order of each element's lower-left cell; rects holds one
+    (u_lo, u_hi, v_lo, v_hi) tuple per element."""
     uc = mesh.coords(0)
     vc = mesh.coords(1)
     nu, nv = len(uc) - 1, len(vc) - 1
@@ -125,7 +126,7 @@ def element_scan(mesh):
             if 0 < j < nv:
                 ucut[np.searchsorted(uc, s.lo):np.searchsorted(uc, s.hi), j - 1] = True
     cell_map = np.full((nu, nv), -1, dtype=np.int32)
-    elements = []
+    rects = []
     for j0 in range(nv):
         for i0 in range(nu):
             if cell_map[i0, j0] >= 0:
@@ -136,11 +137,10 @@ def element_scan(mesh):
             j1 = j0
             while j1 + 1 < nv and not ucut[i0:i1 + 1, j1].any():
                 j1 += 1
-            idx = len(elements)
-            elements.append(Element(idx, float(uc[i0]), float(uc[i1 + 1]),
-                                    float(vc[j0]), float(vc[j1 + 1])))
-            cell_map[i0:i1 + 1, j0:j1 + 1] = idx
-    return elements, cell_map
+            cell_map[i0:i1 + 1, j0:j1 + 1] = len(rects)
+            rects.append((float(uc[i0]), float(uc[i1 + 1]),
+                          float(vc[j0]), float(vc[j1 + 1])))
+    return rects, cell_map
 
 
 def evaluate_at_all_elements(cache, coeffs, eid, tu, tv, wu, wv, order):

@@ -477,3 +477,13 @@ def test_deconflict_fit_rejects_non_finite_points():
     with pytest.raises(ValueError, match="survey 'B' points must be finite"):
         deconflict_fit([Survey(A, name="A"), Survey(B, name="B")],
                        small_fit_config(), DeconflictConfig(tolerance=0.5))
+
+
+def test_deconflict_fit_names_missing_input():
+    cfg = DeconflictConfig(tolerance=0.5)
+    with pytest.raises(ValueError, match="no surveys given"):
+        deconflict_fit([], small_fit_config(), cfg)
+    A = plane_cloud(np.random.default_rng(7), 0.0, 6.5, 500)
+    with pytest.raises(ValueError, match="survey 'B' has no points"):
+        deconflict_fit([Survey(A, name="A"), Survey(np.empty((0, 3)), name="B")],
+                       small_fit_config(), cfg)

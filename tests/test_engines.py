@@ -28,11 +28,10 @@ def assert_same_surface(new, old):
 
 
 def assert_same_partition(m):
-    elements, cell_map, _, _ = m.elements()
-    ref_elements, ref_map = element_scan(m)
+    bounds, cell_map, _, _ = m.elements()
+    ref_rects, ref_map = element_scan(m)
     assert np.array_equal(cell_map, ref_map)
-    assert [e.index for e in elements] == [e.index for e in ref_elements]
-    assert [e.rect for e in elements] == [e.rect for e in ref_elements]
+    assert bounds.tolist() == [list(r) for r in ref_rects]
 
 
 def both_engines(monkeypatch, build):

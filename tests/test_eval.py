@@ -67,6 +67,19 @@ def test_outside_domain_raises():
         evaluate(s, [1.5], [0.5])
 
 
+@pytest.mark.parametrize("x, y", [(np.nan, 0.0), (0.5, np.nan), (np.inf, 0.5),
+                                  (0.5, -np.inf)])
+def test_non_finite_points_are_outside_in_every_query(x, y):
+    # evaluate, basis_matrix and distance_field share one domain rule
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
+    with pytest.raises(ValueError, match="outside"):
+        evaluate(s, [x], [y])
+    with pytest.raises(ValueError, match="outside"):
+        basis_matrix(s, np.array([x]), np.array([y]))
+    field = distance_field(s, np.array([[x, y, 0.0]]), tau=0.1)
+    assert field["status"][0] == 2 and field["element_id"][0] == -1
+
+
 def test_derivatives_match_finite_differences(rng):
     s = random_refined_surface(17, n_inserts=35)
     x = rng.uniform(0.05, 0.95, 80)

@@ -28,11 +28,11 @@ def numeric_energy(surface, weights: SmoothingWeights) -> float:
     pw = 0.5 * np.pi * pw
     c, s = np.cos(phi), np.sin(phi)
     total = 0.0
-    for el in cache.elements:
-        xq = 0.5 * (el.u_lo + el.u_hi) + 0.5 * (el.u_hi - el.u_lo) * gx
-        yq = 0.5 * (el.v_lo + el.v_hi) + 0.5 * (el.v_hi - el.v_lo) * gx
+    for u_lo, u_hi, v_lo, v_hi in cache.bounds.tolist():
+        xq = 0.5 * (u_lo + u_hi) + 0.5 * (u_hi - u_lo) * gx
+        yq = 0.5 * (v_lo + v_hi) + 0.5 * (v_hi - v_lo) * gx
         XX, YY = np.meshgrid(xq, yq, indexing="ij")
-        W = (0.25 * (el.u_hi - el.u_lo) * (el.v_hi - el.v_lo)
+        W = (0.25 * (u_hi - u_lo) * (v_hi - v_lo)
              * np.outer(gw, gw)).ravel()
         d = evaluate(surface, XX.ravel(), YY.ravel(), order=2)
         acc = np.zeros(len(W))

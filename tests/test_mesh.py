@@ -249,13 +249,13 @@ def test_canonical_order_is_deterministic():
 def test_residents_match_support_scan():
     # loop reference: the elements met by each support's fine-cell block
     s = random_refined_surface(53, n_inserts=70)
-    elements, offsets, res, cell_map, uc, vc = residents_of(s)
-    expect = [[] for _ in elements]
+    bounds, offsets, res, cell_map, uc, vc = residents_of(s)
+    expect = [[] for _ in bounds]
     for i, b in enumerate(s.bsplines):
         u0, u1, v0, v1 = b.support()
         block = cell_map[np.searchsorted(uc, u0):np.searchsorted(uc, u1),
                          np.searchsorted(vc, v0):np.searchsorted(vc, v1)]
         for e in np.unique(block):
             expect[e].append(i)
-    got = [res[offsets[e]:offsets[e + 1]].tolist() for e in range(len(elements))]
+    got = [res[offsets[e]:offsets[e + 1]].tolist() for e in range(len(bounds))]
     assert got == expect
