@@ -23,10 +23,11 @@ The fitting layers build on ``basis_matrix`` and the flat arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .mesh import LRSurface, _ranges, residents_of
+from .mesh import LRSurface, _knot_values, _ranges, residents_of
 
 __all__ = [
     "evaluate",
@@ -94,9 +95,9 @@ def eval_cache(surface: LRSurface) -> _EvalCache:
     du, dv = surface.degrees
     bounds, offsets, res, cell_map, uc, vc = residents_of(surface)
     pair_element = np.repeat(np.arange(len(bounds)), np.diff(offsets))
-    ku = np.array([b.ku for b in surface.bsplines])
-    kv = np.array([b.kv for b in surface.bsplines])
-    scaling = np.array([b.scaling for b in surface.bsplines])
+    knots = _knot_values(surface)
+    ku, kv = knots[:, :du + 2], knots[:, du + 2:]
+    scaling = np.fromiter(map(attrgetter("scaling"), surface.bsplines), dtype=float)
     tensors = np.empty((len(res), du + 1, dv + 1))
     for start in range(0, len(res), _CHUNK):
         k = slice(start, start + _CHUNK)
@@ -206,6 +207,8 @@ def evaluate(surface: LRSurface, x, y, order: int = 0,
     ValueError.  ``coeffs`` overrides the stored coefficients without
     touching the surface.
     """
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:

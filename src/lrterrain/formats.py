@@ -38,7 +38,7 @@ import struct
 
 import numpy as np
 
-from .mesh import BoxMesh, LRSurface, ScaledBSpline
+from .mesh import BoxMesh, LRSurface, ScaledBSpline, _check_mult
 
 __all__ = [
     "binary_size",
@@ -154,12 +154,16 @@ def _bspline_knots(table: list[float], idx, i: int, axis: int) -> tuple[float, .
     return _at(table, idx)
 
 
-def _add_segment(mesh: BoxMesh, tables, axis: int, mult: int, *idx: int) -> None:
-    """Add one segment record: ``idx`` indexes the pos, lo and hi values."""
+def _segment(tables, degrees, axis: int, mult: int, *idx: int) -> tuple:
+    """One segment record as (axis, pos, lo, hi, mult) values: ``idx``
+    indexes the pos, lo and hi values, lo below hi."""
     if axis not in (0, 1):
         raise ValueError(f"segment axis {axis} is not 0 or 1")
+    _check_mult(axis, mult, degrees)
+    if not idx[1] < idx[2]:
+        raise ValueError(f"segment lo index {idx[1]} is not below its hi index {idx[2]}")
     (pos,), (lo, hi) = _at(tables[axis], idx[:1]), _at(tables[1 - axis], idx[1:])
-    mesh.add_cover(axis, pos, [(lo, hi, mult)])
+    return axis, pos, lo, hi, mult
 
 
 def read_surface_binary(path) -> LRSurface:
@@ -180,9 +184,11 @@ def read_surface_binary(path) -> LRSurface:
         (n,) = r.unpack("<I")
         tables.append(_seed_table(mesh, axis, r.unpack(f"<{n}d")))
     (n_seg,) = r.unpack("<I")
+    segments = []
     for _ in range(n_seg):
         axis, mult, _, *idx = r.unpack("<BBHIII")
-        _add_segment(mesh, tables, axis, mult, *idx)
+        segments.append(_segment(tables, (du, dv), axis, mult, *idx))
+    mesh._merge(segments)
     (n_bs,) = r.unpack("<I")
     bsplines = []
     coeffs = np.empty(n_bs)
@@ -255,8 +261,8 @@ def read_surface_text(path) -> LRSurface:
         n = int(expect(name, 1)[0])
         tables.append(_seed_table(mesh, axis, [float(row(1)[0]) for _ in range(n)]))
     n_seg = int(expect("segments", 1)[0])
-    for _ in range(n_seg):
-        _add_segment(mesh, tables, *(int(v) for v in row(5)))
+    mesh._merge([_segment(tables, (du, dv), *(int(v) for v in row(5)))
+                 for _ in range(n_seg)])
     n_bs = int(expect("bsplines", 1)[0])
     bsplines = []
     coeffs = np.empty(n_bs)

@@ -2,21 +2,21 @@
 
 A surface is a collection of scaled B-splines, each defined by short local
 knot vectors (degree + 2 knots per direction) over a rectangular domain.
-The mesh is the set of axis-parallel knot-line segments; elements are the
-maximal rectangles not crossed by any segment.  Refinement inserts segments
-that span at least one B-spline support; a B-spline is split by univariate
-knot insertion wherever a mesh line fully traverses its support at a
+The mesh is a box partition whose edges carry multiplicities; elements are
+the maximal rectangles no edge crosses.  Refinement inserts segments that
+span at least one B-spline support; a B-spline is split by univariate knot
+insertion wherever a mesh line fully traverses its support at a
 multiplicity its knot vector lacks, until no such line is left.
 
-Refinement and the element partition work on whole arrays.  The split
-engine turns the knots into integer index rows into the mesh coordinate
-tables and runs one generation at a time: it finds the first traversing
-line of every queued B-spline with lookups into per-line coverage, splits
-all hits at once, merges products with equal knots (among themselves and
-into live B-splines), and queues the products that are new.  The element
-partition finds each fine cell's element by walking left to the nearest
-cut, then down.  The partition is arrays only: element e is row e of an
-(n, 4) bounds array and the cells it covers, with no object of its own.
+The mesh stores the partition once, per axis as a grid of line
+multiplicities over the fine cells of its coordinate tables.  Every reader
+is a slice of it: the element cuts, the traversal runs of the split
+engine, ``cover_mult``, and the segments, its run-length encoding.  The
+split engine works on integer knot index rows one generation at a time:
+it splits every queued B-spline at its first traversing line at once and
+merges products with equal knots.  The element partition walks each fine
+cell left to the nearest cut, then down; element e is row e of an (n, 4)
+bounds array, with no object of its own.
 """
 from __future__ import annotations
 
@@ -66,49 +66,35 @@ class Segment:
     mult: int = 1
 
 
-def _merge_cover(parts: list[tuple[float, float, int]],
-                 new: list[tuple[float, float, int]]) -> list[tuple[float, float, int]]:
-    """Merge intervals (lo, hi, mult) into a sorted, disjoint piece list,
-    taking the pointwise maximum multiplicity."""
-    items = parts + new
-    cuts = sorted({x for a, b, _ in items for x in (a, b)})
-    at = {c: k for k, c in enumerate(cuts)}
-    mult = [0] * (len(cuts) - 1)
-    for a, b, m in items:
-        for k in range(at[a], at[b]):
-            mult[k] = max(mult[k], m)
-    out: list[tuple[float, float, int]] = []
-    for a, b, m in zip(cuts[:-1], cuts[1:], mult):
-        if m > 0:
-            if out and out[-1][1] == a and out[-1][2] == m:
-                out[-1] = (out[-1][0], b, m)
-            else:
-                out.append((a, b, m))
-    return out
+def _check_mult(axis: int, mult: int, degrees: tuple[int, int]) -> None:
+    """A line of a degree-d direction carries multiplicity 1..d + 1."""
+    if not 1 <= mult <= degrees[axis] + 1:
+        raise ValueError(f"multiplicity {mult} of a line on axis {axis} is "
+                         f"outside 1..{degrees[axis] + 1}")
 
 
-def _min_mult(parts: list[tuple[float, float, int]], lo: float, hi: float) -> int:
-    """Minimal multiplicity of a piece list over [lo, hi]; 0 if any gap."""
-    cur = lo
-    m = 1 << 30
-    for a, b, pm in parts:
-        if b <= cur:
-            continue
-        if a > cur:
-            return 0
-        m = min(m, pm)
-        cur = b
-        if cur >= hi:
-            return m
-    return 0
+def _runs(grid: np.ndarray):
+    """Maximal runs of equal nonzero values along the rows of ``grid``.
+
+    Returns (row, start, end, value) arrays, by row, then by start; a run
+    covers columns start..end - 1.
+    """
+    pad = np.pad(grid, ((0, 0), (1, 1)))
+    row, j = np.nonzero(pad[:, 1:] != pad[:, :-1])
+    value = pad[row, j + 1]
+    k = np.flatnonzero(value)
+    return row[k], j[k], j[k + 1], value[k]
 
 
 class BoxMesh:
-    """Mesh of axis-parallel segments over a rectangular domain.
+    """Box partition of a rectangular domain, with edge multiplicities.
 
     Coordinates are snapped to per-axis tables so equality tests on knot
-    values are exact.  Coverage is stored per (axis, position) as disjoint
-    intervals with multiplicities.
+    values are exact.  ``_mult[axis][i, j]`` (uint8) is the multiplicity
+    of the line at coordinate i of ``axis`` over fine cell j of the other
+    axis, the cell between its coordinates j and j + 1; 0 where no segment
+    covers it.  Segments exist only as runs of this grid, so every segment
+    end is a mesh coordinate.
     """
 
     def __init__(self, domain: tuple[float, float, float, float]):
@@ -117,8 +103,7 @@ class BoxMesh:
             raise ValueError("degenerate domain")
         self.domain = (umin, umax, vmin, vmax)
         self._coords: list[list[float]] = [[umin, umax], [vmin, vmax]]
-        self._cover: list[dict[float, list[tuple[float, float, int]]]] = [{}, {}]
-        self._cover_pos: list[list[float]] = [[], []]
+        self._mult = [np.zeros((2, 1), dtype=np.uint8) for _ in range(2)]
         self.version = 0
 
     # -- coordinates -------------------------------------------------
@@ -128,7 +113,11 @@ class BoxMesh:
         return hi - lo
 
     def snap(self, axis: int, value: float, insert: bool = False) -> float:
-        """Return the table coordinate for ``value``; optionally add it."""
+        """Return the table coordinate for ``value``; optionally add it.
+
+        A new coordinate is a line that carries nothing and splits one
+        fine cell of every line of the other axis in two.
+        """
         coords = self._coords[axis]
         tol = SNAP_REL * self.extent(axis)
         i = bisect.bisect_left(coords, value)
@@ -138,6 +127,10 @@ class BoxMesh:
         if not insert:
             raise KeyError(f"coordinate {value!r} is not on a mesh line of axis {axis}")
         coords.insert(i, float(value))
+        self._mult[axis] = np.insert(self._mult[axis], i, 0, axis=0)
+        other = self._mult[1 - axis]
+        split = other[:, i - 1] if 0 < i < len(coords) - 1 else 0
+        self._mult[1 - axis] = np.insert(other, i, split, axis=1)
         return float(value)
 
     def coords(self, axis: int) -> np.ndarray:
@@ -145,49 +138,59 @@ class BoxMesh:
 
     # -- coverage ----------------------------------------------------
 
-    def add_cover(self, axis: int, pos: float,
-                  parts: list[tuple[float, float, int]]) -> bool:
-        """Merge intervals (lo, hi, mult) into the coverage of one line;
-        returns True when the mesh actually changed."""
-        cov = self._cover[axis]
-        old = cov.get(pos, [])
-        new = _merge_cover(old, parts)
-        if new == old:
-            return False
-        cov[pos] = new
-        if not old:
-            bisect.insort(self._cover_pos[axis], pos)
-        self.version += 1
-        return True
+    def _merge(self, records) -> bool:
+        """Merge segment records (axis, pos, lo, hi, mult), whose values are
+        mesh coordinates, into the grids by maximum multiplicity.  Bumps
+        ``version`` once and returns True when a grid changed."""
+        rec = np.array(records, dtype=float).reshape(-1, 5)
+        if not ((rec[:, 4] >= 1) & (rec[:, 4] <= 255) & (rec[:, 2] < rec[:, 3])).all():
+            raise ValueError("segment with an empty extent or a multiplicity outside 1..255")
+        changed = False
+        for axis in (0, 1):
+            a = rec[rec[:, 0] == axis]
+            own, other = self._coords[axis], self._coords[1 - axis]
+            lo, hi = np.searchsorted(other, a[:, 2]), np.searchsorted(other, a[:, 3])
+            cells = (np.repeat(np.searchsorted(own, a[:, 1]), hi - lo), _ranges(lo, hi - lo))
+            mult = np.repeat(a[:, 4].astype(np.uint8), hi - lo)
+            grid = self._mult[axis]
+            if (grid[cells] < mult).any():
+                np.maximum.at(grid, cells, mult)
+                changed = True
+        self.version += changed
+        return changed
+
+    def add_cover(self, axis: int, pos: float, parts: list[tuple[float, float, int]]) -> bool:
+        """Merge intervals (lo, hi, mult) into the line at ``pos``, all snapped
+        to existing coordinates; returns True when the mesh changed."""
+        return self._merge([(axis, self.snap(axis, pos), self.snap(1 - axis, lo),
+                             self.snap(1 - axis, hi), m) for lo, hi, m in parts])
 
     def cover_mult(self, axis: int, pos: float, lo: float, hi: float) -> int:
-        """Minimal multiplicity of coverage over [lo, hi]; 0 if any gap."""
-        return _min_mult(self._cover[axis].get(pos, []), lo, hi)
-
-    def _pieces(self, axis: int):
-        """Coverage of ``axis`` as index arrays (pos, lo, hi, mult), sorted by
-        line, then by interval start.  ``pos`` indexes the axis's coordinate
-        table, ``lo`` and ``hi`` the other axis's."""
-        flat = [(p, lo, hi, m) for p in self._cover_pos[axis]
-                for lo, hi, m in self._cover[axis][p]]
-        a = np.array(flat, dtype=float).reshape(-1, 4)
-        own, other = self.coords(axis), self.coords(1 - axis)
-        return (np.searchsorted(own, a[:, 0]), np.searchsorted(other, a[:, 1]),
-                np.searchsorted(other, a[:, 2]), a[:, 3].astype(np.int64))
+        """Minimal multiplicity of the line at ``pos`` over [lo, hi]; 0 if
+        any part of it is uncovered or ``pos`` is not a coordinate."""
+        own, other = self._coords[axis], self._coords[1 - axis]
+        i = bisect.bisect_left(own, pos)
+        j0 = bisect.bisect_right(other, lo) - 1
+        j1 = max(bisect.bisect_left(other, hi), j0 + 1)
+        if i == len(own) or own[i] != pos or j0 < 0 or j1 >= len(other):
+            return 0
+        return int(self._mult[axis][i, j0:j1].min())
 
     def segments(self) -> list[Segment]:
+        """The grids as segments: maximal runs of equal multiplicity, by
+        axis, by line, then by start."""
         out = []
         for axis in (0, 1):
-            for pos in self._cover_pos[axis]:
-                for lo, hi, m in self._cover[axis][pos]:
-                    out.append(Segment(axis, pos, lo, hi, m))
+            own, other = self._coords[axis], self._coords[1 - axis]
+            line, lo, hi, mult = (v.tolist() for v in _runs(self._mult[axis]))
+            out += map(Segment, itertools.repeat(axis), map(own.__getitem__, line),
+                       map(other.__getitem__, lo), map(other.__getitem__, hi), mult)
         return out
 
     def copy(self) -> "BoxMesh":
         out = BoxMesh(self.domain)
         out._coords = [list(c) for c in self._coords]
-        out._cover = [{p: list(parts) for p, parts in cov.items()} for cov in self._cover]
-        out._cover_pos = [list(p) for p in self._cover_pos]
+        out._mult = [m.copy() for m in self._mult]
         return out
 
     # -- elements ----------------------------------------------------
@@ -206,20 +209,13 @@ class BoxMesh:
         are numbered in the scan order of those cells, by v, then by u (flat
         index j * nu + i).
         """
-        uc = self.coords(0)
-        vc = self.coords(1)
+        uc, vc = self.coords(0), self.coords(1)
         nu, nv = len(uc) - 1, len(vc) - 1
         # left[i, j] / below[i, j]: the left / lower edge of fine cell (i, j)
         # lies on the domain boundary or on a segment
-        left = np.zeros((nu, nv), dtype=bool)
-        below = np.zeros((nu, nv), dtype=bool)
+        left = self._mult[0][:-1] > 0
+        below = (self._mult[1][:-1] > 0).T
         left[0] = below[:, 0] = True
-        for axis, cut, n in ((0, left, nu), (1, below, nv)):
-            pos, lo, hi, _ = self._pieces(axis)
-            inner = (pos > 0) & (pos < n)
-            pos, lo, hi = pos[inner], lo[inner], hi[inner]
-            line, cell = np.repeat(pos, hi - lo), _ranges(lo, hi - lo)
-            cut[(line, cell) if axis == 0 else (cell, line)] = True
         i_left = np.where(left, np.arange(nu, dtype=np.int32)[:, None], 0)
         np.maximum.accumulate(i_left, axis=0, out=i_left)
         j_down = np.where(below, np.arange(nv, dtype=np.int32), 0)
@@ -336,21 +332,11 @@ def make_tensor_surface(domain: tuple[float, float, float, float],
         interior = list(np.linspace(lo, hi, n - d + 1)[1:-1])
         interior = [mesh.snap(axis, c, insert=True) for c in interior]
         full.append([lo] * (d + 1) + interior + [hi] * (d + 1))
-    # boundary lines carry multiplicity degree+1, interior lines 1
-    for axis, d in ((0, du), (1, dv)):
-        o_lo = mesh.domain[2 * (1 - axis)]
-        o_hi = mesh.domain[2 * (1 - axis) + 1]
-        lo, hi = mesh.domain[2 * axis], mesh.domain[2 * axis + 1]
-        mesh.add_cover(axis, lo, [(o_lo, o_hi, d + 1)])
-        mesh.add_cover(axis, hi, [(o_lo, o_hi, d + 1)])
-        for c in full[axis][d + 1:-(d + 1)]:
-            mesh.add_cover(axis, c, [(o_lo, o_hi, 1)])
-    bsplines = []
-    for i in range(nu):
-        ku = tuple(full[0][i:i + du + 2])
-        for j in range(nv):
-            kv = tuple(full[1][j:j + dv + 2])
-            bsplines.append(ScaledBSpline((ku, kv), 1.0))
+    # full lines at the multiplicities of the global knot vectors
+    mesh._merge([(axis, c, *mesh.domain[2 - 2 * axis:4 - 2 * axis], full[axis].count(c))
+                 for axis in (0, 1) for c in set(full[axis])])
+    bsplines = [ScaledBSpline((tuple(full[0][i:i + du + 2]), tuple(full[1][j:j + dv + 2])))
+                for i in range(nu) for j in range(nv)]
     coeffs = np.full(len(bsplines), float(coeff))
     return LRSurface(degrees, mesh, bsplines, coeffs, units)
 
@@ -371,17 +357,20 @@ def _split_weights(t: np.ndarray, d: int, c: np.ndarray):
     return a1, a2
 
 
-def _knot_rows(surface: LRSurface) -> np.ndarray:
-    """Per B-spline, its du + 2 u-knot and dv + 2 v-knot indices into the
-    mesh coordinate tables, as one int32 row."""
+def _knot_values(surface: LRSurface) -> np.ndarray:
+    """Per B-spline, its du + 2 u-knots and dv + 2 v-knots as one row."""
     du, dv = surface.degrees
     knots = map(attrgetter("knots"), surface.bsplines)
     flat = itertools.chain.from_iterable(itertools.chain.from_iterable(knots))
-    k = np.fromiter(flat, dtype=float).reshape(-1, du + dv + 4)
-    rows = np.empty(k.shape, dtype=np.int32)
-    rows[:, :du + 2] = np.searchsorted(surface.mesh.coords(0), k[:, :du + 2])
-    rows[:, du + 2:] = np.searchsorted(surface.mesh.coords(1), k[:, du + 2:])
-    return rows
+    return np.fromiter(flat, dtype=float).reshape(-1, du + dv + 4)
+
+
+def _knot_rows(surface: LRSurface) -> np.ndarray:
+    """Per B-spline, its du + 2 u-knot and dv + 2 v-knot indices into the
+    mesh coordinate tables, as one int32 row."""
+    k, du = _knot_values(surface), surface.degrees[0]
+    return np.hstack([np.searchsorted(surface.mesh.coords(0), k[:, :du + 2]),
+                      np.searchsorted(surface.mesh.coords(1), k[:, du + 2:])]).astype(np.int32)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -391,34 +380,23 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return big.view(np.dtype((np.void, 4 * big.shape[1]))).ravel()
 
 
-def _line_cover(mesh: BoxMesh, axis: int, d: int):
-    """Per-line coverage of ``axis`` for traversal queries.
-
-    Returns (lines, keys, reach, n): the covered line positions, the piece
-    keys pos * n + lo in increasing order (n is the size of the other
-    coordinate table), and reach[t, k] for t = 0..d: the far end of the run
-    of abutting pieces of one line, from piece k on, whose multiplicities
-    all exceed t; -1 where piece k's own does not.
-    """
-    pos, lo, hi, mult = mesh._pieces(axis)
-    n = len(mesh._coords[1 - axis])
-    abut = (pos[1:] == pos[:-1]) & (lo[1:] == hi[:-1])
-    idx = np.arange(len(pos))
-    reach = np.empty((d + 1, len(pos)), dtype=np.int64)
-    for t in range(d + 1):
-        ok = mult > t
-        stop = np.ones(len(pos), dtype=bool)
-        stop[:-1] = ~(abut & ok[1:])
-        last = np.minimum.accumulate(np.where(stop, idx, len(pos))[::-1])[::-1]
-        reach[t] = np.where(ok, hi[last], -1)
-    return np.unique(pos), pos * n + lo, reach, n
+def _run_table(mesh: BoxMesh, axis: int, d: int):
+    """Per t = 0..d, the maximal runs of fine cells over which a line of
+    ``axis`` has multiplicity above t, as (keys, ends, nl, n): increasing
+    keys (t * nl + line) * n + start and run ends, with nl and n the sizes
+    of the coordinate tables of ``axis`` and of the other axis."""
+    grid = mesh._mult[axis]
+    nl, n = grid.shape[0], grid.shape[1] + 1
+    # row t * nl + line of the stack holds the cells where line exceeds t
+    row, start, end, _ = _runs((grid > np.arange(d + 1)[:, None, None]).reshape(-1, n - 1))
+    return row * n + start, end, nl, n
 
 
-def _first_splits(rows: np.ndarray, cols, lines, degrees):
+def _first_splits(rows: np.ndarray, cols, tables):
     """The first line that splits each row's B-spline, as (axis, pos).
 
-    Scans the covered lines strictly inside the support, axis 0 before
-    axis 1 and lower positions first, for one that fully traverses the
+    Scans the coordinates strictly inside the support, axis 0 before axis
+    1 and lower positions first, for a line that fully traverses the
     support at a multiplicity above the row's own; ``pos`` is -1 where none
     does.  Works through the rows in slices of ``_CHUNK``, which bounds
     the (row, line) pair arrays.
@@ -428,19 +406,17 @@ def _first_splits(rows: np.ndarray, cols, lines, degrees):
     for base, ax in itertools.product(range(0, len(rows), _CHUNK), (0, 1)):
         todo = base + np.flatnonzero(pos[base:base + _CHUNK] < 0)
         kn, other = rows[todo][:, cols[ax]], rows[todo][:, cols[1 - ax]]
-        covered, keys, reach, n = lines[ax]
-        start = np.searchsorted(covered, kn[:, 0], side="right")
-        count = np.maximum(np.searchsorted(covered, kn[:, -1]) - start, 0)
+        keys, ends, nl, n = tables[ax]
+        start = kn[:, 0] + 1
+        count = np.maximum(kn[:, -1] - start, 0)
         b = np.repeat(np.arange(len(todo)), count)
-        p = covered[_ranges(start, count)]
+        p = _ranges(start, count)
         have = sum(col[b] == p for col in kn.T)
-        room = have <= degrees[ax]
-        b, p, have = b[room], p[room], have[room]
-        # the last piece starting at or before the support's low end
-        q = p * n + other[b, 0]
-        k = np.maximum(np.searchsorted(keys, q, side="right") - 1, 0)
-        hit = ((keys[k] <= q) & (keys[k] >= p * n)
-               & (reach[have, k] >= other[b, -1]))
+        # the last run of line p above multiplicity ``have`` that starts at
+        # or before the support's low end must reach its high end
+        line = (have * nl + p) * n
+        k = np.maximum(np.searchsorted(keys, line + other[b, 0], side="right") - 1, 0)
+        hit = (keys[k] >= line) & (keys[k] <= line + other[b, 0]) & (ends[k] >= other[b, -1])
         b, p = b[hit], p[hit]
         first = np.flatnonzero(np.diff(b, prepend=-1))
         pos[todo[b[first]]] = p[first]
@@ -464,7 +440,7 @@ def _split_worklist(surface: LRSurface) -> None:
     deg = surface.degrees
     cols = (slice(0, deg[0] + 2), slice(deg[0] + 2, None))
     coords = (mesh.coords(0), mesh.coords(1))
-    lines = [_line_cover(mesh, ax, deg[ax]) for ax in (0, 1)]
+    tables = [_run_table(mesh, ax, deg[ax]) for ax in (0, 1)]
     queue = _knot_rows(surface)
     chunks = [queue]
     n0 = len(queue)
@@ -479,7 +455,7 @@ def _split_worklist(surface: LRSurface) -> None:
     at[slot] = np.arange(n0)
     base = 0  # storage slot of queue[0]
     while len(queue):
-        axis, pos = _first_splits(queue, cols, lines, deg)
+        axis, pos = _first_splits(queue, cols, tables)
         hit = np.flatnonzero(pos >= 0)
         if not len(hit):
             break
@@ -557,6 +533,7 @@ def insert_segment(surface: LRSurface, seg: Segment) -> None:
     axis = seg.axis
     if axis not in (0, 1):
         raise ValueError("segment axis must be 0 or 1")
+    _check_mult(axis, seg.mult, surface.degrees)
     if not (mesh.domain[2 * axis] <= seg.pos <= mesh.domain[2 * axis + 1]):
         raise ValueError(f"segment position {seg.pos} outside domain axis {axis}")
     try:
@@ -572,13 +549,16 @@ def insert_segment(surface: LRSurface, seg: Segment) -> None:
         pos = float(seg.pos)
     # legality: after merging, the segment must traverse some support at a
     # multiplicity its knot vector does not yet carry, unless it is a no-op
-    old = mesh._cover[axis].get(pos, [])
-    new = _merge_cover(old, [(lo, hi, seg.mult)])
-    if new == old:
+    if mesh.cover_mult(axis, pos, lo, hi) >= seg.mult:
         return
+    own, other = mesh._coords[axis], mesh._coords[1 - axis]
+    at = functools.partial(bisect.bisect_left, other)
+    row = (mesh._mult[axis][own.index(pos)].copy() if pos in own
+           else np.zeros(len(other) - 1, dtype=np.uint8))
+    row[at(lo):at(hi)] = np.maximum(row[at(lo):at(hi)], seg.mult)
     for b in surface.bsplines:
-        kn, other = b.knots[axis], b.knots[1 - axis]
-        if kn[0] < pos < kn[-1] and _min_mult(new, other[0], other[-1]) > kn.count(pos):
+        kn, across = b.knots[axis], b.knots[1 - axis]
+        if kn[0] < pos < kn[-1] and row[at(across[0]):at(across[-1])].min() > kn.count(pos):
             break
     else:
         raise ValueError("segment does not traverse any B-spline support")
@@ -586,22 +566,22 @@ def insert_segment(surface: LRSurface, seg: Segment) -> None:
 
 
 def insert_segments(surface: LRSurface, segments) -> None:
-    """Batch insert: merge all coverage first, once per line, then one
+    """Batch insert: merge all segments into the mesh at once, then one
     global split pass.
 
     Intended for refinement batches whose legality is known by construction
     (each segment spans the support of the B-spline that requested it).
+    Raises ValueError, before the mesh changes, for a multiplicity outside
+    1..degree + 1.
     """
     mesh = surface.mesh
-    snap = functools.cache(mesh.snap)  # segments share most coordinates
-    lines: dict[tuple[int, float], list[tuple[float, float, int]]] = {}
+    segments = list(segments)
     for seg in segments:
-        pos = snap(seg.axis, seg.pos, True)
-        lo = snap(1 - seg.axis, seg.lo)
-        hi = snap(1 - seg.axis, seg.hi)
-        lines.setdefault((seg.axis, pos), []).append((lo, hi, seg.mult))
-    changed = [mesh.add_cover(axis, pos, parts) for (axis, pos), parts in lines.items()]
-    if any(changed):
+        _check_mult(seg.axis, seg.mult, surface.degrees)
+    snap = functools.cache(mesh.snap)  # segments share most coordinates
+    records = [(seg.axis, snap(seg.axis, seg.pos, True), snap(1 - seg.axis, seg.lo),
+                snap(1 - seg.axis, seg.hi), seg.mult) for seg in segments]
+    if mesh._merge(records):
         _split_worklist(surface)
         surface.bump()
 
@@ -629,11 +609,11 @@ def residents_of(surface: LRSurface):
     # column, so the cells' flat indices j * nu + i increase with e.
     anchors = (np.searchsorted(vc, bounds[:, 2]) * nu
                + np.searchsorted(uc, bounds[:, 0]))
-    sup = np.array([b.support() for b in surface.bsplines]).reshape(-1, 4)
-    i0, i1 = np.searchsorted(uc, sup[:, 0]), np.searchsorted(uc, sup[:, 1])
-    j0, j1 = np.searchsorted(vc, sup[:, 2]), np.searchsorted(vc, sup[:, 3])
+    # a support spans the fine cells from its first to its last knot
+    du = surface.degrees[0]
+    i0, i1, j0, j1 = _knot_rows(surface)[:, [0, du + 1, du + 2, -1]].T.astype(np.int64)
     # one search per (B-spline, fine column of its support)
-    bs = np.repeat(np.arange(len(sup)), j1 - j0)
+    bs = np.repeat(np.arange(len(i0)), j1 - j0)
     col = _ranges(j0, j1 - j0)
     first = np.searchsorted(anchors, col * nu + i0[bs])
     count = np.searchsorted(anchors, col * nu + i1[bs]) - first
@@ -648,22 +628,21 @@ def residents_of(surface: LRSurface):
 def validate_surface(surface: LRSurface, check_unity: bool = True) -> None:
     """Structural invariants; raises AssertionError with a diagnostic.
 
-    Checks that every B-spline knot, line position and segment endpoint is
-    a mesh coordinate (the file formats index the coordinate tables), that
-    every knot lies on a segment traversing its support, that scaling
-    factors are positive, that the element partition is consistent with the
-    segment arrangement, and (optionally) partition of unity at random
-    sample points.
+    Checks that every line multiplicity is at most degree + 1, that every
+    B-spline knot is a mesh coordinate (the file formats index the
+    coordinate tables) on a line traversing its support, that scaling
+    factors are positive, that the element partition is consistent with
+    the mesh lines, and (optionally) partition of unity at random sample
+    points.
     """
     mesh = surface.mesh
-    du, dv = surface.degrees
+    for axis, d in enumerate(surface.degrees):
+        top = int(mesh._mult[axis].max())
+        assert top <= d + 1, f"a line on axis {axis} has multiplicity {top} > degree + 1"
     coords = [set(mesh._coords[0]), set(mesh._coords[1])]
-    for s in mesh.segments():
-        assert s.pos in coords[s.axis] and {s.lo, s.hi} <= coords[1 - s.axis], (
-            f"segment {s} has an end or position that is not a mesh coordinate")
     for i, b in enumerate(surface.bsplines):
         assert b.scaling > 0, f"B-spline {i} has non-positive scaling"
-        for axis, d in ((0, du), (1, dv)):
+        for axis, d in enumerate(surface.degrees):
             kn = b.knots[axis]
             assert len(kn) == d + 2, f"B-spline {i} axis {axis} has wrong knot count"
             assert all(a <= b for a, b in zip(kn, kn[1:])) and kn[0] < kn[-1], (
@@ -679,16 +658,11 @@ def validate_surface(surface: LRSurface, check_unity: bool = True) -> None:
     _, cell_map, uc, vc = mesh.elements()
     assert (cell_map >= 0).all(), "unassigned fine cells"
     # covered edges must separate elements, uncovered edges must not
-    for i in range(len(uc) - 2):
-        for j in range(len(vc) - 1):
-            covered = mesh.cover_mult(0, uc[i + 1], vc[j], vc[j + 1]) > 0
-            same = cell_map[i, j] == cell_map[i + 1, j]
-            assert covered != same, f"edge inconsistency at u={uc[i+1]}, cell {j}"
-    for i in range(len(uc) - 1):
-        for j in range(len(vc) - 2):
-            covered = mesh.cover_mult(1, vc[j + 1], uc[i], uc[i + 1]) > 0
-            same = cell_map[i, j] == cell_map[i, j + 1]
-            assert covered != same, f"edge inconsistency at v={vc[j+1]}, cell {i}"
+    for axis, cells in ((0, cell_map), (1, cell_map.T)):
+        same = cells[:-1] == cells[1:]
+        bad = np.argwhere((mesh._mult[axis][1:-1] > 0) == same)
+        assert not len(bad), (f"edge inconsistency at {'uv'[axis]}="
+                              f"{mesh._coords[axis][bad[0, 0] + 1]}, cell {bad[0, 1]}")
     if check_unity:
         from .evaluate import partition_of_unity
         rng = np.random.default_rng(0)
@@ -750,37 +724,23 @@ def restrict(surface: LRSurface, rect: tuple[float, float, float, float]) -> LRS
     if not (r0[0] < r0[1] and r0[2] < r0[3]):
         raise ValueError("restriction rectangle is empty")
     # snap edges onto existing mesh lines so knot comparisons below are exact
-    r = (out.mesh.snap(0, r0[0], insert=True), out.mesh.snap(0, r0[1], insert=True),
-         out.mesh.snap(1, r0[2], insert=True), out.mesh.snap(1, r0[3], insert=True))
-    du, dv = out.degrees
-    segs = []
-    for axis, d, lo, hi in ((0, du, r[0], r[1]), (1, dv, r[2], r[3])):
-        o_lo = out.mesh.domain[2 * (1 - axis)]
-        o_hi = out.mesh.domain[2 * (1 - axis) + 1]
-        for pos in (lo, hi):
-            segs.append(Segment(axis, pos, o_lo, o_hi, d + 1))
-    insert_segments(out, segs)
+    r = tuple(out.mesh.snap(k // 2, v, insert=True) for k, v in enumerate(r0))
+    insert_segments(out, [Segment(axis, pos, *out.mesh.domain[2 - 2 * axis:4 - 2 * axis],
+                                  out.degrees[axis] + 1)
+                          for axis in (0, 1) for pos in r[2 * axis:2 * axis + 2]])
 
     keep = [i for i, b in enumerate(out.bsplines)
-            if b.ku[0] >= r[0] and b.ku[-1] <= r[1]
-            and b.kv[0] >= r[2] and b.kv[-1] <= r[3]]
+            if r[0] <= b.ku[0] and b.ku[-1] <= r[1] and r[2] <= b.kv[0] and b.kv[-1] <= r[3]]
     bsplines = [out.bsplines[i] for i in keep]
     coeffs = out.coeffs[keep]
 
-    mesh = BoxMesh(r)
-    for axis in (0, 1):
-        a_lo, a_hi = r[2 * axis], r[2 * axis + 1]
-        o_lo, o_hi = r[2 * (1 - axis)], r[2 * (1 - axis) + 1]
-        for c in out.mesh._coords[axis]:
-            if a_lo <= c <= a_hi:
-                mesh.snap(axis, c, insert=True)
-        for pos, parts in out.mesh._cover[axis].items():
-            if not (a_lo <= pos <= a_hi):
-                continue
-            for lo, hi, m in parts:
-                lo2, hi2 = max(lo, o_lo), min(hi, o_hi)
-                if lo2 < hi2:
-                    mesh.add_cover(axis, pos, [(lo2, hi2, m)])
+    # the lines and fine cells inside the rectangle
+    mesh, old = BoxMesh(r), out.mesh
+    keep = [slice(old._coords[a].index(r[2 * a]), old._coords[a].index(r[2 * a + 1]) + 1)
+            for a in (0, 1)]
+    mesh._coords = [old._coords[a][keep[a]] for a in (0, 1)]
+    mesh._mult = [old._mult[a][keep[a], keep[1 - a].start:keep[1 - a].stop - 1].copy()
+                  for a in (0, 1)]
     res = LRSurface(out.degrees, mesh, bsplines, coeffs, out.units)
     res.canonical_order()
     return res
@@ -789,10 +749,9 @@ def restrict(surface: LRSurface, rect: tuple[float, float, float, float]) -> LRS
 def transpose(surface: LRSurface) -> LRSurface:
     """Swap the two parameter directions (u, v) -> (v, u)."""
     mesh = surface.mesh.copy()
-    d = mesh.domain
-    mesh.domain = (d[2], d[3], d[0], d[1])
-    for per_axis in (mesh._coords, mesh._cover, mesh._cover_pos):
-        per_axis.reverse()
+    mesh.domain = mesh.domain[2:] + mesh.domain[:2]
+    mesh._coords.reverse()
+    mesh._mult.reverse()
     bs = [ScaledBSpline((b.kv, b.ku), b.scaling) for b in surface.bsplines]
     out = LRSurface((surface.degrees[1], surface.degrees[0]), mesh, bs,
                     surface.coeffs.copy(), surface.units)

@@ -7,6 +7,11 @@ element cell by cell.  All are slow and simple and share no code with the
 library's engines, and the tests compare ``lrterrain.mesh._split_worklist``,
 ``lrterrain.mesh._split_weights`` and ``BoxMesh.elements`` against them.
 
+``CoverOracle`` keeps the mesh coverage as the mesh once did: per line,
+a sorted list of disjoint (lo, hi, mult) tuples, merged by maximum
+multiplicity; the tests compare ``BoxMesh.segments`` and
+``BoxMesh.cover_mult`` against it.
+
 ``evaluate_at_all_elements`` is the point evaluation that builds the
 polynomial of every element of the surface, whatever points are asked for,
 and sums monomial by monomial; it shares the power rows (``_dpowers``) with
@@ -18,7 +23,7 @@ from collections import deque
 import numpy as np
 
 from lrterrain.evaluate import _COLUMNS, _dpowers
-from lrterrain.mesh import ScaledBSpline
+from lrterrain.mesh import ScaledBSpline, Segment
 
 
 def insert_knot_1d(t, d, c):
@@ -141,6 +146,86 @@ def element_scan(mesh):
             rects.append((float(uc[i0]), float(uc[i1 + 1]),
                           float(vc[j0]), float(vc[j1 + 1])))
     return rects, cell_map
+
+
+def merge_cover(parts, new):
+    """Merge intervals (lo, hi, mult) into a sorted, disjoint piece list,
+    taking the pointwise maximum multiplicity."""
+    items = parts + new
+    cuts = sorted({x for a, b, _ in items for x in (a, b)})
+    at = {c: k for k, c in enumerate(cuts)}
+    mult = [0] * (len(cuts) - 1)
+    for a, b, m in items:
+        for k in range(at[a], at[b]):
+            mult[k] = max(mult[k], m)
+    out = []
+    for a, b, m in zip(cuts[:-1], cuts[1:], mult):
+        if m > 0:
+            if out and out[-1][1] == a and out[-1][2] == m:
+                out[-1] = (out[-1][0], b, m)
+            else:
+                out.append((a, b, m))
+    return out
+
+
+def min_mult(parts, lo, hi):
+    """Minimal multiplicity of a piece list over [lo, hi]; 0 if any gap."""
+    cur = lo
+    m = 1 << 30
+    for a, b, pm in parts:
+        if b <= cur:
+            continue
+        if a > cur:
+            return 0
+        m = min(m, pm)
+        cur = b
+        if cur >= hi:
+            return m
+    return 0
+
+
+class CoverOracle:
+    """Mesh coverage as per-line tuple lists: ``cover[axis][pos]`` is the
+    sorted list of disjoint (lo, hi, mult) pieces of one line."""
+
+    def __init__(self, segments=()):
+        self.cover = [{}, {}]
+        for s in segments:
+            self.add(s.axis, s.pos, s.lo, s.hi, s.mult)
+
+    def add(self, axis, pos, lo, hi, mult):
+        line = self.cover[axis]
+        line[pos] = merge_cover(line.get(pos, []), [(lo, hi, mult)])
+
+    def segments(self):
+        return [Segment(axis, pos, lo, hi, m) for axis in (0, 1)
+                for pos in sorted(self.cover[axis])
+                for lo, hi, m in self.cover[axis][pos]]
+
+    def cover_mult(self, axis, pos, lo, hi):
+        return min_mult(self.cover[axis].get(pos, []), lo, hi)
+
+    def transposed(self):
+        out = CoverOracle()
+        out.cover = self.cover[::-1]
+        return out
+
+    def restricted(self, domain, rect, degrees):
+        """The coverage ``restrict`` leaves: lines of multiplicity degree + 1
+        across the domain along the rectangle's edges, then every piece
+        clipped to the rectangle."""
+        full = CoverOracle(self.segments())
+        for axis in (0, 1):
+            for pos in rect[2 * axis:2 * axis + 2]:
+                full.add(axis, pos, *domain[2 - 2 * axis:4 - 2 * axis], degrees[axis] + 1)
+        out = CoverOracle()
+        for s in full.segments():
+            a_lo, a_hi = rect[2 * s.axis:2 * s.axis + 2]
+            o_lo, o_hi = rect[2 - 2 * s.axis:4 - 2 * s.axis]
+            lo, hi = max(s.lo, o_lo), min(s.hi, o_hi)
+            if a_lo <= s.pos <= a_hi and lo < hi:
+                out.add(s.axis, s.pos, lo, hi, s.mult)
+        return out
 
 
 def evaluate_at_all_elements(cache, coeffs, eid, tu, tv, wu, wv, order):

@@ -3,16 +3,17 @@
 The split engine must give the same B-splines in the same order, the same
 mesh and the same file size as splitting one B-spline at a time; scalings
 and coefficients may differ only by the rounding of a different summation
-order.  The element partition must equal the cell scan exactly.
+order.  The element partition must equal the cell scan exactly, and the
+multiplicity grids must hold what per-line tuple lists hold.
 """
 import numpy as np
 import pytest
 
-from lrterrain import mesh, restrict
+from lrterrain import mesh, read_surface, restrict, write_surface_binary
 from lrterrain.formats import binary_size
 from lrterrain.tiling import stitch_grid
 from conftest import random_refined_surface
-from oracles import element_scan, insert_knot_1d, split_worklist
+from oracles import CoverOracle, element_scan, insert_knot_1d, split_worklist
 from test_tiling import grid_fits
 
 RECT = (0.23, 0.81, 0.31, 0.77)
@@ -105,3 +106,54 @@ def test_split_engine_merges_shared_products(monkeypatch):
     assert len(new) == 36
     assert_same_surface(new, old)
     mesh.validate_surface(new)
+
+
+def random_batch(rng, s):
+    """Segments on lines at multiples of 1/16 between existing coordinates:
+    single parts, abutting parts of equal multiplicity and overlapping
+    parts, at multiplicities 1..degree + 1."""
+    segs = []
+    for _ in range(6):
+        axis = int(rng.integers(2))
+        pos = int(rng.integers(1, 16)) / 16
+        other = s.mesh.coords(1 - axis).tolist()
+        a, b, c, e = sorted(rng.choice(len(other), 4, replace=False).tolist())
+        m1, m2 = rng.integers(1, s.degrees[axis] + 2, 2).tolist()
+        kind = int(rng.integers(3))
+        parts = ([(a, e, m1)] if kind == 0 else [(a, b, m1), (b, c, m1)] if kind == 1
+                 else [(a, c, m1), (b, e, m2)])
+        segs += [mesh.Segment(axis, pos, other[lo], other[hi], m) for lo, hi, m in parts]
+    return segs
+
+
+def assert_same_cover(m, ref, rng):
+    assert m.segments() == ref.segments()
+    for axis in (0, 1):
+        own, other = m.coords(axis), m.coords(1 - axis)
+        pos = np.concatenate([own, rng.uniform(own[0], own[-1], 5)])
+        for p in pos:
+            lo, hi = np.sort(rng.choice(other, 2, replace=False))
+            if rng.random() < 0.3:
+                lo, hi = np.sort(rng.uniform(other[0], other[-1], 2))
+            assert m.cover_mult(axis, p, lo, hi) == ref.cover_mult(axis, p, lo, hi)
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_coverage_grid_matches_tuple_lists(tmp_path, degrees, seed):
+    rng = np.random.default_rng(seed)
+    domain = (0.0, 1.0, 0.0, 1.0)
+    s = mesh.make_tensor_surface(domain, degrees, (6, 6))
+    ref = CoverOracle(s.mesh.segments())
+    for _ in range(4):
+        batch = random_batch(rng, s)
+        mesh.insert_segments(s, batch)
+        for seg in batch:
+            ref.add(seg.axis, seg.pos, seg.lo, seg.hi, seg.mult)
+        assert_same_cover(s.mesh, ref, rng)
+    assert_same_cover(mesh.transpose(s).mesh, ref.transposed(), rng)
+    r = restrict(s, RECT)
+    ref_r = ref.restricted(domain, RECT, degrees)
+    assert_same_cover(r.mesh, ref_r, rng)
+    write_surface_binary(r, tmp_path / "r.lrs")
+    assert_same_cover(read_surface(tmp_path / "r.lrs").mesh, ref_r, rng)

@@ -67,6 +67,14 @@ def test_outside_domain_raises():
         evaluate(s, [1.5], [0.5])
 
 
+@pytest.mark.parametrize("order", [3, -1])
+@pytest.mark.parametrize("n", [1, 0])
+def test_evaluate_rejects_an_unknown_order(order, n):
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (5, 5))
+    with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+        evaluate(s, np.full(n, 0.5), np.full(n, 0.5), order=order)
+
+
 @pytest.mark.parametrize("x, y", [(np.nan, 0.0), (0.5, np.nan), (np.inf, 0.5),
                                   (0.5, -np.inf)])
 def test_non_finite_points_are_outside_in_every_query(x, y):

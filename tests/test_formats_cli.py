@@ -186,10 +186,39 @@ def _binary_table_not_increasing(s, path):
     path.write_bytes(bytes(data))
 
 
+def _first_segment_text(s, path, edit):
+    """Write ``s`` as text with its first segment record's fields edited."""
+    write_surface_text(s, path)
+    lines = path.read_text().splitlines()
+    i = lines.index(next(ln for ln in lines if ln.startswith("segments"))) + 1
+    lines[i] = " ".join(edit(lines[i].split()))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _text_multiplicity_zero(s, path):
+    _first_segment_text(s, path, lambda f: [f[0], "0"] + f[2:])
+
+
+def _text_lo_above_hi(s, path):
+    _first_segment_text(s, path, lambda f: f[:3] + [f[4], f[3]])
+
+
+def _binary_multiplicity_above_degree(s, path):
+    # the multiplicity byte of the first segment record: 200 on a degree-2 axis
+    write_surface_binary(s, path)
+    data = bytearray(path.read_bytes())
+    at = (44 + sum(4 + len(u.encode()) for u in s.units)
+          + sum(4 + 8 * len(s.mesh.coords(axis)) for axis in (0, 1)) + 4)
+    assert data[at + 1] == 3
+    data[at + 1] = 200
+    path.write_bytes(bytes(data))
+
+
 @pytest.mark.parametrize("damage", [
     _empty_text, _truncated_text, _text_index_out_of_range, _text_negative_index,
     _binary_index_out_of_range, _binary_table_not_increasing,
-    _text_knots_not_nondecreasing, _text_empty_support, _binary_knots_not_nondecreasing])
+    _text_knots_not_nondecreasing, _text_empty_support, _binary_knots_not_nondecreasing,
+    _text_multiplicity_zero, _text_lo_above_hi, _binary_multiplicity_above_degree])
 def test_cli_eval_of_malformed_surface_exits_2(damage, tmp_path, capsys):
     s = random_refined_surface(2, n_inserts=5)
     path = tmp_path / "bad.lrs"

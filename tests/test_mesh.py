@@ -7,6 +7,7 @@ from lrterrain import (
     Segment,
     evaluate,
     insert_segment,
+    insert_segments,
     make_tensor_surface,
     partition_of_unity,
     restrict,
@@ -184,15 +185,27 @@ def test_validate_catches_broken_scaling():
         validate_surface(s)
 
 
-def test_validate_catches_segment_end_off_the_coordinates():
-    # the full line u = 0.5 changes multiplicity at v = 0.55, which is not a
-    # mesh coordinate; coverage, elements and B-splines are otherwise intact
+def test_validate_catches_multiplicity_above_degree():
+    # a segment end off the coordinates cannot be stored; a line of a
+    # degree-2 direction at multiplicity 4 can, and no B-spline carries it
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
     insert_segment(s, Segment(0, 0.5, 0.0, 1.0))
     validate_surface(s)
-    s.mesh._cover[0][0.5] = [(0.0, 0.55, 1), (0.55, 1.0, 2)]
-    with pytest.raises(AssertionError, match="not a mesh coordinate"):
+    s.mesh._mult[0][s.mesh.coords(0).tolist().index(0.5)] = 4
+    with pytest.raises(AssertionError, match="multiplicity 4"):
         validate_surface(s)
+
+
+@pytest.mark.parametrize("mult", [0, -1, 4, 9, 200])
+def test_insert_rejects_multiplicity_outside_one_to_degree_plus_one(mult):
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
+    size, coords = binary_size(s), [s.mesh.coords(0).tolist(), s.mesh.coords(1).tolist()]
+    with pytest.raises(ValueError, match="multiplicity"):
+        insert_segment(s, Segment(0, 0.5, 0.0, 1.0, mult=mult))
+    with pytest.raises(ValueError, match="multiplicity"):
+        insert_segments(s, [Segment(1, 0.5, 0.0, 1.0), Segment(0, 0.5, 0.0, 1.0, mult=mult)])
+    assert binary_size(s) == size
+    assert [s.mesh.coords(0).tolist(), s.mesh.coords(1).tolist()] == coords
 
 
 def test_validate_catches_knots_out_of_order():
