@@ -75,7 +75,7 @@ def _report(surface: LRSurface, fld: dict, i: int) -> IterationReport:
     a = np.abs(fld["residual"])
     return IterationReport(
         iteration=i,
-        n_coefficients=len(surface.bsplines),
+        n_coefficients=len(surface),
         size_bytes=binary_size(surface),
         max_dist=float(a.max()) if len(a) else 0.0,
         avg_dist=float(a.mean()) if len(a) else 0.0,
@@ -97,43 +97,38 @@ def refine_step(surface: LRSurface, fld: dict, config: FitConfig) -> dict:
     bad[fld["element_id"][np.abs(fld["residual"]) > tau]] = True
     if not bad.any():
         return {"inserted": 0, "frozen": 0}
-    marked = np.unique(cache.res[bad[cache.pair_element]]).tolist()
-    min_w = [config.min_width_fraction * surface.mesh.extent(0),
-             config.min_width_fraction * surface.mesh.extent(1)]
-    seen: set[tuple] = set()
-    segs: list[Segment] = []
-    frozen = 0
-    for i in marked:
-        b = surface.bsplines[i]
-        du_len = b.ku[-1] - b.ku[0]
-        dv_len = b.kv[-1] - b.kv[0]
-        lo_len, hi_len = sorted((du_len, dv_len))
-        if hi_len / lo_len < config.aspect_threshold:
-            axes = (0, 1)
-        else:
-            axes = (0,) if du_len > dv_len else (1,)
-        for axis in axes:
-            kn = b.knots[axis]
-            spans = [(kn[j], kn[j + 1]) for j in range(len(kn) - 1)
-                     if kn[j + 1] > kn[j]]
-            # central span, falling back to the widest when the middle one
-            # is much narrower (keeps splits meaningful near clamped ends)
-            lo, hi = spans[(len(spans) - 1) // 2]
-            wlo, whi = max(spans, key=lambda s: s[1] - s[0])
-            if (hi - lo) < 0.25 * (whi - wlo):
-                lo, hi = wlo, whi
-            if 0.5 * (hi - lo) < min_w[axis]:
-                frozen += 1
-                continue
-            other = b.knots[1 - axis]
-            key = (axis, 0.5 * (lo + hi), other[0], other[-1])
-            if key in seen:
-                continue
-            seen.add(key)
-            segs.append(Segment(axis, 0.5 * (lo + hi), other[0], other[-1]))
-    if segs:
-        insert_segments(surface, segs)
-    return {"inserted": len(segs), "frozen": frozen}
+    marked = np.unique(cache.res[bad[cache.pair_element]])
+    ku, kv = surface.axis_knots(0)[marked], surface.axis_knots(1)[marked]
+    du_len, dv_len = ku[:, -1] - ku[:, 0], kv[:, -1] - kv[:, 0]
+    both = np.maximum(du_len, dv_len) / np.minimum(du_len, dv_len) < config.aspect_threshold
+    # one column per axis: whether to split there, and the span to split
+    use = np.column_stack([both | (du_len > dv_len), both | ~(du_len > dv_len)])
+    lo, hi = (np.column_stack(ends) for ends in zip(_split_span(ku), _split_span(kv)))
+    min_w = config.min_width_fraction * np.array([surface.mesh.extent(0),
+                                                  surface.mesh.extent(1)])
+    frozen = use & (0.5 * (hi - lo) < min_w)
+    # (axis, pos, lo, hi) by marked B-spline, then axis; the first of equal ones
+    segs = np.stack([np.broadcast_to([0.0, 1.0], use.shape), 0.5 * (lo + hi),
+                     np.column_stack([kv[:, 0], ku[:, 0]]),
+                     np.column_stack([kv[:, -1], ku[:, -1]])], axis=-1)[use & ~frozen]
+    segs = segs[np.sort(np.unique(segs, axis=0, return_index=True)[1])]
+    if len(segs):
+        insert_segments(surface, [Segment(int(a), *rest) for a, *rest in segs.tolist()])
+    return {"inserted": len(segs), "frozen": int(frozen.sum())}
+
+
+def _split_span(kn: np.ndarray):
+    """Per knot row, the (lo, hi) ends of the span to split: the central
+    nonempty span, or the widest when the central one is narrower than a
+    quarter of it (keeps splits meaningful near clamped ends)."""
+    w = np.diff(kn, axis=1)
+    nonempty = w > 0
+    half = (nonempty.sum(axis=1) - 1) // 2
+    central = np.argmax(np.cumsum(nonempty, axis=1) > half[:, None], axis=1)
+    widest = np.argmax(w, axis=1)
+    r = np.arange(len(kn))
+    j = np.where(w[r, central] < 0.25 * w[r, widest], widest, central)
+    return kn[r, j], kn[r, j + 1]
 
 
 def _field(surface: LRSurface, pts: np.ndarray, tau: float, basis) -> dict:

@@ -23,17 +23,15 @@ The fitting layers build on ``basis_matrix`` and the flat arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .mesh import LRSurface, _knot_values, _ranges, residents_of
+from .mesh import LRSurface, _ranges, residents_of
 
 __all__ = [
     "evaluate",
     "partition_of_unity",
     "distance_field",
-    "element_accuracy",
     "eval_cache",
     "basis_matrix",
 ]
@@ -95,9 +93,7 @@ def eval_cache(surface: LRSurface) -> _EvalCache:
     du, dv = surface.degrees
     bounds, offsets, res, cell_map, uc, vc = residents_of(surface)
     pair_element = np.repeat(np.arange(len(bounds)), np.diff(offsets))
-    knots = _knot_values(surface)
-    ku, kv = knots[:, :du + 2], knots[:, du + 2:]
-    scaling = np.fromiter(map(attrgetter("scaling"), surface.bsplines), dtype=float)
+    ku, kv, scaling = surface.axis_knots(0), surface.axis_knots(1), surface.scaling
     tensors = np.empty((len(res), du + 1, dv + 1))
     for start in range(0, len(res), _CHUNK):
         k = slice(start, start + _CHUNK)
@@ -140,10 +136,10 @@ def _gather(cache: _EvalCache, x: np.ndarray, y: np.ndarray):
     """Point -> element gather: (element id, tu, tv, wu, wv) per point, with
     local coordinates tu, tv in [0, 1] and element widths wu, wv."""
     eid = _locate(cache, x, y)
-    b = cache.bounds
-    wu = (b[:, 1] - b[:, 0])[eid]
-    wv = (b[:, 3] - b[:, 2])[eid]
-    return eid, (x - b[eid, 0]) / wu, (y - b[eid, 2]) / wv, wu, wv
+    b = cache.bounds[eid]
+    wu = b[:, 1] - b[:, 0]
+    wv = b[:, 3] - b[:, 2]
+    return eid, (x - b[:, 0]) / wu, (y - b[:, 2]) / wv, wu, wv
 
 
 def _dpowers(t: np.ndarray, d: int, order: int, scale) -> np.ndarray:
@@ -179,14 +175,13 @@ def _evaluate_at(cache: _EvalCache, coeffs: np.ndarray, eid, tu, tv, wu, wv,
     if len(eid) == 0:
         return np.zeros((0, len(cols)))
     offsets = cache.offsets
-    is_hit = np.bincount(eid, minlength=len(offsets) - 1) > 0
-    hit = np.flatnonzero(is_hit)
+    # the hit elements in increasing order, and each point's row among them
+    hit, row = np.unique(eid, return_inverse=True)
     counts = offsets[hit + 1] - offsets[hit]
     pair = _ranges(offsets[hit], counts)
     P = np.add.reduceat(coeffs[cache.res[pair], None, None] * cache.tensors[pair],
                         np.cumsum(counts) - counts, axis=0)
-    # element id -> row of P
-    Pe = P[(np.cumsum(is_hit) - 1)[eid]]
+    Pe = P[row]
     U = [_dpowers(tu, du, a, 1.0 / wu) for a in range(order + 1)]
     PV = [np.einsum("njk,nk->nj", Pe, _dpowers(tv, dv, b, 1.0 / wv))
           for b in range(order + 1)]
@@ -223,7 +218,7 @@ def evaluate(surface: LRSurface, x, y, order: int = 0,
 
 def partition_of_unity(surface: LRSurface, x, y) -> np.ndarray:
     """Sum of scaled basis values at the points (1 everywhere when valid)."""
-    return evaluate(surface, x, y, coeffs=np.ones(len(surface.bsplines)))
+    return evaluate(surface, x, y, coeffs=np.ones(len(surface)))
 
 
 def basis_matrix(surface: LRSurface, x, y):
@@ -254,7 +249,7 @@ def basis_matrix(surface: LRSurface, x, y):
     indptr = np.zeros(len(x) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     B = sparse.csr_matrix((vals, cache.res[pair], indptr),
-                          shape=(len(x), len(surface.bsplines)))
+                          shape=(len(x), len(surface)))
     return B, eid
 
 
@@ -287,27 +282,3 @@ def distance_field(surface: LRSurface, points: np.ndarray, tau: float) -> dict:
         s[r < -tau] = -1
         status[inside] = s
     return {"residual": residual, "element_id": element_id, "status": status}
-
-
-def element_accuracy(surface: LRSurface, field: dict, tau: float) -> dict:
-    """Aggregate a distance field per element.
-
-    Returns dict of arrays indexed by element: n_points, max_abs, mean_abs,
-    n_out (count with |r| > tau).
-    """
-    cache = eval_cache(surface)
-    ne = len(cache.bounds)
-    eid = field["element_id"]
-    r = field["residual"]
-    ok = eid >= 0
-    e = eid[ok]
-    a = np.abs(r[ok])
-    n_points = np.bincount(e, minlength=ne)
-    max_abs = np.zeros(ne)
-    np.maximum.at(max_abs, e, a)
-    sum_abs = np.bincount(e, weights=a, minlength=ne)
-    n_out = np.bincount(e[a > tau], minlength=ne)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_abs = np.where(n_points > 0, sum_abs / np.maximum(n_points, 1), 0.0)
-    return {"n_points": n_points, "max_abs": max_abs,
-            "mean_abs": mean_abs, "n_out": n_out}

@@ -38,7 +38,7 @@ import struct
 
 import numpy as np
 
-from .mesh import BoxMesh, LRSurface, ScaledBSpline, _check_mult
+from .mesh import BoxMesh, LRSurface, _check_mult, _first_fault, _knot_rows
 
 __all__ = [
     "binary_size",
@@ -61,28 +61,19 @@ _MAGIC_SURF = b"LRSURF01"
 _MAGIC_SURV = b"LRSURV01"
 
 
-def _knot_tables(surface: LRSurface):
-    """The mesh coordinate tables per axis and index lookup dicts."""
-    tables = [surface.mesh.coords(axis).tolist() for axis in (0, 1)]
-    return tables, [{v: i for i, v in enumerate(tab)} for tab in tables]
-
-
 def binary_size(surface: LRSurface) -> int:
     """Exact byte count of the binary serialization."""
     mesh = surface.mesh
-    du, dv = surface.degrees
-    n_seg = len(mesh.segments())
     size = 8 + 4 + 32
     for unit in surface.units:
         size += 4 + len(unit.encode())
     size += 4 + 8 * len(mesh.coords(0)) + 4 + 8 * len(mesh.coords(1))
-    size += 4 + n_seg * 16
-    size += 4 + len(surface.bsplines) * (4 * (du + 2) + 4 * (dv + 2) + 16)
+    size += 4 + 16 * len(mesh.segment_rows())
+    size += 4 + len(surface) * _bspline_record(*surface.degrees).itemsize
     return size
 
 
 def write_surface_binary(surface: LRSurface, path) -> None:
-    tables, lookups = _knot_tables(surface)
     du, dv = surface.degrees
     buf = io.BytesIO()
     w = buf.write
@@ -93,21 +84,20 @@ def write_surface_binary(surface: LRSurface, path) -> None:
         enc = unit.encode()
         w(struct.pack("<I", len(enc)))
         w(enc)
-    for tab in tables:
-        w(struct.pack("<I", len(tab)))
-        w(np.asarray(tab, dtype="<f8").tobytes())
-    segs = surface.mesh.segments()
+    for axis in (0, 1):
+        w(struct.pack("<I", len(surface.mesh.coords(axis))))
+        w(surface.mesh.coords(axis).astype("<f8").tobytes())
+    segs = surface.mesh.segment_rows()
     w(struct.pack("<I", len(segs)))
-    for s in segs:
-        w(struct.pack("<BBHIII", s.axis, s.mult, 0,
-                      lookups[s.axis][s.pos],
-                      lookups[1 - s.axis][s.lo],
-                      lookups[1 - s.axis][s.hi]))
-    w(struct.pack("<I", len(surface.bsplines)))
-    for b, c in zip(surface.bsplines, surface.coeffs):
-        w(np.asarray([lookups[0][k] for k in b.ku], dtype="<u4").tobytes())
-        w(np.asarray([lookups[1][k] for k in b.kv], dtype="<u4").tobytes())
-        w(struct.pack("<dd", b.scaling, float(c)))
+    rec = np.zeros(len(segs), dtype=[("axis_mult", "u1", (2,)), ("reserved", "<u2"),
+                                     ("idx", "<u4", (3,))])
+    rec["axis_mult"], rec["idx"] = segs[:, :2], segs[:, 2:]
+    w(rec.tobytes())
+    w(struct.pack("<I", len(surface)))
+    rec = np.empty(len(surface), dtype=_bspline_record(du, dv))
+    rec["knots"] = _knot_rows(surface)
+    rec["scaling"], rec["coeff"] = surface.scaling, surface.coeffs
+    w(rec.tobytes())
     data = buf.getvalue()
     with open(path, "wb") as f:
         f.write(data)
@@ -129,11 +119,16 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
+def _bspline_record(du: int, dv: int) -> np.dtype:
+    """One binary B-spline record: its knot indices, scaling and coefficient."""
+    return np.dtype([("knots", "<u4", (du + dv + 4,)), ("scaling", "<f8"), ("coeff", "<f8")])
+
+
 def _seed_table(mesh: BoxMesh, axis: int, table) -> list[float]:
     """Add a knot table to the mesh coordinates; returns the snapped table."""
     if not np.all(np.diff(table) > 0):
         raise ValueError(f"knot table of axis {axis} is not strictly increasing")
-    return [mesh.snap(axis, c, insert=True) for c in table]
+    return mesh.snap_many((axis, c, True) for c in table)
 
 
 def _at(table: list[float], idx) -> tuple[float, ...]:
@@ -144,14 +139,31 @@ def _at(table: list[float], idx) -> tuple[float, ...]:
     return tuple(table[k] for k in idx)
 
 
-def _bspline_knots(table: list[float], idx, i: int, axis: int) -> tuple[float, ...]:
-    """Knot values of B-spline ``i`` on ``axis``; its indices must be
-    nondecreasing and span a non-empty support."""
-    idx = list(idx)
-    if any(a > b for a, b in zip(idx, idx[1:])) or idx[0] >= idx[-1]:
-        raise ValueError(f"B-spline {i}: {'uv'[axis]}-knot indices {idx} are not "
-                         f"nondecreasing over a non-empty support")
-    return _at(table, idx)
+def _bspline_knots(tables, degrees: tuple[int, int], idx) -> np.ndarray:
+    """Knot values of B-splines from their rows of u- and v-knot indices.
+
+    Per axis, a B-spline's indices must be nondecreasing over a non-empty
+    support and lie inside the table; the first B-spline that breaks a
+    rule is named.
+    """
+    du, dv = degrees
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1, du + dv + 4)
+    faults, knots = [], []
+    for axis, cols in enumerate((idx[:, :du + 2], idx[:, du + 2:])):
+        table = np.asarray(tables[axis])
+        faults += [
+            ((np.diff(cols, axis=1) < 0).any(axis=1) | (cols[:, 0] >= cols[:, -1]),
+             lambda i, axis=axis, cols=cols: f"B-spline {i}: {'uv'[axis]}-knot indices "
+             f"{cols[i].tolist()} are not nondecreasing over a non-empty support"),
+            ((cols < 0).any(axis=1) | (cols >= len(table)).any(axis=1),
+             lambda i, cols=cols, n=len(table): f"knot index out of range: "
+             f"{cols[i].tolist()} in a table of {n}"),
+        ]
+        knots.append(table[np.clip(cols, 0, len(table) - 1)])
+    fault = _first_fault(faults)
+    if fault is not None:
+        raise ValueError(fault)
+    return np.hstack(knots)
 
 
 def _segment(tables, degrees, axis: int, mult: int, *idx: int) -> tuple:
@@ -190,17 +202,13 @@ def read_surface_binary(path) -> LRSurface:
         segments.append(_segment(tables, (du, dv), axis, mult, *idx))
     mesh._merge(segments)
     (n_bs,) = r.unpack("<I")
-    bsplines = []
-    coeffs = np.empty(n_bs)
-    for i in range(n_bs):
-        ku = _bspline_knots(tables[0], r.unpack(f"<{du + 2}I"), i, 0)
-        kv = _bspline_knots(tables[1], r.unpack(f"<{dv + 2}I"), i, 1)
-        s, c = r.unpack("<dd")
-        bsplines.append(ScaledBSpline((ku, kv), s))
-        coeffs[i] = c
+    dtype = _bspline_record(du, dv)
+    rec = np.frombuffer(r.take(n_bs * dtype.itemsize), dtype)
+    knots = _bspline_knots(tables, (du, dv), rec["knots"])
     if r.off != len(data):
         raise ValueError("trailing bytes after surface data")
-    return LRSurface((du, dv), mesh, bsplines, coeffs, tuple(units))
+    return LRSurface((du, dv), mesh, knots, rec["scaling"].astype(float),
+                     rec["coeff"].astype(float), tuple(units))
 
 
 def write_surface_text(surface: LRSurface, path) -> None:
@@ -208,25 +216,22 @@ def write_surface_text(surface: LRSurface, path) -> None:
         if unit.split() != [unit]:
             raise ValueError(f"unit {unit!r} cannot be written to a text surface: "
                              f"it must be non-empty and hold no whitespace")
-    tables, lookups = _knot_tables(surface)
     du, dv = surface.degrees
     lines = ["lrsurface 1"]
     lines.append(f"degrees {du} {dv}")
     lines.append("domain " + " ".join(repr(float(v)) for v in surface.mesh.domain))
     lines.append(f"units {surface.units[0]} {surface.units[1]}")
-    for name, tab in zip(("uknots", "vknots"), tables):
+    for axis, name in enumerate(("uknots", "vknots")):
+        tab = surface.mesh.coords(axis).tolist()
         lines.append(f"{name} {len(tab)}")
-        lines.extend(repr(float(v)) for v in tab)
-    segs = surface.mesh.segments()
+        lines.extend(map(repr, tab))
+    segs = surface.mesh.segment_rows()
     lines.append(f"segments {len(segs)}")
-    for s in segs:
-        lines.append(f"{s.axis} {s.mult} {lookups[s.axis][s.pos]} "
-                     f"{lookups[1 - s.axis][s.lo]} {lookups[1 - s.axis][s.hi]}")
-    lines.append(f"bsplines {len(surface.bsplines)}")
-    for b, c in zip(surface.bsplines, surface.coeffs):
-        idx = [lookups[0][k] for k in b.ku] + [lookups[1][k] for k in b.kv]
-        lines.append(" ".join(str(i) for i in idx)
-                     + f" {repr(float(b.scaling))} {repr(float(c))}")
+    lines.extend(" ".join(map(str, seg)) for seg in segs.tolist())
+    lines.append(f"bsplines {len(surface)}")
+    for idx, sc, c in zip(_knot_rows(surface).tolist(), surface.scaling.tolist(),
+                          surface.coeffs.tolist()):
+        lines.append(" ".join(map(str, idx)) + f" {sc!r} {c!r}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -264,16 +269,11 @@ def read_surface_text(path) -> LRSurface:
     mesh._merge([_segment(tables, (du, dv), *(int(v) for v in row(5)))
                  for _ in range(n_seg)])
     n_bs = int(expect("bsplines", 1)[0])
-    bsplines = []
-    coeffs = np.empty(n_bs)
-    nu, nv = du + 2, dv + 2
-    for i in range(n_bs):
-        parts = row(nu + nv + 2)
-        ku = _bspline_knots(tables[0], [int(k) for k in parts[:nu]], i, 0)
-        kv = _bspline_knots(tables[1], [int(k) for k in parts[nu:nu + nv]], i, 1)
-        bsplines.append(ScaledBSpline((ku, kv), float(parts[nu + nv])))
-        coeffs[i] = float(parts[nu + nv + 1])
-    return LRSurface((du, dv), mesh, bsplines, coeffs, units)
+    nk = du + dv + 4
+    parts = [row(nk + 2) for _ in range(n_bs)]
+    knots = _bspline_knots(tables, (du, dv), [[int(k) for k in p[:nk]] for p in parts])
+    scaling, coeffs = np.array([[float(v) for v in p[nk:]] for p in parts]).reshape(-1, 2).T.copy()
+    return LRSurface((du, dv), mesh, knots, scaling, coeffs, units)
 
 
 # -- surveys -----------------------------------------------------------

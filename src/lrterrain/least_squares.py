@@ -81,7 +81,7 @@ def smoothing_matrix(surface: LRSurface, weights: SmoothingWeights = SmoothingWe
         terms += [(weights.w2 * c, p, q) for c, p, q in _TERMS2]
     if weights.w3 and max(du, dv) >= 3:
         terms += [(weights.w3 * c, p, q) for c, p, q in _TERMS3]
-    L = len(surface.bsplines)
+    L = len(surface)
     if not terms:
         return sparse.csr_matrix((L, L))
     pairs = sorted({p for _, p, q in terms} | {q for _, p, q in terms})
@@ -163,7 +163,7 @@ def _ghosts(surface: LRSurface, pts: np.ndarray, eid: np.ndarray, prior=None,
     cache = eval_cache(surface)
     per_el = np.bincount(eid, minlength=len(cache.bounds))
     per_bs = np.bincount(cache.res, weights=per_el[cache.pair_element],
-                         minlength=len(surface.bsplines))
+                         minlength=len(surface))
     starved = per_bs < need
     if not starved.any():
         return np.empty((0, 3))

@@ -43,7 +43,7 @@ def mba_update(surface: LRSurface, points: np.ndarray,
     w2 = w * w
     # per-point normalization; positive, since the scaled basis sums to one
     D = np.bincount(rows, weights=w2, minlength=len(pts))
-    L = len(surface.bsplines)
+    L = len(surface)
     num = np.bincount(cols, weights=w * w2 * (r / D)[rows], minlength=L)
     den = np.bincount(cols, weights=w2, minlength=L)
     max_abs_r = np.zeros(L)

@@ -12,18 +12,23 @@ The mesh stores the partition once, per axis as a grid of line
 multiplicities over the fine cells of its coordinate tables.  Every reader
 is a slice of it: the element cuts, the traversal runs of the split
 engine, ``cover_mult``, and the segments, its run-length encoding.  The
-split engine works on integer knot index rows one generation at a time:
-it splits every queued B-spline at its first traversing line at once and
-merges products with equal knots.  The element partition walks each fine
-cell left to the nearest cut, then down; element e is row e of an (n, 4)
-bounds array, with no object of its own.
+surface stores its B-splines once, as arrays in canonical order: one row
+of mesh coordinates per B-spline (its u-knots, then its v-knots) and one
+scaling each.  Float rows never renumber when a coordinate is added, so
+the mesh knows nothing of B-splines; the knot index rows the split engine
+works on are one ``searchsorted`` away.  The engine splits every queued
+B-spline at its first traversing line at once, one generation at a time,
+and merges products with equal knots.  ``LRSurface.bsplines`` is a
+read-only view that builds a ``ScaledBSpline`` for each element read.  The
+element partition walks each fine cell left to the nearest cut, then down;
+element e is row e of an (n, 4) bounds array, with no object of its own.
 """
 from __future__ import annotations
 
 import bisect
 import functools
 import itertools
-from operator import attrgetter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,25 +118,44 @@ class BoxMesh:
         return hi - lo
 
     def snap(self, axis: int, value: float, insert: bool = False) -> float:
-        """Return the table coordinate for ``value``; optionally add it.
+        """Return the table coordinate for ``value``; optionally add it."""
+        return self.snap_many([(axis, value, insert)])[0]
 
-        A new coordinate is a line that carries nothing and splits one
-        fine cell of every line of the other axis in two.
+    def snap_many(self, queries) -> list[float]:
+        """``snap`` each (axis, value, insert) query, in order.
+
+        A new coordinate is a line that carries nothing and splits one fine
+        cell of every line of the other axis in two.  Later queries see it
+        at once; the grids grow once per axis, after the last query or the
+        first one that raises.
         """
-        coords = self._coords[axis]
-        tol = SNAP_REL * self.extent(axis)
-        i = bisect.bisect_left(coords, value)
-        for j in (i - 1, i):
-            if 0 <= j < len(coords) and abs(coords[j] - value) <= tol:
-                return coords[j]
-        if not insert:
-            raise KeyError(f"coordinate {value!r} is not on a mesh line of axis {axis}")
-        coords.insert(i, float(value))
-        self._mult[axis] = np.insert(self._mult[axis], i, 0, axis=0)
-        other = self._mult[1 - axis]
-        split = other[:, i - 1] if 0 < i < len(coords) - 1 else 0
-        self._mult[1 - axis] = np.insert(other, i, split, axis=1)
-        return float(value)
+        added: tuple[list[float], list[float]] = ([], [])
+
+        def find(axis: int, value: float, insert: bool) -> float:
+            coords = self._coords[axis]
+            tol = SNAP_REL * self.extent(axis)
+            i = bisect.bisect_left(coords, value)
+            for j in (i - 1, i):
+                if 0 <= j < len(coords) and abs(coords[j] - value) <= tol:
+                    return coords[j]
+            if not insert:
+                raise KeyError(f"coordinate {value!r} is not on a mesh line of axis {axis}")
+            coords.insert(i, float(value))
+            added[axis].append(float(value))
+            return float(value)
+
+        try:
+            return list(itertools.starmap(functools.cache(find), queries))
+        finally:
+            # a zero row on its axis, a copy of the split cell on the other
+            # (zero outside the table); ``at``: where the old table gets it
+            for axis in (a for a in (0, 1) if added[a]):
+                new = np.sort(added[axis])
+                at = np.searchsorted(self._coords[axis], new) - np.arange(len(new))
+                self._mult[axis] = np.insert(self._mult[axis], at, 0, axis=0)
+                other = self._mult[1 - axis]
+                split = np.pad(other, ((0, 0), (1, 1)))[:, at]
+                self._mult[1 - axis] = np.insert(other, at, split, axis=1)
 
     def coords(self, axis: int) -> np.ndarray:
         return np.asarray(self._coords[axis])
@@ -159,12 +183,6 @@ class BoxMesh:
         self.version += changed
         return changed
 
-    def add_cover(self, axis: int, pos: float, parts: list[tuple[float, float, int]]) -> bool:
-        """Merge intervals (lo, hi, mult) into the line at ``pos``, all snapped
-        to existing coordinates; returns True when the mesh changed."""
-        return self._merge([(axis, self.snap(axis, pos), self.snap(1 - axis, lo),
-                             self.snap(1 - axis, hi), m) for lo, hi, m in parts])
-
     def cover_mult(self, axis: int, pos: float, lo: float, hi: float) -> int:
         """Minimal multiplicity of the line at ``pos`` over [lo, hi]; 0 if
         any part of it is uncovered or ``pos`` is not a coordinate."""
@@ -176,16 +194,18 @@ class BoxMesh:
             return 0
         return int(self._mult[axis][i, j0:j1].min())
 
-    def segments(self) -> list[Segment]:
+    def segment_rows(self) -> np.ndarray:
         """The grids as segments: maximal runs of equal multiplicity, by
-        axis, by line, then by start."""
-        out = []
-        for axis in (0, 1):
-            own, other = self._coords[axis], self._coords[1 - axis]
-            line, lo, hi, mult = (v.tolist() for v in _runs(self._mult[axis]))
-            out += map(Segment, itertools.repeat(axis), map(own.__getitem__, line),
-                       map(other.__getitem__, lo), map(other.__getitem__, hi), mult)
-        return out
+        axis, by line, then by start.  One row (axis, mult, line, lo, hi)
+        per segment, the last three indices into the coordinate tables."""
+        return np.vstack([np.column_stack([np.full(len(line), axis), mult, line, lo, hi])
+                          for axis in (0, 1)
+                          for line, lo, hi, mult in [_runs(self._mult[axis])]])
+
+    def segments(self) -> list[Segment]:
+        """``segment_rows`` as segments, with coordinate values."""
+        return [Segment(a, self._coords[a][p], self._coords[1 - a][lo], self._coords[1 - a][hi], m)
+                for a, m, p, lo, hi in self.segment_rows().tolist()]
 
     def copy(self) -> "BoxMesh":
         out = BoxMesh(self.domain)
@@ -242,13 +262,14 @@ class BoxMesh:
         return bounds, cell_map, uc, vc
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScaledBSpline:
     """One B-spline with local knot vectors and a positive scaling factor.
 
     ``knots`` holds one tuple per direction, each of length degree + 2.
     The scaling keeps the collection a partition of unity; the elevation
-    coefficient lives in the owning surface's coefficient array.
+    coefficient lives in the owning surface's coefficient array.  A frozen
+    copy of one row of the surface's arrays (see ``LRSurface.bsplines``).
     """
 
     knots: tuple[tuple[float, ...], tuple[float, ...]]
@@ -266,52 +287,79 @@ class ScaledBSpline:
         ku, kv = self.knots
         return (ku[0], ku[-1], kv[0], kv[-1])
 
-    def key(self) -> tuple:
-        return self.knots
+
+@dataclass(frozen=True)
+class _BSplineView(Sequence):
+    """Read-only sequence of a surface's B-splines: reading element i
+    builds a ``ScaledBSpline`` from row i of the surface's arrays."""
+
+    _surface: "LRSurface"
+
+    def __len__(self) -> int:
+        return len(self._surface.scaling)
+
+    def __getitem__(self, i):
+        s = self._surface
+        ku, kv = (tuple(s.axis_knots(axis)[i].tolist()) for axis in (0, 1))
+        return ScaledBSpline((ku, kv), float(s.scaling[i]))
 
 
 class LRSurface:
     """Locally refined B-spline elevation surface F(u, v) = sum s_i P_i N_i.
 
+    B-spline i is row i of three arrays in canonical order: ``knots``
+    (n, du + dv + 4), its u-knots then its v-knots, all mesh coordinates;
+    ``scaling`` and ``coeffs``.  ``bsplines`` is a read-only view.
+
     Evaluation is read-only and cache-backed; refinement and coefficient
-    updates mutate the surface in place.  Refinement bumps ``version`` so
-    the evaluation cache rebuilds; a coefficient update leaves it valid.
-    Single-writer semantics: never refine while another part of the
-    program holds evaluation state for the same surface.
+    updates mutate the surface in place.  Refinement replaces ``knots`` and
+    ``scaling`` and bumps ``version`` so the evaluation cache rebuilds; a
+    coefficient update leaves it valid.  Single-writer semantics: never
+    refine while another part of the program holds evaluation state for
+    the same surface.
     """
 
     def __init__(self, degrees: tuple[int, int], mesh: BoxMesh,
-                 bsplines: list[ScaledBSpline], coeffs: np.ndarray,
+                 knots: np.ndarray, scaling: np.ndarray, coeffs: np.ndarray,
                  units: tuple[str, str] = ("local-xy", "m")):
         self.degrees = (int(degrees[0]), int(degrees[1]))
         self.mesh = mesh
-        self.bsplines = bsplines
+        self.knots = np.asarray(knots, dtype=float)
+        self.scaling = np.asarray(scaling, dtype=float)
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.units = units
         self.version = 0
         self._eval_cache = None  # flat element layer, see evaluate.eval_cache
 
     def __len__(self) -> int:
-        return len(self.bsplines)
+        return len(self.scaling)
+
+    @property
+    def bsplines(self) -> _BSplineView:
+        return _BSplineView(self)
 
     @property
     def domain(self) -> tuple[float, float, float, float]:
         return self.mesh.domain
+
+    def axis_knots(self, axis: int) -> np.ndarray:
+        """The u-knot (axis 0) or v-knot (axis 1) columns of ``knots``."""
+        du = self.degrees[0]
+        return self.knots[:, :du + 2] if axis == 0 else self.knots[:, du + 2:]
 
     def bump(self) -> None:
         self.version += 1
 
     def canonical_order(self) -> None:
         """Sort B-splines by knot vectors so output order is reproducible."""
-        order = sorted(range(len(self.bsplines)), key=lambda i: self.bsplines[i].key())
-        self.bsplines = [self.bsplines[i] for i in order]
-        self.coeffs = self.coeffs[order]
+        order = np.lexsort(self.knots.T[::-1])
+        self.knots, self.scaling, self.coeffs = (
+            a[order] for a in (self.knots, self.scaling, self.coeffs))
         self.bump()
 
     def copy(self) -> "LRSurface":
-        bs = [ScaledBSpline(b.knots, b.scaling) for b in self.bsplines]
-        return LRSurface(self.degrees, self.mesh.copy(), bs, self.coeffs.copy(),
-                         self.units)
+        return LRSurface(self.degrees, self.mesh.copy(), self.knots.copy(),
+                         self.scaling.copy(), self.coeffs.copy(), self.units)
 
 
 def make_tensor_surface(domain: tuple[float, float, float, float],
@@ -329,16 +377,16 @@ def make_tensor_surface(domain: tuple[float, float, float, float],
     umin, umax, vmin, vmax = mesh.domain
     full: list[list[float]] = []
     for axis, (lo, hi, d, n) in enumerate(((umin, umax, du, nu), (vmin, vmax, dv, nv))):
-        interior = list(np.linspace(lo, hi, n - d + 1)[1:-1])
-        interior = [mesh.snap(axis, c, insert=True) for c in interior]
+        interior = mesh.snap_many((axis, c, True) for c in np.linspace(lo, hi, n - d + 1)[1:-1])
         full.append([lo] * (d + 1) + interior + [hi] * (d + 1))
     # full lines at the multiplicities of the global knot vectors
     mesh._merge([(axis, c, *mesh.domain[2 - 2 * axis:4 - 2 * axis], full[axis].count(c))
                  for axis in (0, 1) for c in set(full[axis])])
-    bsplines = [ScaledBSpline((tuple(full[0][i:i + du + 2]), tuple(full[1][j:j + dv + 2])))
-                for i in range(nu) for j in range(nv)]
-    coeffs = np.full(len(bsplines), float(coeff))
-    return LRSurface(degrees, mesh, bsplines, coeffs, units)
+    # B-spline (i, j) has the i-th u-window and the j-th v-window
+    ku, kv = (np.lib.stride_tricks.sliding_window_view(f, d + 2) for f, d in zip(full, degrees))
+    knots = np.hstack([np.repeat(ku, nv, axis=0), np.tile(kv, (nu, 1))])
+    return LRSurface(degrees, mesh, knots, np.ones(nu * nv), np.full(nu * nv, float(coeff)),
+                     units)
 
 
 # -- knot insertion ---------------------------------------------------
@@ -357,20 +405,11 @@ def _split_weights(t: np.ndarray, d: int, c: np.ndarray):
     return a1, a2
 
 
-def _knot_values(surface: LRSurface) -> np.ndarray:
-    """Per B-spline, its du + 2 u-knots and dv + 2 v-knots as one row."""
-    du, dv = surface.degrees
-    knots = map(attrgetter("knots"), surface.bsplines)
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(knots))
-    return np.fromiter(flat, dtype=float).reshape(-1, du + dv + 4)
-
-
 def _knot_rows(surface: LRSurface) -> np.ndarray:
     """Per B-spline, its du + 2 u-knot and dv + 2 v-knot indices into the
     mesh coordinate tables, as one int32 row."""
-    k, du = _knot_values(surface), surface.degrees[0]
-    return np.hstack([np.searchsorted(surface.mesh.coords(0), k[:, :du + 2]),
-                      np.searchsorted(surface.mesh.coords(1), k[:, du + 2:])]).astype(np.int32)
+    return np.hstack([np.searchsorted(surface.mesh.coords(axis), surface.axis_knots(axis))
+                      for axis in (0, 1)]).astype(np.int32)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -380,16 +419,26 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return big.view(np.dtype((np.void, 4 * big.shape[1]))).ravel()
 
 
-def _run_table(mesh: BoxMesh, axis: int, d: int):
-    """Per t = 0..d, the maximal runs of fine cells over which a line of
-    ``axis`` has multiplicity above t, as (keys, ends, nl, n): increasing
-    keys (t * nl + line) * n + start and run ends, with nl and n the sizes
-    of the coordinate tables of ``axis`` and of the other axis."""
-    grid = mesh._mult[axis]
+def _run_table(grid: np.ndarray, d: int):
+    """Per t = 0..d, the maximal runs of fine cells over which a line of a
+    multiplicity grid (lines by cells) is above t, as (keys, ends, nl, n):
+    increasing keys (t * nl + line) * n + start and run ends, with nl lines
+    and n - 1 cells."""
     nl, n = grid.shape[0], grid.shape[1] + 1
     # row t * nl + line of the stack holds the cells where line exceeds t
     row, start, end, _ = _runs((grid > np.arange(d + 1)[:, None, None]).reshape(-1, n - 1))
     return row * n + start, end, nl, n
+
+
+def _traverses(table, t, line, lo, hi) -> np.ndarray:
+    """Per query, whether ``line`` has multiplicity above ``t`` over the
+    fine cells lo..hi - 1; ``table`` is the ``_run_table`` of its axis.
+    The last run of the line above ``t`` that starts at or before lo must
+    reach hi."""
+    keys, ends, nl, n = table
+    row = (t * nl + line) * n
+    k = np.maximum(np.searchsorted(keys, row + lo, side="right") - 1, 0)
+    return (keys[k] >= row) & (keys[k] <= row + lo) & (ends[k] >= hi)
 
 
 def _first_splits(rows: np.ndarray, cols, tables):
@@ -406,17 +455,12 @@ def _first_splits(rows: np.ndarray, cols, tables):
     for base, ax in itertools.product(range(0, len(rows), _CHUNK), (0, 1)):
         todo = base + np.flatnonzero(pos[base:base + _CHUNK] < 0)
         kn, other = rows[todo][:, cols[ax]], rows[todo][:, cols[1 - ax]]
-        keys, ends, nl, n = tables[ax]
         start = kn[:, 0] + 1
         count = np.maximum(kn[:, -1] - start, 0)
         b = np.repeat(np.arange(len(todo)), count)
         p = _ranges(start, count)
         have = sum(col[b] == p for col in kn.T)
-        # the last run of line p above multiplicity ``have`` that starts at
-        # or before the support's low end must reach its high end
-        line = (have * nl + p) * n
-        k = np.maximum(np.searchsorted(keys, line + other[b, 0], side="right") - 1, 0)
-        hit = (keys[k] >= line) & (keys[k] <= line + other[b, 0]) & (ends[k] >= other[b, -1])
+        hit = _traverses(tables[ax], have, p, other[b, 0], other[b, -1])
         b, p = b[hit], p[hit]
         first = np.flatnonzero(np.diff(b, prepend=-1))
         pos[todo[b[first]]] = p[first]
@@ -434,19 +478,18 @@ def _split_worklist(surface: LRSurface) -> None:
     the live B-spline that already has those knots, by summing scaled
     contributions.  The products that are new form the next generation.
     The live B-splines are kept as sorted row keys, so the result comes out
-    in canonical order; untouched B-splines keep their objects.
+    in canonical order; it replaces the surface's arrays.
     """
     mesh = surface.mesh
     deg = surface.degrees
     cols = (slice(0, deg[0] + 2), slice(deg[0] + 2, None))
     coords = (mesh.coords(0), mesh.coords(1))
-    tables = [_run_table(mesh, ax, deg[ax]) for ax in (0, 1)]
+    tables = [_run_table(mesh._mult[ax], deg[ax]) for ax in (0, 1)]
     queue = _knot_rows(surface)
     chunks = [queue]
     n0 = len(queue)
-    scal = np.fromiter(map(attrgetter("scaling"), surface.bsplines), dtype=float)
+    scal = np.array(surface.scaling, dtype=float)
     coef = np.array(surface.coeffs, dtype=float)
-    merged = np.zeros(n0, dtype=bool)
     # live B-splines: sorted row keys and the storage slot of each
     keys = _row_keys(queue)
     slot = np.argsort(keys, kind="stable")
@@ -487,7 +530,6 @@ def _split_worklist(surface: LRSurface) -> None:
         j = slot[at[live]]
         coef[j] = (scal[j] * coef[j] + wsum[live]) / (scal[j] + tot[live])
         scal[j] += tot[live]
-        merged[j[j < n0]] = True
         new = ~live
         base = len(scal)
         at = at[new]
@@ -497,27 +539,9 @@ def _split_worklist(surface: LRSurface) -> None:
         scal, coef = np.append(scal, tot[new]), np.append(coef, c[new])
         queue = rows[new]
         chunks.append(queue)
-    rows = np.concatenate(chunks)
-    reuse = slot < n0
-    reuse[reuse] = ~merged[slot[reuse]]
-    out = np.empty(len(slot), dtype=object)
-    out[reuse] = np.fromiter(surface.bsplines, dtype=object)[slot[reuse]]
-    out[~reuse] = _bsplines_from_rows(rows[slot[~reuse]], scal[slot[~reuse]], mesh, cols)
-    surface.bsplines = out.tolist()
-    surface.coeffs = coef[slot]
-
-
-def _bsplines_from_rows(rows, scal, mesh: BoxMesh, cols) -> list[ScaledBSpline]:
-    """ScaledBSpline objects for knot index rows and scalings.  Equal knot
-    vectors share one tuple of the mesh's own coordinate values."""
-    knots = []
-    for ax in (0, 1):
-        r = rows[:, cols[ax]]
-        _, first, inv = np.unique(_row_keys(r), return_index=True, return_inverse=True)
-        table = mesh._coords[ax]
-        shared = [tuple(map(table.__getitem__, q)) for q in r[first].tolist()]
-        knots.append(map(shared.__getitem__, inv.tolist()))
-    return list(map(ScaledBSpline, zip(*knots), scal.tolist()))
+    rows = np.concatenate(chunks)[slot]
+    surface.knots = np.hstack([coords[ax][rows[:, cols[ax]]] for ax in (0, 1)])
+    surface.scaling, surface.coeffs = scal[slot], coef[slot]
 
 
 def insert_segment(surface: LRSurface, seg: Segment) -> None:
@@ -552,15 +576,14 @@ def insert_segment(surface: LRSurface, seg: Segment) -> None:
     if mesh.cover_mult(axis, pos, lo, hi) >= seg.mult:
         return
     own, other = mesh._coords[axis], mesh._coords[1 - axis]
-    at = functools.partial(bisect.bisect_left, other)
+    at = functools.partial(np.searchsorted, other)
     row = (mesh._mult[axis][own.index(pos)].copy() if pos in own
            else np.zeros(len(other) - 1, dtype=np.uint8))
     row[at(lo):at(hi)] = np.maximum(row[at(lo):at(hi)], seg.mult)
-    for b in surface.bsplines:
-        kn, across = b.knots[axis], b.knots[1 - axis]
-        if kn[0] < pos < kn[-1] and row[at(across[0]):at(across[-1])].min() > kn.count(pos):
-            break
-    else:
+    kn, across = surface.axis_knots(axis), surface.axis_knots(1 - axis)
+    table = _run_table(row[None], surface.degrees[axis])
+    if not ((kn[:, 0] < pos) & (pos < kn[:, -1]) & _traverses(
+            table, (kn == pos).sum(axis=1), 0, at(across[:, 0]), at(across[:, -1]))).any():
         raise ValueError("segment does not traverse any B-spline support")
     insert_segments(surface, [Segment(axis, pos, lo, hi, seg.mult)])
 
@@ -578,9 +601,10 @@ def insert_segments(surface: LRSurface, segments) -> None:
     segments = list(segments)
     for seg in segments:
         _check_mult(seg.axis, seg.mult, surface.degrees)
-    snap = functools.cache(mesh.snap)  # segments share most coordinates
-    records = [(seg.axis, snap(seg.axis, seg.pos, True), snap(1 - seg.axis, seg.lo),
-                snap(1 - seg.axis, seg.hi), seg.mult) for seg in segments]
+    # pos, lo and hi of each segment in turn: a new pos is a new coordinate
+    v = mesh.snap_many([q for seg in segments for q in (
+        (seg.axis, seg.pos, True), (1 - seg.axis, seg.lo, False), (1 - seg.axis, seg.hi, False))])
+    records = [(seg.axis, *v[3 * k:3 * k + 3], seg.mult) for k, seg in enumerate(segments)]
     if mesh._merge(records):
         _split_worklist(surface)
         surface.bump()
@@ -610,8 +634,8 @@ def residents_of(surface: LRSurface):
     anchors = (np.searchsorted(vc, bounds[:, 2]) * nu
                + np.searchsorted(uc, bounds[:, 0]))
     # a support spans the fine cells from its first to its last knot
-    du = surface.degrees[0]
-    i0, i1, j0, j1 = _knot_rows(surface)[:, [0, du + 1, du + 2, -1]].T.astype(np.int64)
+    i0, i1 = np.searchsorted(uc, surface.axis_knots(0)[:, [0, -1]]).T
+    j0, j1 = np.searchsorted(vc, surface.axis_knots(1)[:, [0, -1]]).T
     # one search per (B-spline, fine column of its support)
     bs = np.repeat(np.arange(len(i0)), j1 - j0)
     col = _ranges(j0, j1 - j0)
@@ -625,6 +649,17 @@ def residents_of(surface: LRSurface):
     return bounds, offsets, bs[order], cell_map, uc, vc
 
 
+def _first_fault(faults):
+    """The message of the first fault of the lowest-numbered row, or None:
+    ``faults`` lists (mask over the rows, message of row i) pairs in
+    checking order."""
+    bad = np.array([mask for mask, _ in faults]).reshape(len(faults), -1)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad.any(axis=0)))
+    return faults[int(np.argmax(bad[:, i]))][1](i)
+
+
 def validate_surface(surface: LRSurface, check_unity: bool = True) -> None:
     """Structural invariants; raises AssertionError with a diagnostic.
 
@@ -633,28 +668,38 @@ def validate_surface(surface: LRSurface, check_unity: bool = True) -> None:
     coordinate tables) on a line traversing its support, that scaling
     factors are positive, that the element partition is consistent with
     the mesh lines, and (optionally) partition of unity at random sample
-    points.
+    points.  A faulty B-spline is named by its index; the lowest one is.
     """
     mesh = surface.mesh
     for axis, d in enumerate(surface.degrees):
         top = int(mesh._mult[axis].max())
         assert top <= d + 1, f"a line on axis {axis} has multiplicity {top} > degree + 1"
-    coords = [set(mesh._coords[0]), set(mesh._coords[1])]
-    for i, b in enumerate(surface.bsplines):
-        assert b.scaling > 0, f"B-spline {i} has non-positive scaling"
-        for axis, d in enumerate(surface.degrees):
-            kn = b.knots[axis]
-            assert len(kn) == d + 2, f"B-spline {i} axis {axis} has wrong knot count"
-            assert all(a <= b for a, b in zip(kn, kn[1:])) and kn[0] < kn[-1], (
-                f"B-spline {i} axis {axis} knots are not nondecreasing over a "
-                f"non-empty support")
-            assert set(kn) <= coords[axis], (
-                f"B-spline {i} axis {axis} has a knot that is not a mesh coordinate")
-            other = b.knots[1 - axis]
-            for pos in set(kn):
-                m = mesh.cover_mult(axis, pos, other[0], other[-1])
-                assert m >= kn.count(pos), (
-                    f"B-spline {i} knot {pos} on axis {axis} not fully traversed")
+    assert surface.knots.shape == (len(surface), sum(surface.degrees) + 4), (
+        f"B-spline knot rows have wrong knot count: {surface.knots.shape} at {surface.degrees}")
+    faults = [(~(surface.scaling > 0), lambda i: f"B-spline {i} has non-positive scaling")]
+    for axis, d in enumerate(surface.degrees):
+        own, other = mesh.coords(axis), mesh.coords(1 - axis)
+        kn, across = surface.axis_knots(axis), surface.axis_knots(1 - axis)
+        # cover_mult's cells j0..j1 - 1 of the support, none outside the
+        # table; a knot off the coordinates or all knots equal fault earlier
+        j0 = np.searchsorted(other, across[:, :1], side="right") - 1
+        j1 = np.maximum(np.searchsorted(other, across[:, -1:]), j0 + 1)
+        have = (kn[:, :, None] == kn[:, None, :]).sum(axis=2)
+        covered = _traverses(_run_table(mesh._mult[axis], d), have - 1,
+                             np.searchsorted(own, kn), j0, j1)
+        faults += [
+            ((np.diff(kn, axis=1) < 0).any(axis=1) | (kn[:, 0] >= kn[:, -1]),
+             lambda i, axis=axis: f"B-spline {i} axis {axis} knots are not nondecreasing "
+                                  f"over a non-empty support"),
+            (~np.isin(kn, own).all(axis=1),
+             lambda i, axis=axis: f"B-spline {i} axis {axis} has a knot that is not a "
+                                  f"mesh coordinate"),
+            (~covered.all(axis=1),
+             lambda i, axis=axis, kn=kn, covered=covered:
+             f"B-spline {i} knot {kn[i][~covered[i]][0]} on axis {axis} not fully traversed"),
+        ]
+    fault = _first_fault(faults)
+    assert fault is None, fault
     _, cell_map, uc, vc = mesh.elements()
     assert (cell_map >= 0).all(), "unassigned fine cells"
     # covered edges must separate elements, uncovered edges must not
@@ -684,7 +729,7 @@ def independence_report(surface: LRSurface, samples_per_dir: int | None = None) 
     from .evaluate import _dpowers, _pair_values, eval_cache
     du, dv = surface.degrees
     n = samples_per_dir or (max(du, dv) + 2)
-    L = len(surface.bsplines)
+    L = len(surface)
     if L > 4000:
         raise ValueError("independence diagnostic is limited to 4000 B-splines")
     cache = eval_cache(surface)
@@ -724,15 +769,13 @@ def restrict(surface: LRSurface, rect: tuple[float, float, float, float]) -> LRS
     if not (r0[0] < r0[1] and r0[2] < r0[3]):
         raise ValueError("restriction rectangle is empty")
     # snap edges onto existing mesh lines so knot comparisons below are exact
-    r = tuple(out.mesh.snap(k // 2, v, insert=True) for k, v in enumerate(r0))
+    r = tuple(out.mesh.snap_many((k // 2, v, True) for k, v in enumerate(r0)))
     insert_segments(out, [Segment(axis, pos, *out.mesh.domain[2 - 2 * axis:4 - 2 * axis],
                                   out.degrees[axis] + 1)
                           for axis in (0, 1) for pos in r[2 * axis:2 * axis + 2]])
 
-    keep = [i for i, b in enumerate(out.bsplines)
-            if r[0] <= b.ku[0] and b.ku[-1] <= r[1] and r[2] <= b.kv[0] and b.kv[-1] <= r[3]]
-    bsplines = [out.bsplines[i] for i in keep]
-    coeffs = out.coeffs[keep]
+    ku, kv = out.axis_knots(0), out.axis_knots(1)
+    inside = (r[0] <= ku[:, 0]) & (ku[:, -1] <= r[1]) & (r[2] <= kv[:, 0]) & (kv[:, -1] <= r[3])
 
     # the lines and fine cells inside the rectangle
     mesh, old = BoxMesh(r), out.mesh
@@ -741,7 +784,8 @@ def restrict(surface: LRSurface, rect: tuple[float, float, float, float]) -> LRS
     mesh._coords = [old._coords[a][keep[a]] for a in (0, 1)]
     mesh._mult = [old._mult[a][keep[a], keep[1 - a].start:keep[1 - a].stop - 1].copy()
                   for a in (0, 1)]
-    res = LRSurface(out.degrees, mesh, bsplines, coeffs, out.units)
+    res = LRSurface(out.degrees, mesh, out.knots[inside], out.scaling[inside],
+                    out.coeffs[inside], out.units)
     res.canonical_order()
     return res
 
@@ -752,8 +796,8 @@ def transpose(surface: LRSurface) -> LRSurface:
     mesh.domain = mesh.domain[2:] + mesh.domain[:2]
     mesh._coords.reverse()
     mesh._mult.reverse()
-    bs = [ScaledBSpline((b.kv, b.ku), b.scaling) for b in surface.bsplines]
-    out = LRSurface((surface.degrees[1], surface.degrees[0]), mesh, bs,
-                    surface.coeffs.copy(), surface.units)
+    out = LRSurface((surface.degrees[1], surface.degrees[0]), mesh,
+                    np.hstack([surface.axis_knots(1), surface.axis_knots(0)]),
+                    surface.scaling.copy(), surface.coeffs.copy(), surface.units)
     out.canonical_order()
     return out

@@ -16,13 +16,12 @@ together at a corner are solved jointly as a small least-change system.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adaptive import FitConfig, IterationReport, _finite, fit
-from .mesh import SNAP_REL, LRSurface, Segment, insert_segments, restrict
+from .mesh import SNAP_REL, LRSurface, Segment, _row_keys, insert_segments, restrict
 
 __all__ = [
     "Tile",
@@ -137,32 +136,25 @@ def fit_tiles(points: np.ndarray, tiles: list[Tile],
 # ``side`` 0 is the lower surface, whose edge is its upper domain bound.
 
 
-def _edge_mult(kn: tuple[float, ...], pos: float, side: int) -> int:
-    it = reversed(kn) if side == 0 else iter(kn)
-    m = 0
-    for t in it:
-        if t != pos:
-            break
-        m += 1
-    return m
-
-
 def _edge_pos(surface: LRSurface, ax: int, side: int) -> float:
     return surface.domain[2 * ax + 1 - side]
 
 
+def _edge_mult(surface: LRSurface, ax: int, side: int) -> np.ndarray:
+    """Per B-spline, how often its knots across the edge hold the edge
+    coordinate; the knots are mesh coordinates, so those are end knots."""
+    return (surface.axis_knots(ax) == _edge_pos(surface, ax, side)).sum(axis=1)
+
+
 def _trace_knots(surface: LRSurface, ax: int, side: int) -> list[tuple[float, int]]:
     """(position, multiplicity) pairs of the boundary curve's knot vector."""
-    d = surface.degrees[ax]
-    xs = _edge_pos(surface, ax, side)
-    mult: dict[float, int] = {}
-    for b in surface.bsplines:
-        if _edge_mult(b.knots[ax], xs, side) != d + 1:
-            continue
-        for p, m in Counter(b.knots[1 - ax]).items():
-            if mult.get(p, 0) < m:
-                mult[p] = m
-    return sorted(mult.items())
+    along = surface.axis_knots(1 - ax)[_edge_mult(surface, ax, side) == surface.degrees[ax] + 1]
+    # every knot of a row function with its multiplicity in that row
+    mult = (along[:, :, None] == along[:, None, :]).sum(axis=2)
+    pos, at = np.unique(along, return_inverse=True)
+    top = np.zeros(len(pos), dtype=np.int64)
+    np.maximum.at(top, at.ravel(), mult.ravel())
+    return list(zip(pos.tolist(), top.tolist()))
 
 
 def _merge_trace(ta, tb, tol: float) -> list[tuple[float, int]]:
@@ -185,21 +177,17 @@ def _complete_edge(surface: LRSurface, ax: int, side: int,
     so functions farther than two rows from the boundary are untouched.
     """
     d = surface.degrees[ax]
-    xs = _edge_pos(surface, ax, side)
     tol = SNAP_REL * surface.mesh.extent(1 - ax)
-    min_mult = d if with_row1 else d + 1
-    segs = []
-    for b in surface.bsplines:
-        across, along = b.knots[ax], b.knots[1 - ax]
-        if _edge_mult(across, xs, side) < min_mult:
-            continue
-        for p, m in target:
-            if not (along[0] + tol < p < along[-1] - tol):
-                continue
-            have = sum(1 for t in along if abs(t - p) <= tol)
-            if have < m:
-                lo, hi = (across[0], xs) if side == 0 else (xs, across[-1])
-                segs.append(Segment(1 - ax, p, lo, hi, m))
+    row = _edge_mult(surface, ax, side) >= (d if with_row1 else d + 1)
+    across, along = surface.axis_knots(ax)[row], surface.axis_knots(1 - ax)[row]
+    p, m = np.array(target, dtype=float).reshape(-1, 2).T
+    # (row function, target knot) pairs, by function, then by knot
+    have = (np.abs(along[:, :, None] - p) <= tol).sum(axis=1)
+    need = (along[:, :1] + tol < p) & (p < along[:, -1:] - tol) & (have < m)
+    b, k = np.nonzero(need)
+    # a row function's support across the edge ends on the edge
+    segs = [Segment(1 - ax, *rest) for rest in zip(
+        p[k].tolist(), across[b, 0].tolist(), across[b, -1].tolist(), m[k].astype(int).tolist())]
     if segs:
         insert_segments(surface, segs)
     return bool(segs)
@@ -214,26 +202,26 @@ def _edge_rows(surface: LRSurface, ax: int, side: int, with_row1: bool):
     edge is not a clean (two-row) tensor strip.
     """
     d = surface.degrees[ax]
-    xs = _edge_pos(surface, ax, side)
-    r0: dict[tuple, int] = {}
-    r1: dict[tuple, int] = {}
-    for i, b in enumerate(surface.bsplines):
-        m = _edge_mult(b.knots[ax], xs, side)
-        rows = r0 if m == d + 1 else r1 if m == d and with_row1 else None
-        if rows is not None:
-            if b.knots[1 - ax] in rows:
-                raise RuntimeError("duplicate boundary window")
-            rows[b.knots[1 - ax]] = i
-    windows = sorted(r0)
-    for w, nxt in zip(windows, windows[1:]):
-        if w[1:] != nxt[:-1]:
-            raise RuntimeError("boundary windows do not chain")
-    row0 = [r0[w] for w in windows]
+    m = _edge_mult(surface, ax, side)
+    along = surface.axis_knots(1 - ax)
+    rows, keys = [], []
+    for mult in (d + 1, d) if with_row1 else (d + 1,):
+        r = np.flatnonzero(m == mult)
+        key = _row_keys(np.searchsorted(surface.mesh.coords(1 - ax), along[r]))
+        order = np.argsort(key, kind="stable")
+        rows.append(r[order])
+        keys.append(key[order])
+        if (keys[-1][1:] == keys[-1][:-1]).any():
+            raise RuntimeError("duplicate boundary window")
+    w = along[rows[0]]
+    if not (w[1:, :-1] == w[:-1, 1:]).all():
+        raise RuntimeError("boundary windows do not chain")
     if not with_row1:
-        return row0, None
-    if any(w not in r1 for w in windows):
+        return rows[0], None
+    at = np.minimum(np.searchsorted(keys[1], keys[0]), len(keys[1]) - 1)
+    if len(keys[0]) and (not len(keys[1]) or (keys[1][at] != keys[0]).any()):
         raise RuntimeError("boundary strip is not tensor-product")
-    return row0, [r1[w] for w in windows]
+    return rows[0], rows[1][at]
 
 
 def _unify_edge(a: LRSurface, b: LRSurface, ax: int, with_row1: bool) -> bool:
@@ -246,13 +234,11 @@ def _unify_edge(a: LRSurface, b: LRSurface, ax: int, with_row1: bool) -> bool:
 
 
 def _gamma(surface: LRSurface, rows) -> np.ndarray:
-    s = np.array([surface.bsplines[i].scaling for i in rows])
-    return surface.coeffs[rows] * s
+    return surface.coeffs[rows] * surface.scaling[rows]
 
 
 def _set_gamma(surface: LRSurface, rows, values) -> None:
-    for i, g in zip(rows, values):
-        surface.coeffs[i] = g / surface.bsplines[i].scaling
+    surface.coeffs[rows] = np.asarray(values) / surface.scaling[rows]
 
 
 def _check_pair(a: LRSurface, b: LRSurface, ax: int) -> None:
@@ -287,18 +273,15 @@ def _row_factors(d: int, xs: float, side: int, k0, k1) -> tuple[float, float]:
     derivative of the trace there is f0 * gamma0 + f1 * gamma1.
     """
     if side == 0:
-        return d / (xs - k0[0]), -d / (xs - k1[1])
-    return -d / (k0[-1] - xs), d / (k1[-2] - xs)
+        return d / (xs - k0[..., 0]), -d / (xs - k1[..., 1])
+    return -d / (k0[..., -1] - xs), d / (k1[..., -2] - xs)
 
 
 def _deriv_factors(surface: LRSurface, ax: int, side: int, row0, row1):
     """Per-window derivative weights of the two edge rows at the boundary."""
-    d = surface.degrees[ax]
-    xs = _edge_pos(surface, ax, side)
-    bs = surface.bsplines
-    f = np.array([_row_factors(d, xs, side, bs[i].knots[ax], bs[j].knots[ax])
-                  for i, j in zip(row0, row1)])
-    return f[:, 0], f[:, 1]
+    kn = surface.axis_knots(ax)
+    return _row_factors(surface.degrees[ax], _edge_pos(surface, ax, side), side,
+                        kn[row0], kn[row1])
 
 
 def _c1_edge(a: LRSurface, b: LRSurface, ax: int, weights,
@@ -349,40 +332,35 @@ def _corner_block(surface: LRSurface, uside: int, vside: int) -> dict:
     """
     du, dv = surface.degrees
     xs, ys = _edge_pos(surface, 0, uside), _edge_pos(surface, 1, vside)
+    mu, mv = _edge_mult(surface, 0, uside), _edge_mult(surface, 1, vside)
     slots: dict[str, int] = {}
-    for i, b in enumerate(surface.bsplines):
-        mu = _edge_mult(b.ku, xs, uside)
-        mv = _edge_mult(b.kv, ys, vside)
-        if mu < du or mv < dv:
-            continue
-        name = {(du + 1, dv + 1): "g", (du + 1, dv): "V",
-                (du, dv + 1): "H", (du, dv): "Q"}[(mu, mv)]
-        if name in slots:
+    for name, a, b in (("g", du + 1, dv + 1), ("V", du + 1, dv),
+                       ("H", du, dv + 1), ("Q", du, dv)):
+        hit = np.flatnonzero((mu == a) & (mv == b))
+        if len(hit) > 1:
             raise RuntimeError("corner block is not tensor-product")
-        slots[name] = i
+        slots.update({name: int(i) for i in hit})
     if len(slots) != 4:
         raise RuntimeError("corner block is incomplete")
-    bs = surface.bsplines
-    if bs[slots["g"]].ku != bs[slots["V"]].ku or bs[slots["H"]].ku != bs[slots["Q"]].ku:
+    ku, kv = (surface.axis_knots(axis)[[slots[n] for n in "gVHQ"]] for axis in (0, 1))
+    if (ku[0] != ku[1]).any() or (ku[2] != ku[3]).any():
         raise RuntimeError("corner block rows disagree in u")
-    if bs[slots["g"]].kv != bs[slots["H"]].kv or bs[slots["V"]].kv != bs[slots["Q"]].kv:
+    if (kv[0] != kv[2]).any() or (kv[1] != kv[3]).any():
         raise RuntimeError("corner block rows disagree in v")
-    fu0, fu1 = _row_factors(du, xs, uside, bs[slots["g"]].ku, bs[slots["H"]].ku)
-    fv0, fv1 = _row_factors(dv, ys, vside, bs[slots["g"]].kv, bs[slots["V"]].kv)
+    fu0, fu1 = _row_factors(du, xs, uside, ku[0], ku[2])
+    fv0, fv1 = _row_factors(dv, ys, vside, kv[0], kv[1])
     return {"slots": slots, "fu0": fu0, "fu1": fu1, "fv0": fv0, "fv1": fv1}
 
 
 def _corner_g(surface: LRSurface, uside: int, vside: int) -> int:
     """Index of the single B-spline that is nonzero at a tile corner."""
     du, dv = surface.degrees
-    xs, ys = _edge_pos(surface, 0, uside), _edge_pos(surface, 1, vside)
-    hit = [i for i, b in enumerate(surface.bsplines)
-           if _edge_mult(b.ku, xs, uside) == du + 1
-           and _edge_mult(b.kv, ys, vside) == dv + 1]
+    hit = np.flatnonzero((_edge_mult(surface, 0, uside) == du + 1)
+                         & (_edge_mult(surface, 1, vside) == dv + 1))
     if len(hit) != 1:
-        raise RuntimeError("corner value function is not unique" if hit
+        raise RuntimeError("corner value function is not unique" if len(hit)
                            else "no corner value function")
-    return hit[0]
+    return int(hit[0])
 
 
 def _solve_corner(tiles: dict[str, LRSurface]) -> None:

@@ -2,8 +2,9 @@
 
 ``split_worklist`` splits one B-spline at a time from a queue, scanning
 the covered lines of its support in Python and weighting the products with
-the scalar formulas of ``insert_knot_1d``; ``element_scan`` grows each
-element cell by cell.  All are slow and simple and share no code with the
+the scalar formulas of ``insert_knot_1d``; it reads the B-splines as
+``ScaledBSpline`` objects and writes the surface's arrays back only at the
+end.  ``element_scan`` grows each element cell by cell.  All are slow and simple and share no code with the
 library's engines, and the tests compare ``lrterrain.mesh._split_worklist``,
 ``lrterrain.mesh._split_weights`` and ``BoxMesh.elements`` against them.
 
@@ -75,7 +76,7 @@ def split_worklist(surface) -> None:
                for axis in (0, 1)]
     bs = list(surface.bsplines)
     coeffs = list(surface.coeffs)
-    index = {b.key(): i for i, b in enumerate(bs)}
+    index = {b.knots: i for i, b in enumerate(bs)}
     alive = [True] * len(bs)
     work = deque(range(len(bs)))
     while work:
@@ -89,7 +90,7 @@ def split_worklist(surface) -> None:
         axis, pos = hit
         (a1, t1), (a2, t2) = insert_knot_1d(b.knots[axis], surface.degrees[axis], pos)
         alive[i] = False
-        del index[b.key()]
+        del index[b.knots]
         for a, tk in ((a1, t1), (a2, t2)):
             knots = (tk, b.knots[1]) if axis == 0 else (b.knots[0], tk)
             s_new = b.scaling * a
@@ -106,8 +107,10 @@ def split_worklist(surface) -> None:
                 j = len(bs) - 1
                 index[knots] = j
                 work.append(j)
-    order = sorted((k for k in range(len(bs)) if alive[k]), key=lambda k: bs[k].key())
-    surface.bsplines = [bs[k] for k in order]
+    order = sorted((k for k in range(len(bs)) if alive[k]), key=lambda k: bs[k].knots)
+    surface.knots = np.array([bs[k].ku + bs[k].kv for k in order],
+                             dtype=float).reshape(len(order), -1)
+    surface.scaling = np.array([bs[k].scaling for k in order])
     surface.coeffs = np.array([coeffs[k] for k in order])
 
 

@@ -157,3 +157,25 @@ def test_coverage_grid_matches_tuple_lists(tmp_path, degrees, seed):
     assert_same_cover(r.mesh, ref_r, rng)
     write_surface_binary(r, tmp_path / "r.lrs")
     assert_same_cover(read_surface(tmp_path / "r.lrs").mesh, ref_r, rng)
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("seed", range(4))
+def test_replay_does_not_depend_on_segment_order(degrees, seed):
+    # The LR B-splines are fixed by the mesh: a one-element tensor surface
+    # given a refined surface's coordinates and then its segments, in one
+    # batch or in shuffled batches split at random points, has its knot rows
+    # and (up to rounding) its scalings.
+    s = random_refined_surface(seed, n_inserts=60, degrees=degrees)
+    rng = np.random.default_rng(seed)
+    segs = s.mesh.segments()
+    order = rng.permutation(len(segs))
+    cuts = np.sort(rng.choice(np.arange(1, len(segs)), size=5, replace=False))
+    for batches in ([segs], [[segs[k] for k in part] for part in np.split(order, cuts)]):
+        r = mesh.make_tensor_surface(s.domain, degrees, (degrees[0] + 1, degrees[1] + 1))
+        r.mesh.snap_many((axis, c, True) for axis in (0, 1) for c in s.mesh.coords(axis))
+        for batch in batches:
+            mesh.insert_segments(r, batch)
+        assert len(s) > 49
+        assert np.array_equal(r.knots, s.knots)
+        np.testing.assert_allclose(r.scaling, s.scaling, rtol=1e-14, atol=0)

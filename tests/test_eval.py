@@ -7,7 +7,6 @@ from lrterrain.evaluate import (
     _gather,
     basis_matrix,
     distance_field,
-    element_accuracy,
     eval_cache,
 )
 from conftest import random_refined_surface
@@ -169,19 +168,6 @@ def test_distance_field_classification():
     assert field["element_id"][3] == -1
     assert np.isnan(field["residual"][3])
     np.testing.assert_allclose(field["residual"][:3], [0.05, 0.31, -0.32], atol=1e-12)
-
-
-def test_element_accuracy_aggregation(rng):
-    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (5, 5), coeff=0.0)
-    x = rng.uniform(0, 1, 1000)
-    y = rng.uniform(0, 1, 1000)
-    z = rng.normal(0, 0.1, 1000)
-    pts = np.column_stack([x, y, z])
-    field = distance_field(s, pts, tau=0.15)
-    acc = element_accuracy(s, field, tau=0.15)
-    assert acc["n_points"].sum() == 1000
-    assert acc["n_out"].sum() == int((np.abs(z) > 0.15).sum())
-    assert acc["max_abs"].max() == pytest.approx(np.abs(z).max())
 
 
 def test_cache_is_owned_by_the_surface(rng):

@@ -179,7 +179,7 @@ def test_scaling_factors_shrink_not_grow():
 def test_validate_catches_broken_scaling():
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
     insert_segment(s, Segment(0, 0.5, 0.0, 0.6))
-    s.bsplines[10].scaling *= 1.5
+    s.scaling[10] *= 1.5
     s.bump()
     with pytest.raises(AssertionError):
         validate_surface(s)
@@ -210,9 +210,8 @@ def test_insert_rejects_multiplicity_outside_one_to_degree_plus_one(mult):
 
 def test_validate_catches_knots_out_of_order():
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
-    b = s.bsplines[10]
-    ku = b.ku
-    b.knots = ((ku[-1],) + ku[1:-1] + (ku[0],), b.kv)
+    ku = s.axis_knots(0)[10]
+    ku[[0, -1]] = ku[[-1, 0]]
     with pytest.raises(AssertionError, match="not nondecreasing"):
         validate_surface(s)
 
