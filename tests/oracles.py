@@ -4,9 +4,10 @@
 the covered lines of its support in Python and weighting the products with
 the scalar formulas of ``insert_knot_1d``; it reads the B-splines as
 ``ScaledBSpline`` objects and writes the surface's arrays back only at the
-end.  ``element_scan`` grows each element cell by cell.  All are slow and simple and share no code with the
-library's engines, and the tests compare ``lrterrain.mesh._split_worklist``,
-``lrterrain.mesh._split_weights`` and ``BoxMesh.elements`` against them.
+end.  ``element_scan`` grows each element cell by cell.  All are slow and
+simple and share no code with the library's engines, and the tests
+compare ``lrterrain.mesh._split_worklist``, ``lrterrain.mesh._split_weights``
+and ``BoxMesh.elements`` against them.
 
 ``CoverOracle`` keeps the mesh coverage as the mesh once did: per line,
 a sorted list of disjoint (lo, hi, mult) tuples, merged by maximum

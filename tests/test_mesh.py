@@ -208,6 +208,22 @@ def test_insert_rejects_multiplicity_outside_one_to_degree_plus_one(mult):
     assert [s.mesh.coords(0).tolist(), s.mesh.coords(1).tolist()] == coords
 
 
+def test_bspline_view_reads_the_arrays_and_refuses_writes():
+    s = random_refined_surface(4, n_inserts=10, degrees=(3, 2))
+    bs = s.bsplines
+    assert len(bs) == len(s)
+    for i in (0, 17, -1):
+        b = bs[i]
+        assert b.ku == tuple(s.axis_knots(0)[i].tolist())
+        assert b.kv == tuple(s.axis_knots(1)[i].tolist())
+        assert b.scaling == s.scaling[i]
+    assert [b.knots for b in bs] == [b.knots for b in s.bsplines]
+    with pytest.raises(AttributeError):
+        bs[3].scaling = 2.0
+    with pytest.raises(TypeError):
+        bs[3] = bs[4]
+
+
 def test_validate_catches_knots_out_of_order():
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
     ku = s.axis_knots(0)[10]
