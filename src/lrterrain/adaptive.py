@@ -40,6 +40,9 @@ class FitConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
+        # the smoothing weight of alpha1 J + (1 - alpha1) SSR
+        if not 0 <= self.alpha1 < 1:
+            raise ValueError(f"alpha1 must be in [0, 1); got {self.alpha1}")
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,19 @@
 Each B-spline restricted to one element is a bivariate polynomial.  The
 surface keeps one flat element layer (``eval_cache``): element bounds, the
 element -> resident B-spline map in CSR form, and the monomial coefficients
-of every (element, resident) pair in element-local coordinates, all built
-in one batched pass.  It is stored on the surface and rebuilt when the
-surface's version counter changes, so refinement invalidates it and a
-coefficient update does not.  It is the one cache of the element
-partition: the bounds are the array ``BoxMesh.elements`` returns.
+of every (element, resident) pair in element-local coordinates.  It is
+stored on the surface and rebuilt when the surface's version counter
+changes, so refinement invalidates it and a coefficient update does not.
+It is the one cache of the element partition: the bounds are the array
+``BoxMesh.elements`` returns.
+
+A pair's coefficients are scaling * pu (outer) pv, where pu is a univariate
+piece: the B-spline's u-knot row restricted to the element's u-interval
+(pv likewise in v).  Many pairs share a piece, since neighbouring
+B-splines share knot rows and elements share intervals, so the build
+keys every pair's piece per axis, runs Cox-de Boor once per distinct
+piece, and forms the tensors by gather and outer product.  The arithmetic
+is that of a build per pair, so the tensors are the same bit for bit.
 
 Every point query goes through one gather: locate the element of each
 point and take its local coordinates.  One domain rule decides which
@@ -36,7 +44,7 @@ __all__ = [
     "basis_matrix",
 ]
 
-# pairs per batch of the tensor build; bounds its temporary arrays
+# pieces or pairs per batch of the layer build; bounds its temporary arrays
 _CHUNK = 1 << 14
 # derivative (order in u, order in v) of each evaluate() output column
 _COLUMNS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -50,6 +58,9 @@ class _EvalCache:
     pairs k in ``offsets[e]:offsets[e + 1]``: B-spline ``res[k]``, whose
     scaled restriction to the element is sum_jl tensors[k, j, l] t^j s^l in
     local coordinates t, s in [0, 1].  ``pair_element[k]`` is e.
+    ``tensors[k]`` is scaling[res[k]] * pu[:, None] * pv[None, :] for the
+    pair's univariate pieces pu and pv (see ``_pieces``); the pieces
+    themselves are not kept.
     """
 
     version: int
@@ -64,12 +75,15 @@ class _EvalCache:
 
 
 def _monomials(knots: np.ndarray, lo: np.ndarray, hi: np.ndarray, d: int) -> np.ndarray:
-    """Monomial coefficients of univariate B-splines on intervals [lo, hi].
+    """Monomial coefficients of univariate pieces: B-splines on intervals.
 
-    ``knots`` is (n, d + 2); each interval lies inside one knot span.  The
+    Row i is the B-spline with knot vector ``knots[i]`` (d + 2 knots)
+    restricted to [lo[i], hi[i]], which lies inside one knot span.  The
     B-splines are evaluated by Cox-de Boor at d + 1 interior points of the
     interval, then mapped to coefficients in t = (x - lo) / (hi - lo) by a
-    fixed inverse Vandermonde matrix.  Returns (n, d + 1), low order first.
+    fixed inverse Vandermonde matrix.  Rows are independent, so a piece's
+    coefficients do not depend on the batch it is computed in.  Returns
+    (n, d + 1), low order first.
     """
     t = (np.arange(d + 1) + 0.5) / (d + 1)
     x = (lo[:, None] + (hi - lo)[:, None] * t)[:, :, None]
@@ -85,22 +99,65 @@ def _monomials(knots: np.ndarray, lo: np.ndarray, hi: np.ndarray, d: int) -> np.
     return N[..., 0] @ np.linalg.inv(np.vander(t, increasing=True)).T
 
 
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """One id per distinct row of a 2-D array, equal rows sharing it."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.concatenate(([0], np.cumsum(new)))
+    return ids
+
+
+def _pieces(knots: np.ndarray, coords: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            res: np.ndarray, pair_element: np.ndarray, d: int):
+    """The distinct univariate pieces of one axis, and each pair's piece.
+
+    A pair's piece is its B-spline's knot row on this axis restricted to
+    its element's interval [lo, hi]; equal rows on equal intervals are
+    one piece.  Returns (P, inverse): P[q] holds the monomial coefficients
+    of piece q, and pair k uses piece inverse[k].
+    """
+    ids = _row_ids(knots)
+    n_ids, n_c = int(ids.max(initial=0)) + 1, len(coords)
+    if n_ids * n_c * n_c >= 2 ** 63:
+        raise OverflowError(f"{n_ids} knot rows over {n_c} coordinates "
+                            "overflow the int64 piece key")
+    # bounds are mesh coordinates, so the searches are exact
+    lo_i, hi_i = np.searchsorted(coords, lo), np.searchsorted(coords, hi)
+    key = (ids[res] * n_c + lo_i[pair_element]) * n_c + hi_i[pair_element]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    P = np.empty((len(first), d + 1))
+    for start in range(0, len(first), _CHUNK):
+        k = first[start:start + _CHUNK]
+        e = pair_element[k]
+        P[start:start + _CHUNK] = _monomials(knots[res[k]], lo[e], hi[e], d)
+    return P, inverse
+
+
 def eval_cache(surface: LRSurface) -> _EvalCache:
     """The surface's flat element layer; the same object until refinement."""
     cache = surface._eval_cache
     if cache is not None and cache.version == surface.version:
         return cache
+    # drop the stale layer first, so it and the new one are never both held
+    surface._eval_cache = cache = None
     du, dv = surface.degrees
     bounds, offsets, res, cell_map, uc, vc = residents_of(surface)
     pair_element = np.repeat(np.arange(len(bounds)), np.diff(offsets))
-    ku, kv, scaling = surface.axis_knots(0), surface.axis_knots(1), surface.scaling
+    pu, iu = _pieces(surface.axis_knots(0), uc, bounds[:, 0], bounds[:, 1],
+                     res, pair_element, du)
+    pv, iv = _pieces(surface.axis_knots(1), vc, bounds[:, 2], bounds[:, 3],
+                     res, pair_element, dv)
     tensors = np.empty((len(res), du + 1, dv + 1))
     for start in range(0, len(res), _CHUNK):
         k = slice(start, start + _CHUNK)
-        i, eb = res[k], bounds[pair_element[k]]
-        pu = _monomials(ku[i], eb[:, 0], eb[:, 1], du)
-        pv = _monomials(kv[i], eb[:, 2], eb[:, 3], dv)
-        tensors[k] = scaling[i, None, None] * pu[:, :, None] * pv[:, None, :]
+        # (scaling * pu) * pv, the order of a per-pair build, by u-monomial
+        su = np.take(pu, iu[k], axis=0)
+        su *= surface.scaling[res[k], None]
+        sv = np.take(pv, iv[k], axis=0)
+        for j in range(du + 1):
+            np.multiply(su[:, j, None], sv, out=tensors[k, j])
     cache = _EvalCache(surface.version, cell_map, uc, vc, bounds,
                        offsets, res, pair_element, tensors)
     surface._eval_cache = cache
@@ -176,7 +233,12 @@ def _evaluate_at(cache: _EvalCache, coeffs: np.ndarray, eid, tu, tv, wu, wv,
         return np.zeros((0, len(cols)))
     offsets = cache.offsets
     # the hit elements in increasing order, and each point's row among them
-    hit, row = np.unique(eid, return_inverse=True)
+    mark = np.zeros(len(offsets) - 1, dtype=bool)
+    mark[eid] = True
+    hit = np.flatnonzero(mark)
+    pos = np.empty(len(mark), dtype=np.intp)
+    pos[hit] = np.arange(len(hit))
+    row = pos[eid]
     counts = offsets[hit + 1] - offsets[hit]
     pair = _ranges(offsets[hit], counts)
     P = np.add.reduceat(coeffs[cache.res[pair], None, None] * cache.tensors[pair],
@@ -239,16 +301,27 @@ def basis_matrix(surface: LRSurface, x, y):
     du, dv = surface.degrees
     # one entry per (point, resident of its element), grouped by point
     counts = np.diff(cache.offsets)[eid]
-    pair = _ranges(cache.offsets[eid], counts)
-    U, V = _dpowers(tu, du, 0, 1.0), _dpowers(tv, dv, 0, 1.0)
-    vals = np.zeros(len(pair))
-    # sum over monomials, never gathering a whole tensor per entry
-    for j in range(du + 1):
-        for k in range(dv + 1):
-            vals += cache.tensors[:, j, k][pair] * np.repeat(U[:, j] * V[:, k], counts)
     indptr = np.zeros(len(x) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    B = sparse.csr_matrix((vals, cache.res[pair], indptr),
+    U, V = _dpowers(tu, du, 0, 1.0), _dpowers(tv, dv, 0, 1.0)
+    vals = np.empty(indptr[-1])
+    cols = np.empty(indptr[-1], dtype=cache.res.dtype)
+    # blocks of about _CHUNK entries (by points), so the tensor rows a
+    # block reads stay in cache from one monomial to the next; each entry
+    # sums over monomials from zero, never gathering a whole tensor
+    step = max(1, _CHUNK // ((du + 1) * (dv + 1)))
+    for a in range(0, len(x), step):
+        b = min(a + step, len(x))
+        e = slice(indptr[a], indptr[b])
+        c = counts[a:b]
+        pair = _ranges(cache.offsets[eid[a:b]], c)
+        v = np.zeros(len(pair))
+        for j in range(du + 1):
+            for k in range(dv + 1):
+                v += cache.tensors[:, j, k][pair] * np.repeat(U[a:b, j] * V[a:b, k], c)
+        vals[e] = v
+        cols[e] = cache.res[pair]
+    B = sparse.csr_matrix((vals, cols, indptr),
                           shape=(len(x), len(surface)))
     return B, eid
 

@@ -14,6 +14,13 @@ a sorted list of disjoint (lo, hi, mult) tuples, merged by maximum
 multiplicity; the tests compare ``BoxMesh.segments`` and
 ``BoxMesh.cover_mult`` against it.
 
+``eval_cache_per_pair`` builds the element layer as it was first built:
+Cox-de Boor once per (element, resident) pair and axis, in batches of
+pairs.  It shares the univariate kernel (``_monomials``) and the resident
+search (``residents_of``) with ``lrterrain.evaluate.eval_cache``, which
+computes each distinct univariate piece once; the tests compare the two
+bit for bit.
+
 ``evaluate_at_all_elements`` is the point evaluation that builds the
 polynomial of every element of the surface, whatever points are asked for,
 and sums monomial by monomial; it shares the power rows (``_dpowers``) with
@@ -24,8 +31,8 @@ from collections import deque
 
 import numpy as np
 
-from lrterrain.evaluate import _COLUMNS, _dpowers
-from lrterrain.mesh import ScaledBSpline, Segment
+from lrterrain.evaluate import _CHUNK, _COLUMNS, _dpowers, _monomials
+from lrterrain.mesh import ScaledBSpline, Segment, residents_of
 
 
 def insert_knot_1d(t, d, c):
@@ -248,3 +255,20 @@ def evaluate_at_all_elements(cache, coeffs, eid, tu, tv, wu, wv, order):
             for c, (a, b) in enumerate(cols):
                 out[:, c] += p * U[a][:, j] * V[b][:, k]
     return out
+
+
+def eval_cache_per_pair(surface):
+    """(bounds, offsets, res, tensors) of the surface's element layer, with
+    both univariate factors of every pair computed for that pair alone."""
+    du, dv = surface.degrees
+    bounds, offsets, res, _, _, _ = residents_of(surface)
+    pair_element = np.repeat(np.arange(len(bounds)), np.diff(offsets))
+    ku, kv, scaling = surface.axis_knots(0), surface.axis_knots(1), surface.scaling
+    tensors = np.empty((len(res), du + 1, dv + 1))
+    for start in range(0, len(res), _CHUNK):
+        k = slice(start, start + _CHUNK)
+        i, eb = res[k], bounds[pair_element[k]]
+        pu = _monomials(ku[i], eb[:, 0], eb[:, 1], du)
+        pv = _monomials(kv[i], eb[:, 2], eb[:, 3], dv)
+        tensors[k] = scaling[i, None, None] * pu[:, :, None] * pv[:, None, :]
+    return bounds, offsets, res, tensors

@@ -29,6 +29,15 @@ def test_empty_points_raise():
         fit(np.empty((0, 3)))
 
 
+@pytest.mark.parametrize("alpha1", [1.0, 2.0, -1.0, -1e-9, float("nan"), float("inf")])
+def test_alpha1_outside_unit_interval_is_rejected(alpha1):
+    # alpha1 weighs smoothing against data in alpha1 J + (1 - alpha1) SSR
+    with pytest.raises(ValueError, match="alpha1"):
+        FitConfig(alpha1=alpha1)
+    assert FitConfig(alpha1=0.0).alpha1 == 0.0
+    assert FitConfig(alpha1=0.5).alpha1 == 0.5
+
+
 def test_collinear_points_raise(rng):
     t = rng.uniform(0, 1, 100)
     pts = np.column_stack([t, np.full(100, 0.3), t])

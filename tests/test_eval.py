@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from lrterrain import evaluate, make_tensor_surface, partition_of_unity
+from lrterrain import evaluate, make_tensor_surface, partition_of_unity, restrict
 from lrterrain.evaluate import (
     _evaluate_at,
     _gather,
+    _pieces,
     basis_matrix,
     distance_field,
     eval_cache,
 )
 from conftest import random_refined_surface
-from oracles import evaluate_at_all_elements
+from lrterrain.tiling import stitch_c1
+from oracles import eval_cache_per_pair, evaluate_at_all_elements
 
 
 def brute_force_eval(surface, x, y):
@@ -233,3 +235,38 @@ def test_basis_matrix_rejects_grids():
         basis_matrix(s, X, Y)
     with pytest.raises(ValueError, match="1-D"):
         basis_matrix(s, [0.1, 0.2], [0.3])
+
+
+def _layer_cases():
+    """Surfaces whose element layers the oracle checks: random refinements
+    at three degree pairs, a restriction, and a C1-stitched half."""
+    for degrees in [(2, 2), (3, 2), (3, 3)]:
+        for seed in (5, 23):
+            yield f"{degrees} seed {seed}", random_refined_surface(
+                seed, n_inserts=60, degrees=degrees)
+    s = random_refined_surface(29, n_inserts=60, domain=(0, 2, 0, 1), grid=(9, 5))
+    yield "restrict", restrict(s, (0.3, 1.7, 0.1, 0.8))
+    a, b = restrict(s, (0, 1, 0, 1)), restrict(s, (1, 2, 0, 1))
+    b.coeffs += 0.1 * np.cos(np.arange(len(b)))
+    yield "C1-stitched", stitch_c1(a, b)[0]
+
+
+def test_shared_pieces_build_the_per_pair_layer_bit_for_bit():
+    for label, s in _layer_cases():
+        cache = eval_cache(s)
+        bounds, offsets, res, tensors = eval_cache_per_pair(s)
+        np.testing.assert_array_equal(cache.bounds, bounds, err_msg=label)
+        np.testing.assert_array_equal(cache.offsets, offsets, err_msg=label)
+        np.testing.assert_array_equal(cache.res, res, err_msg=label)
+        assert cache.tensors.shape == tensors.shape, label
+        # bitwise, signs of zeros included
+        assert np.array_equal(cache.tensors.view(np.int64), tensors.view(np.int64)), label
+
+
+def test_piece_key_refuses_to_overflow():
+    # 2^19 distinct knot rows over 2^22 coordinates need a 2^63 key space
+    knots = np.arange(2.0 ** 19)[:, None] + np.arange(4.0)
+    coords = np.arange(2.0 ** 22)
+    empty = np.empty(0, dtype=np.int64)
+    with pytest.raises(OverflowError, match="int64 piece key"):
+        _pieces(knots, coords, coords[:1], coords[1:2], empty, empty, 2)

@@ -406,6 +406,15 @@ def test_cli_config_typo_is_actionable(bench_file, tmp_path, capsys):
     assert "tolerances" in err and "tolerance" in err
 
 
+def test_cli_config_alpha1_out_of_range_exits_2(bench_file, tmp_path, capsys):
+    cfg = tmp_path / "alpha1.json"
+    cfg.write_text('{"fit": {"alpha1": 2}}')
+    assert main(["fit", str(bench_file[0]), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "alpha1 must be in [0, 1)" in err
+    assert "Traceback" not in err
+
+
 def test_cli_tile_and_stitch(bench_file, tmp_path, capsys):
     p, tau = bench_file
     manifest = tmp_path / "grid.json"
