@@ -17,7 +17,7 @@ import numpy as np
 from .evaluate import basis_matrix, eval_cache, evaluate
 from .least_squares import SmoothingWeights, fit_least_squares, idw_prior
 from .mba import mba_update
-from .mesh import LRSurface, Segment, insert_segments, make_tensor_surface
+from .mesh import LRSurface, insert_segments, make_tensor_surface
 
 __all__ = ["FitConfig", "IterationReport", "fit", "refine_step"]
 
@@ -40,6 +40,8 @@ class FitConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
+        if min(self.degrees) < 0:
+            raise ValueError(f"degrees must be >= 0; got {list(self.degrees)}")
         # the smoothing weight of alpha1 J + (1 - alpha1) SSR
         if not 0 <= self.alpha1 < 1:
             raise ValueError(f"alpha1 must be in [0, 1); got {self.alpha1}")
@@ -110,13 +112,14 @@ def refine_step(surface: LRSurface, fld: dict, config: FitConfig) -> dict:
     min_w = config.min_width_fraction * np.array([surface.mesh.extent(0),
                                                   surface.mesh.extent(1)])
     frozen = use & (0.5 * (hi - lo) < min_w)
-    # (axis, pos, lo, hi) by marked B-spline, then axis; the first of equal ones
+    # (axis, pos, lo, hi, mult) rows by marked B-spline, then axis; first of equal ones
     segs = np.stack([np.broadcast_to([0.0, 1.0], use.shape), 0.5 * (lo + hi),
                      np.column_stack([kv[:, 0], ku[:, 0]]),
-                     np.column_stack([kv[:, -1], ku[:, -1]])], axis=-1)[use & ~frozen]
+                     np.column_stack([kv[:, -1], ku[:, -1]]), np.ones(use.shape)],
+                    axis=-1)[use & ~frozen]
     segs = segs[np.sort(np.unique(segs, axis=0, return_index=True)[1])]
     if len(segs):
-        insert_segments(surface, [Segment(int(a), *rest) for a, *rest in segs.tolist()])
+        insert_segments(surface, segs)
     return {"inserted": len(segs), "frozen": int(frozen.sum())}
 
 

@@ -27,7 +27,8 @@ from .formats import (
     binary_size,
     is_binary_surface,
     is_binary_survey,
-    read_surface,
+    read_surface_binary,
+    read_surface_text,
     read_survey,
     write_distance_field,
     write_surface_binary,
@@ -100,9 +101,12 @@ def _load_points(path) -> tuple[np.ndarray, dict]:
         _fail(str(e))
 
 
-def _load_surface(path) -> LRSurface:
+def _load_surface(path) -> tuple[LRSurface, bool]:
+    """The surface in ``path`` and whether the file is binary, from one
+    sniff of its magic."""
     try:
-        return read_surface(path)
+        binary = is_binary_surface(path)
+        return (read_surface_binary if binary else read_surface_text)(path), binary
     except FileNotFoundError:
         _fail(f"surface file not found: {path}")
     except ValueError as e:
@@ -141,6 +145,14 @@ def _flags_exit(flags: dict) -> int:
     return 0
 
 
+def _emit(lines: list[str], path) -> None:
+    """Print ``lines``, and write them to ``path`` too when it is set."""
+    print("\n".join(lines))
+    if path:
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+
+
 # -- fit -----------------------------------------------------------------
 
 
@@ -165,10 +177,7 @@ def cmd_fit(args) -> int:
         _write_surface(surface, out, args.text)
         lines = _report_lines(reports)
         lines.append(f"status\t{'converged' if flags['converged'] else 'frozen' if flags['frozen'] else 'budget-exhausted'}")
-        print("\n".join(lines))
-        if args.report:
-            with open(args.report, "w") as f:
-                f.write("\n".join(lines) + "\n")
+        _emit(lines, args.report)
         return _flags_exit(flags)
 
     counts = _pair(args.tile, "--tile")
@@ -197,10 +206,7 @@ def cmd_fit(args) -> int:
     manifest = out if out.endswith(".json") else stem + ".tiles.json"
     write_manifest(manifest, tiles, counts, overlap, paths, fits)
     lines.append(f"manifest\t{manifest}")
-    print("\n".join(lines))
-    if args.report:
-        with open(args.report, "w") as f:
-            f.write("\n".join(lines) + "\n")
+    _emit(lines, args.report)
     worst = 0
     for f in fits:
         if f.surface is not None:
@@ -265,7 +271,7 @@ def cmd_deconflict(args) -> int:
 
 def cmd_eval(args) -> int:
     settings = _settings(args)
-    surface = _load_surface(args.surface)
+    surface, _ = _load_surface(args.surface)
     pts, _meta = _load_points(args.points)
     try:
         field = distance_field(surface, pts, settings.fit.tolerance)
@@ -285,7 +291,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    surface = _load_surface(args.surface)
+    surface, _ = _load_surface(args.surface)
     lines = ["survey\tpoints\tmax_below\tmax_above\tavg_dist\tz_range"]
     for path in args.surveys:
         pts, meta = _load_points(path)
@@ -299,11 +305,7 @@ def cmd_report(args) -> int:
         z = pts[:, 2]
         lines.append(f"{name}\t{len(pts)}\t{below:.6g}\t{above:.6g}"
                      f"\t{np.abs(res).mean():.6g}\t{float(z.max() - z.min()):.6g}")
-    text = "\n".join(lines)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
+    _emit(lines, args.output)
     return 0
 
 
@@ -321,18 +323,14 @@ def cmd_stitch(args) -> int:
     counts = tuple(manifest["counts"])
     entries = manifest["tiles"]
 
-    fits = []
-    texts = []
+    fits, texts = [], []
     for e in entries:
         tile = Tile(e["ix"], e["iy"], tuple(e["core"]), tuple(e["expanded"]))
-        if e["surface"] is None:
-            fits.append(TileFit(tile, None))
-            texts.append(False)
-            continue
-        p = os.path.join(base_dir, e["surface"])
-        fits.append(TileFit(tile, _load_surface(p), [],
-                            int(e.get("n_points", 0)), dict(e.get("flags", {}))))
-        texts.append(not is_binary_surface(p))
+        surface, binary = (None, True) if e["surface"] is None else \
+            _load_surface(os.path.join(base_dir, e["surface"]))
+        fits.append(TileFit(tile, surface, [], int(e.get("n_points", 0)),
+                            dict(e.get("flags", {}))))
+        texts.append(not binary)
     try:
         stitched = stitch_grid(fits, counts, c1=args.c1)
     except (ValueError, RuntimeError) as e:
@@ -356,9 +354,7 @@ def cmd_stitch(args) -> int:
         print(f"tile {e['ix']},{e['iy']}\t{rel}")
     out_manifest = args.manifest if args.in_place else \
         _stem(args.manifest) + ".stitched.json"
-    tiles = [Tile(e["ix"], e["iy"], tuple(e["core"]), tuple(e["expanded"]))
-             for e in entries]
-    write_manifest(out_manifest, tiles, counts, float(manifest["overlap"]),
+    write_manifest(out_manifest, [f.tile for f in fits], counts, float(manifest["overlap"]),
                    new_paths)
     print(f"manifest\t{out_manifest}")
     return 0

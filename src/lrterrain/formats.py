@@ -22,9 +22,10 @@ construction and the round trip bit-identical.  The text format carries
 the same sections line-oriented with full-precision ``repr`` floats, and
 each unit as one whitespace-free word (the text writer rejects others).  A
 table that is not strictly increasing, an index outside its table, a
-B-spline knot-index list that decreases or spans an empty support, or a
-file that ends early is malformed: the readers raise ``ValueError`` and
-the CLI exits 2.
+B-spline knot-index list that decreases or spans an empty support, a
+segment record that ``insert_segments`` would reject, or a file that ends
+early is malformed: the readers raise ``ValueError`` naming the record by
+its position in the file, and the CLI exits 2.
 
 Survey text format: optional ``# key value`` header lines, then one
 ``x y z`` row per point.  Binary survey: magic ``LRSURV01``, u32 JSON
@@ -32,13 +33,13 @@ header length, JSON header, then f64 triples.
 """
 from __future__ import annotations
 
-import io
+import itertools
 import json
 import struct
 
 import numpy as np
 
-from .mesh import BoxMesh, LRSurface, _check_mult, _first_fault, _knot_rows
+from .mesh import BoxMesh, LRSurface, _check_segments, _first_fault, _knot_rows
 
 __all__ = [
     "binary_size",
@@ -59,46 +60,34 @@ __all__ = [
 
 _MAGIC_SURF = b"LRSURF01"
 _MAGIC_SURV = b"LRSURV01"
+# one binary segment record: axis and multiplicity, then pos, lo and hi indices
+_SEGMENT_RECORD = np.dtype([("axis_mult", "u1", (2,)), ("reserved", "<u2"),
+                            ("idx", "<u4", (3,))])
 
 
 def binary_size(surface: LRSurface) -> int:
-    """Exact byte count of the binary serialization."""
+    """Exact byte count of the binary serialization: the 44-byte header,
+    then six blocks of a u32 count and their records."""
     mesh = surface.mesh
-    size = 8 + 4 + 32
-    for unit in surface.units:
-        size += 4 + len(unit.encode())
-    size += 4 + 8 * len(mesh.coords(0)) + 4 + 8 * len(mesh.coords(1))
-    size += 4 + 16 * len(mesh.segment_rows())
-    size += 4 + len(surface) * _bspline_record(*surface.degrees).itemsize
-    return size
+    return (44 + 6 * 4 + sum(len(unit.encode()) for unit in surface.units)
+            + 8 * (len(mesh.coords(0)) + len(mesh.coords(1)))
+            + _SEGMENT_RECORD.itemsize * len(mesh.segment_rows())
+            + _bspline_record(*surface.degrees).itemsize * len(surface))
 
 
 def write_surface_binary(surface: LRSurface, path) -> None:
-    du, dv = surface.degrees
-    buf = io.BytesIO()
-    w = buf.write
-    w(_MAGIC_SURF)
-    w(struct.pack("<BBH", du, dv, 0))
-    w(struct.pack("<4d", *surface.mesh.domain))
-    for unit in surface.units:
-        enc = unit.encode()
-        w(struct.pack("<I", len(enc)))
-        w(enc)
-    for axis in (0, 1):
-        w(struct.pack("<I", len(surface.mesh.coords(axis))))
-        w(surface.mesh.coords(axis).astype("<f8").tobytes())
-    segs = surface.mesh.segment_rows()
-    w(struct.pack("<I", len(segs)))
-    rec = np.zeros(len(segs), dtype=[("axis_mult", "u1", (2,)), ("reserved", "<u2"),
-                                     ("idx", "<u4", (3,))])
-    rec["axis_mult"], rec["idx"] = segs[:, :2], segs[:, 2:]
-    w(rec.tobytes())
-    w(struct.pack("<I", len(surface)))
+    mesh, (du, dv) = surface.mesh, surface.degrees
+    segs = mesh.segment_rows()
+    seg = np.zeros(len(segs), dtype=_SEGMENT_RECORD)
+    seg["axis_mult"], seg["idx"] = segs[:, :2], segs[:, 2:]
     rec = np.empty(len(surface), dtype=_bspline_record(du, dv))
     rec["knots"] = _knot_rows(surface)
     rec["scaling"], rec["coeff"] = surface.scaling, surface.coeffs
-    w(rec.tobytes())
-    data = buf.getvalue()
+    # after the header, blocks of a u32 count and that many records
+    blocks = ([np.frombuffer(unit.encode(), "u1") for unit in surface.units]
+              + [mesh.coords(axis).astype("<f8") for axis in (0, 1)] + [seg, rec])
+    data = b"".join([_MAGIC_SURF, struct.pack("<BBH4d", du, dv, 0, *mesh.domain)]
+                    + [struct.pack("<I", len(b)) + b.tobytes() for b in blocks])
     with open(path, "wb") as f:
         f.write(data)
 
@@ -118,6 +107,11 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def block(self, dtype) -> np.ndarray:
+        """A u32 count n, then n records of ``dtype``, read whole."""
+        (n,) = self.unpack("<I")
+        return np.frombuffer(self.take(n * np.dtype(dtype).itemsize), dtype)
+
 
 def _bspline_record(du: int, dv: int) -> np.dtype:
     """One binary B-spline record: its knot indices, scaling and coefficient."""
@@ -128,15 +122,19 @@ def _seed_table(mesh: BoxMesh, axis: int, table) -> list[float]:
     """Add a knot table to the mesh coordinates; returns the snapped table."""
     if not np.all(np.diff(table) > 0):
         raise ValueError(f"knot table of axis {axis} is not strictly increasing")
-    return mesh.snap_many((axis, c, True) for c in table)
+    return mesh.snap_many((axis, c) for c in table)
 
 
-def _at(table: list[float], idx) -> tuple[float, ...]:
-    """Knot values at ``idx``; an index outside the table is a malformed file."""
-    if min(idx) < 0 or max(idx) >= len(table):
-        raise ValueError(f"knot index out of range: {list(idx)} in a table of "
-                         f"{len(table)}")
-    return tuple(table[k] for k in idx)
+def _lookup(tables, table, idx, record: str) -> np.ndarray:
+    """Values of the knot indices ``idx``, ``table`` the table (0: u, 1: v)
+    of each; an index outside its table is named by its record's position."""
+    size = np.array([len(t) for t in tables])[table]
+    bad = ((idx < 0) | (idx >= size)).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{record} {i}: knot index out of range: {idx[i].tolist()}, the u "
+                         f"and v tables hold {len(tables[0])} and {len(tables[1])} knots")
+    return np.concatenate(tables)[idx + table * len(tables[0])]
 
 
 def _bspline_knots(tables, degrees: tuple[int, int], idx) -> np.ndarray:
@@ -148,34 +146,24 @@ def _bspline_knots(tables, degrees: tuple[int, int], idx) -> np.ndarray:
     """
     du, dv = degrees
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, du + dv + 4)
-    faults, knots = [], []
-    for axis, cols in enumerate((idx[:, :du + 2], idx[:, du + 2:])):
-        table = np.asarray(tables[axis])
-        faults += [
-            ((np.diff(cols, axis=1) < 0).any(axis=1) | (cols[:, 0] >= cols[:, -1]),
-             lambda i, axis=axis, cols=cols: f"B-spline {i}: {'uv'[axis]}-knot indices "
-             f"{cols[i].tolist()} are not nondecreasing over a non-empty support"),
-            ((cols < 0).any(axis=1) | (cols >= len(table)).any(axis=1),
-             lambda i, cols=cols, n=len(table): f"knot index out of range: "
-             f"{cols[i].tolist()} in a table of {n}"),
-        ]
-        knots.append(table[np.clip(cols, 0, len(table) - 1)])
-    fault = _first_fault(faults)
+    fault = _first_fault([
+        ((np.diff(c, axis=1) < 0).any(axis=1) | (c[:, 0] >= c[:, -1]),
+         lambda i, axis=axis, c=c: f"B-spline {i}: {'uv'[axis]}-knot indices "
+         f"{c[i].tolist()} are not nondecreasing over a non-empty support")
+        for axis, c in enumerate((idx[:, :du + 2], idx[:, du + 2:]))])
     if fault is not None:
         raise ValueError(fault)
-    return np.hstack(knots)
+    return _lookup(tables, np.repeat([0, 1], [du + 2, dv + 2]), idx, "B-spline")
 
 
-def _segment(tables, degrees, axis: int, mult: int, *idx: int) -> tuple:
-    """One segment record as (axis, pos, lo, hi, mult) values: ``idx``
-    indexes the pos, lo and hi values, lo below hi."""
-    if axis not in (0, 1):
-        raise ValueError(f"segment axis {axis} is not 0 or 1")
-    _check_mult(axis, mult, degrees)
-    if not idx[1] < idx[2]:
-        raise ValueError(f"segment lo index {idx[1]} is not below its hi index {idx[2]}")
-    (pos,), (lo, hi) = _at(tables[axis], idx[:1]), _at(tables[1 - axis], idx[1:])
-    return axis, pos, lo, hi, mult
+def _merge_segments(mesh: BoxMesh, tables, degrees, axis, mult, idx) -> None:
+    """Merge a file's segment records into the mesh: record i has
+    ``axis[i]``, ``mult[i]`` and pos, lo, hi indices ``idx[i]``, pos into
+    the table of its axis.  A bad record is named by its place in the file."""
+    a = (np.asarray(axis) == 1).astype(np.int64)
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1, 3)
+    values = _lookup(tables, np.column_stack([a, 1 - a, 1 - a]), idx, "segment")
+    mesh._merge(_check_segments(mesh, np.column_stack([axis, values, mult]), degrees))
 
 
 def read_surface_binary(path) -> LRSurface:
@@ -184,31 +172,18 @@ def read_surface_binary(path) -> LRSurface:
     r = _Reader(data)
     if r.take(8) != _MAGIC_SURF:
         raise ValueError("not a binary surface file (bad magic)")
-    du, dv, _ = r.unpack("<BBH")
-    domain = r.unpack("<4d")
-    units = []
-    for _ in range(2):
-        (n,) = r.unpack("<I")
-        units.append(r.take(n).decode())
+    du, dv, _, *domain = r.unpack("<BBH4d")
+    units = tuple(r.block("u1").tobytes().decode() for _ in range(2))
     mesh = BoxMesh(domain)
-    tables = []
-    for axis in range(2):
-        (n,) = r.unpack("<I")
-        tables.append(_seed_table(mesh, axis, r.unpack(f"<{n}d")))
-    (n_seg,) = r.unpack("<I")
-    segments = []
-    for _ in range(n_seg):
-        axis, mult, _, *idx = r.unpack("<BBHIII")
-        segments.append(_segment(tables, (du, dv), axis, mult, *idx))
-    mesh._merge(segments)
-    (n_bs,) = r.unpack("<I")
-    dtype = _bspline_record(du, dv)
-    rec = np.frombuffer(r.take(n_bs * dtype.itemsize), dtype)
+    tables = [_seed_table(mesh, axis, r.block("<f8").tolist()) for axis in (0, 1)]
+    seg = r.block(_SEGMENT_RECORD)
+    _merge_segments(mesh, tables, (du, dv), *seg["axis_mult"].T, seg["idx"])
+    rec = r.block(_bspline_record(du, dv))
     knots = _bspline_knots(tables, (du, dv), rec["knots"])
     if r.off != len(data):
         raise ValueError("trailing bytes after surface data")
     return LRSurface((du, dv), mesh, knots, rec["scaling"].astype(float),
-                     rec["coeff"].astype(float), tuple(units))
+                     rec["coeff"].astype(float), units)
 
 
 def write_surface_text(surface: LRSurface, path) -> None:
@@ -241,19 +216,31 @@ def read_surface_text(path) -> LRSurface:
         rows = [ln.split() for ln in f if ln.strip()]
     it = iter(rows)
 
-    def row(n: int) -> list[str]:
+    def expect(tag: str, n: int) -> list[str]:
         parts = next(it, None)
         if parts is None:
             raise ValueError("truncated surface file")
-        if len(parts) != n:
-            raise ValueError(f"expected {n} fields, got {' '.join(parts)!r}")
-        return parts
-
-    def expect(tag: str, n: int) -> list[str]:
-        parts = row(n + 1)
-        if parts[0] != tag:
-            raise ValueError(f"expected '{tag}' section, got '{parts[0]}'")
+        if parts[0] != tag or len(parts) != n + 1:
+            raise ValueError(f"expected '{tag}' and {n} fields, got {' '.join(parts)!r}")
         return parts[1:]
+
+    def block(tag: str, width: int, ints: int = 0):
+        """The section ``tag``: its count n, then n lines of ``width``
+        fields, as an (n, ints) int64 and an (n, width - ints) float array."""
+        n = int(expect(tag, 1)[0])
+        lines = list(itertools.islice(it, n))
+        if len(lines) < n:
+            raise ValueError("truncated surface file")
+        try:
+            out = np.array(lines, dtype=str).reshape(n, -1 if n else width)
+        except ValueError:
+            out = np.empty((0, 0), dtype=str)
+        if out.shape[1] != width:
+            raise ValueError(f"expected {width} fields on every line of the '{tag}' section")
+        try:
+            return out[:, :ints].astype(np.int64), out[:, ints:].astype(float)
+        except OverflowError:
+            raise ValueError(f"an index in the '{tag}' section is out of range") from None
 
     if expect("lrsurface", 1) != ["1"]:
         raise ValueError("unsupported text surface version")
@@ -261,18 +248,13 @@ def read_surface_text(path) -> LRSurface:
     domain = tuple(float(v) for v in expect("domain", 4))
     units = tuple(expect("units", 2))
     mesh = BoxMesh(domain)
-    tables = []
-    for axis, name in enumerate(("uknots", "vknots")):
-        n = int(expect(name, 1)[0])
-        tables.append(_seed_table(mesh, axis, [float(row(1)[0]) for _ in range(n)]))
-    n_seg = int(expect("segments", 1)[0])
-    mesh._merge([_segment(tables, (du, dv), *(int(v) for v in row(5)))
-                 for _ in range(n_seg)])
-    n_bs = int(expect("bsplines", 1)[0])
-    nk = du + dv + 4
-    parts = [row(nk + 2) for _ in range(n_bs)]
-    knots = _bspline_knots(tables, (du, dv), [[int(k) for k in p[:nk]] for p in parts])
-    scaling, coeffs = np.array([[float(v) for v in p[nk:]] for p in parts]).reshape(-1, 2).T.copy()
+    tables = [_seed_table(mesh, axis, block(name, 1)[1][:, 0].tolist())
+              for axis, name in enumerate(("uknots", "vknots"))]
+    seg, _ = block("segments", 5, 5)
+    _merge_segments(mesh, tables, (du, dv), seg[:, 0], seg[:, 1], seg[:, 2:])
+    idx, values = block("bsplines", du + dv + 6, du + dv + 4)
+    knots = _bspline_knots(tables, (du, dv), idx)
+    scaling, coeffs = values.T.copy()
     return LRSurface((du, dv), mesh, knots, scaling, coeffs, units)
 
 

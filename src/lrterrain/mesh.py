@@ -30,6 +30,7 @@ import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,13 +56,13 @@ SNAP_REL = 1e-9
 _CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Axis-parallel knot line segment.
+class Segment(NamedTuple):
+    """Axis-parallel knot line segment, one (axis, pos, lo, hi, mult) row.
 
     axis 0 is a line of constant u (it adds u-knots when inserted); axis 1
     is a line of constant v.  ``pos`` is the coordinate on ``axis``, the
-    interval [lo, hi] lives on the other axis.
+    interval [lo, hi] lives on the other axis.  A list of segments is a
+    list of rows, which is what ``insert_segments`` takes.
     """
 
     axis: int
@@ -71,11 +72,13 @@ class Segment:
     mult: int = 1
 
 
-def _check_mult(axis: int, mult: int, degrees: tuple[int, int]) -> None:
-    """A line of a degree-d direction carries multiplicity 1..d + 1."""
-    if not 1 <= mult <= degrees[axis] + 1:
-        raise ValueError(f"multiplicity {mult} of a line on axis {axis} is "
-                         f"outside 1..{degrees[axis] + 1}")
+def _snap(coords: np.ndarray, values: np.ndarray, tol: float) -> np.ndarray:
+    """Per value, the coordinate within ``tol`` of it (the lower of two, as
+    ``BoxMesh.snap_many``), NaN where there is none."""
+    i = np.clip(np.searchsorted(coords, values), 1, len(coords) - 1)
+    lo, hi = coords[i - 1], coords[i]
+    return np.where(np.abs(values - lo) <= tol, lo,
+                    np.where(np.abs(hi - values) <= tol, hi, np.nan))
 
 
 def _runs(grid: np.ndarray):
@@ -117,29 +120,23 @@ class BoxMesh:
         lo, hi = self.domain[2 * axis], self.domain[2 * axis + 1]
         return hi - lo
 
-    def snap(self, axis: int, value: float, insert: bool = False) -> float:
-        """Return the table coordinate for ``value``; optionally add it."""
-        return self.snap_many([(axis, value, insert)])[0]
-
     def snap_many(self, queries) -> list[float]:
-        """``snap`` each (axis, value, insert) query, in order.
+        """The table coordinate of each (axis, value) query, in order: the
+        one within tolerance of value, else value, added to the table.
 
         A new coordinate is a line that carries nothing and splits one fine
         cell of every line of the other axis in two.  Later queries see it
-        at once; the grids grow once per axis, after the last query or the
-        first one that raises.
+        at once; the grids grow once per axis, after the last query.
         """
         added: tuple[list[float], list[float]] = ([], [])
 
-        def find(axis: int, value: float, insert: bool) -> float:
+        def find(axis: int, value: float) -> float:
             coords = self._coords[axis]
             tol = SNAP_REL * self.extent(axis)
             i = bisect.bisect_left(coords, value)
             for j in (i - 1, i):
                 if 0 <= j < len(coords) and abs(coords[j] - value) <= tol:
                     return coords[j]
-            if not insert:
-                raise KeyError(f"coordinate {value!r} is not on a mesh line of axis {axis}")
             coords.insert(i, float(value))
             added[axis].append(float(value))
             return float(value)
@@ -162,13 +159,11 @@ class BoxMesh:
 
     # -- coverage ----------------------------------------------------
 
-    def _merge(self, records) -> bool:
-        """Merge segment records (axis, pos, lo, hi, mult), whose values are
-        mesh coordinates, into the grids by maximum multiplicity.  Bumps
+    def _merge(self, rows) -> bool:
+        """Merge legal segment rows (axis, pos, lo, hi, mult), every value a
+        mesh coordinate, into the grids by maximum multiplicity.  Bumps
         ``version`` once and returns True when a grid changed."""
-        rec = np.array(records, dtype=float).reshape(-1, 5)
-        if not ((rec[:, 4] >= 1) & (rec[:, 4] <= 255) & (rec[:, 2] < rec[:, 3])).all():
-            raise ValueError("segment with an empty extent or a multiplicity outside 1..255")
+        rec = np.asarray(rows, dtype=float).reshape(-1, 5)
         changed = False
         for axis in (0, 1):
             a = rec[rec[:, 0] == axis]
@@ -377,7 +372,7 @@ def make_tensor_surface(domain: tuple[float, float, float, float],
     umin, umax, vmin, vmax = mesh.domain
     full: list[list[float]] = []
     for axis, (lo, hi, d, n) in enumerate(((umin, umax, du, nu), (vmin, vmax, dv, nv))):
-        interior = mesh.snap_many((axis, c, True) for c in np.linspace(lo, hi, n - d + 1)[1:-1])
+        interior = mesh.snap_many((axis, c) for c in np.linspace(lo, hi, n - d + 1)[1:-1])
         full.append([lo] * (d + 1) + interior + [hi] * (d + 1))
     # full lines at the multiplicities of the global knot vectors
     mesh._merge([(axis, c, *mesh.domain[2 - 2 * axis:4 - 2 * axis], full[axis].count(c))
@@ -544,68 +539,91 @@ def _split_worklist(surface: LRSurface) -> None:
     surface.scaling, surface.coeffs = scal[slot], coef[slot]
 
 
+def _check_segments(mesh: BoxMesh, rows, degrees: tuple[int, int]) -> np.ndarray:
+    """The one legality check of segment rows (axis, pos, lo, hi, mult),
+    run before the mesh changes; the rules are those of ``insert_segments``.
+    Raises ValueError naming the first bad row ("segment i"); returns a
+    copy with lo and hi snapped to the coordinate tables.
+    """
+    rows = np.array(rows, dtype=float).reshape(-1, 5)
+    out, (axis, pos, _, _, mult) = rows.copy(), rows.T
+    a = (axis == 1).astype(np.int64)
+    for ax in (0, 1):
+        k = a == ax
+        out[k, 2:4] = _snap(mesh.coords(1 - ax), rows[k, 2:4], SNAP_REL * mesh.extent(1 - ax))
+    dom, top = np.reshape(mesh.domain, (2, 2))[a], np.array(degrees)[a] + 1
+    faults = [
+        (~np.isin(axis, (0, 1)), "axis {0:g} is not 0 or 1"),
+        (~np.isfinite(rows).all(axis=1), "a value of {row} is not finite"),
+        (~((dom[:, 0] <= pos) & (pos <= dom[:, 1])), "pos {1!r} is outside the domain"),
+        (np.isnan(out[:, 2:4]).any(axis=1), "lo {2!r} or hi {3!r} is off the mesh lines"),
+        (~(out[:, 2] < out[:, 3]), "empty extent, lo {2!r} is not below hi {3!r}"),
+        (~((1 <= mult) & (mult <= top) & (mult == np.round(mult))),
+         "multiplicity {4:g} of a line on axis {0:g} is not one of 1..{top}"),
+    ]
+    fault = _first_fault([(mask, lambda i, text=text: f"segment {i}: " + text.format(
+        *rows[i].tolist(), row=rows[i].tolist(), top=top[i])) for mask, text in faults])
+    if fault is not None:
+        raise ValueError(fault)
+    return out
+
+
 def insert_segment(surface: LRSurface, seg: Segment) -> None:
     """Insert one knot-line segment and resolve all induced splits.
 
-    The segment must be axis-parallel inside the domain, its endpoints must
-    lie on existing mesh lines, and it must fully traverse at least one
-    B-spline support (or be already contained in the mesh, a no-op).  A
-    rejected segment leaves the surface unchanged.  Geometry is preserved
-    exactly up to floating point.
+    ``seg`` is one (axis, pos, lo, hi, mult) row, such as a ``Segment``.
+    Raises ValueError for a row ``insert_segments`` rejects, and for a
+    segment that traverses no B-spline support at a multiplicity its knots
+    lack, unless the mesh already holds it (a no-op).  A rejected segment
+    leaves the surface unchanged.  Geometry is preserved exactly up to
+    floating point.
     """
     mesh = surface.mesh
-    axis = seg.axis
-    if axis not in (0, 1):
-        raise ValueError("segment axis must be 0 or 1")
-    _check_mult(axis, seg.mult, surface.degrees)
-    if not (mesh.domain[2 * axis] <= seg.pos <= mesh.domain[2 * axis + 1]):
-        raise ValueError(f"segment position {seg.pos} outside domain axis {axis}")
-    try:
-        lo = mesh.snap(1 - axis, seg.lo)
-        hi = mesh.snap(1 - axis, seg.hi)
-    except KeyError as exc:
-        raise ValueError(f"segment endpoints must lie on existing mesh lines: {exc}") from exc
-    if not lo < hi:
-        raise ValueError("segment has empty extent")
-    try:
-        pos = mesh.snap(axis, seg.pos)
-    except KeyError:
-        pos = float(seg.pos)
+    rows = _check_segments(mesh, [seg], surface.degrees)
+    axis, pos, lo, hi, mult = rows[0].tolist()
+    axis, mult = int(axis), int(mult)
+    near = _snap(mesh.coords(axis), rows[:1, 1], SNAP_REL * mesh.extent(axis))[0]
+    pos = pos if np.isnan(near) else float(near)
     # legality: after merging, the segment must traverse some support at a
     # multiplicity its knot vector does not yet carry, unless it is a no-op
-    if mesh.cover_mult(axis, pos, lo, hi) >= seg.mult:
+    if mesh.cover_mult(axis, pos, lo, hi) >= mult:
         return
     own, other = mesh._coords[axis], mesh._coords[1 - axis]
     at = functools.partial(np.searchsorted, other)
     row = (mesh._mult[axis][own.index(pos)].copy() if pos in own
            else np.zeros(len(other) - 1, dtype=np.uint8))
-    row[at(lo):at(hi)] = np.maximum(row[at(lo):at(hi)], seg.mult)
+    row[at(lo):at(hi)] = np.maximum(row[at(lo):at(hi)], mult)
     kn, across = surface.axis_knots(axis), surface.axis_knots(1 - axis)
     table = _run_table(row[None], surface.degrees[axis])
     if not ((kn[:, 0] < pos) & (pos < kn[:, -1]) & _traverses(
             table, (kn == pos).sum(axis=1), 0, at(across[:, 0]), at(across[:, -1]))).any():
         raise ValueError("segment does not traverse any B-spline support")
-    insert_segments(surface, [Segment(axis, pos, lo, hi, seg.mult)])
+    insert_segments(surface, rows)
 
 
 def insert_segments(surface: LRSurface, segments) -> None:
     """Batch insert: merge all segments into the mesh at once, then one
     global split pass.
 
-    Intended for refinement batches whose legality is known by construction
-    (each segment spans the support of the B-spline that requested it).
-    Raises ValueError, before the mesh changes, for a multiplicity outside
-    1..degree + 1.
+    ``segments`` is an (n, 5) array of rows (axis, pos, lo, hi, mult), or
+    what ``np.array`` turns into one, such as a list of ``Segment``.  Before
+    the mesh changes, raises ValueError naming the first row that breaks a
+    rule: axis 0 or 1; finite values; pos inside the domain; lo < hi, both
+    coordinates of the other axis (to the snap tolerance); mult a whole
+    number in 1..d + 1, d the degree of the axis.  Each pos is snapped to
+    the coordinates in row order, and added when none is near
+    (``snap_many``), so a later pos lands on an earlier new one.
+    Traversal is not checked: each segment of a refinement batch spans the
+    support of the B-spline that requested it.
     """
     mesh = surface.mesh
-    segments = list(segments)
-    for seg in segments:
-        _check_mult(seg.axis, seg.mult, surface.degrees)
-    # pos, lo and hi of each segment in turn: a new pos is a new coordinate
-    v = mesh.snap_many([q for seg in segments for q in (
-        (seg.axis, seg.pos, True), (1 - seg.axis, seg.lo, False), (1 - seg.axis, seg.hi, False))])
-    records = [(seg.axis, *v[3 * k:3 * k + 3], seg.mult) for k, seg in enumerate(segments)]
-    if mesh._merge(records):
+    rows = _check_segments(mesh, np.array(list(segments), float), surface.degrees)
+    # each distinct (axis, pos) once, in the order of its first row
+    key, first, back = np.unique(rows[:, :2], axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    key[order, 1] = mesh.snap_many((int(a), p) for a, p in key[order].tolist())
+    rows[:, 1] = key[back.ravel(), 1]
+    if mesh._merge(rows):
         _split_worklist(surface)
         surface.bump()
 
@@ -769,10 +787,10 @@ def restrict(surface: LRSurface, rect: tuple[float, float, float, float]) -> LRS
     if not (r0[0] < r0[1] and r0[2] < r0[3]):
         raise ValueError("restriction rectangle is empty")
     # snap edges onto existing mesh lines so knot comparisons below are exact
-    r = tuple(out.mesh.snap_many((k // 2, v, True) for k, v in enumerate(r0)))
-    insert_segments(out, [Segment(axis, pos, *out.mesh.domain[2 - 2 * axis:4 - 2 * axis],
-                                  out.degrees[axis] + 1)
-                          for axis in (0, 1) for pos in r[2 * axis:2 * axis + 2]])
+    r = tuple(out.mesh.snap_many((k // 2, v) for k, v in enumerate(r0)))
+    axis = np.array([0, 0, 1, 1])
+    insert_segments(out, np.column_stack([axis, r, np.reshape(out.mesh.domain, (2, 2))[1 - axis],
+                                          np.array(out.degrees)[axis] + 1]))
 
     ku, kv = out.axis_knots(0), out.axis_knots(1)
     inside = (r[0] <= ku[:, 0]) & (ku[:, -1] <= r[1]) & (r[2] <= kv[:, 0]) & (kv[:, -1] <= r[3])

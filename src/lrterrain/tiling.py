@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptive import FitConfig, IterationReport, _finite, fit
-from .mesh import SNAP_REL, LRSurface, Segment, _row_keys, insert_segments, restrict
+from .mesh import SNAP_REL, LRSurface, _row_keys, insert_segments, restrict
 
 __all__ = [
     "Tile",
@@ -185,12 +185,11 @@ def _complete_edge(surface: LRSurface, ax: int, side: int,
     have = (np.abs(along[:, :, None] - p) <= tol).sum(axis=1)
     need = (along[:, :1] + tol < p) & (p < along[:, -1:] - tol) & (have < m)
     b, k = np.nonzero(need)
-    # a row function's support across the edge ends on the edge
-    segs = [Segment(1 - ax, *rest) for rest in zip(
-        p[k].tolist(), across[b, 0].tolist(), across[b, -1].tolist(), m[k].astype(int).tolist())]
-    if segs:
+    # (axis, pos, lo, hi, mult) rows; a row function's support across the edge ends on it
+    segs = np.column_stack([np.full(len(b), 1 - ax), p[k], across[b, 0], across[b, -1], m[k]])
+    if len(segs):
         insert_segments(surface, segs)
-    return bool(segs)
+    return bool(len(segs))
 
 
 def _edge_rows(surface: LRSurface, ax: int, side: int, with_row1: bool):

@@ -38,6 +38,13 @@ def test_alpha1_outside_unit_interval_is_rejected(alpha1):
     assert FitConfig(alpha1=0.5).alpha1 == 0.5
 
 
+def test_negative_degree_is_rejected():
+    # a negative degree used to reach basis_matrix and divide by zero there
+    with pytest.raises(ValueError, match="degrees must be >= 0"):
+        FitConfig(degrees=(-1, 2))
+    assert FitConfig(degrees=(0, 2)).degrees == (0, 2)
+
+
 def test_collinear_points_raise(rng):
     t = rng.uniform(0, 1, 100)
     pts = np.column_stack([t, np.full(100, 0.3), t])

@@ -174,7 +174,7 @@ def test_replay_does_not_depend_on_segment_order(degrees, seed):
     cuts = np.sort(rng.choice(np.arange(1, len(segs)), size=5, replace=False))
     for batches in ([segs], [[segs[k] for k in part] for part in np.split(order, cuts)]):
         r = mesh.make_tensor_surface(s.domain, degrees, (degrees[0] + 1, degrees[1] + 1))
-        r.mesh.snap_many((axis, c, True) for axis in (0, 1) for c in s.mesh.coords(axis))
+        r.mesh.snap_many((axis, c) for axis in (0, 1) for c in s.mesh.coords(axis))
         for batch in batches:
             mesh.insert_segments(r, batch)
         assert np.array_equal(r.knots, s.knots)

@@ -214,6 +214,30 @@ def _binary_multiplicity_above_degree(s, path):
     path.write_bytes(bytes(data))
 
 
+def test_bad_segment_record_is_named_by_its_position(tmp_path):
+    s = random_refined_surface(2, n_inserts=5)
+    text, binary = tmp_path / "s.lrs.txt", tmp_path / "s.lrs"
+    write_surface_text(s, text)
+    lines = text.read_text().splitlines()
+    i = lines.index(next(ln for ln in lines if ln.startswith("segments"))) + 3
+    f = lines[i].split()
+    lines[i] = " ".join([f[0], "0"] + f[2:])
+    text.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="segment 2: multiplicity 0"):
+        read_surface_text(text)
+    lines[i] = " ".join(f[:3] + [f[3], "999"])
+    text.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="segment 2: knot index out of range"):
+        read_surface_text(text)
+    # a cut inside the segment block: the block is read whole
+    write_surface_binary(s, binary)
+    at = (44 + sum(4 + len(u.encode()) for u in s.units)
+          + sum(4 + 8 * len(s.mesh.coords(axis)) for axis in (0, 1)) + 4)
+    binary.write_bytes(binary.read_bytes()[:at + 16 * 2 + 5])
+    with pytest.raises(ValueError, match="truncated"):
+        read_surface_binary(binary)
+
+
 @pytest.mark.parametrize("damage", [
     _empty_text, _truncated_text, _text_index_out_of_range, _text_negative_index,
     _binary_index_out_of_range, _binary_table_not_increasing,
@@ -415,6 +439,15 @@ def test_cli_config_alpha1_out_of_range_exits_2(bench_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_config_negative_degree_exits_2(bench_file, tmp_path, capsys):
+    cfg = tmp_path / "degrees.json"
+    cfg.write_text('{"fit": {"degrees": [-1, 2]}}')
+    assert main(["fit", str(bench_file[0]), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "degrees must be >= 0" in err
+    assert "Traceback" not in err
+
+
 def test_cli_tile_and_stitch(bench_file, tmp_path, capsys):
     p, tau = bench_file
     manifest = tmp_path / "grid.json"
@@ -424,11 +457,16 @@ def test_cli_tile_and_stitch(bench_file, tmp_path, capsys):
     m = json.loads(manifest.read_text())
     assert m["counts"] == [2, 2]
     assert all(e["surface"] for e in m["tiles"])
+    # tile 0 as text under its own name: each tile is written back in its format
+    tile0 = tmp_path / m["tiles"][0]["surface"]
+    write_surface_text(read_surface(tile0), tile0)
 
     code = main(["stitch", str(manifest), "--c1"])
     capsys.readouterr()
     assert code == 0
     m2 = json.loads((tmp_path / "grid.stitched.json").read_text())
+    heads = [(tmp_path / e["surface"]).read_bytes()[:8] for e in m2["tiles"]]
+    assert heads[0] == b"lrsurfac" and heads[1:] == [b"LRSURF01"] * 3
     S = [read_surface(tmp_path / e["surface"]) for e in m2["tiles"]]
     xs = S[0].domain[1]
     t = np.linspace(S[0].domain[2], S[0].domain[3], 500)

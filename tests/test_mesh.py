@@ -208,6 +208,37 @@ def test_insert_rejects_multiplicity_outside_one_to_degree_plus_one(mult):
     assert [s.mesh.coords(0).tolist(), s.mesh.coords(1).tolist()] == coords
 
 
+@pytest.mark.parametrize("bad", [
+    Segment(2, 0.5, 0.0, 1.0),             # axis
+    Segment(0, float("nan"), 0.0, 1.0),    # pos not finite
+    Segment(0, 2.0, 0.0, 1.0),             # pos outside the domain
+    Segment(0, 0.5, 0.13, 1.0),            # lo off the coordinates
+    Segment(0, 0.5, 1.0, 0.0),             # lo >= hi
+    Segment(0, 0.5, 0.4, 0.4),
+    Segment(0, 0.5, 0.0, 1.0, mult=0),     # mult outside 1..d + 1
+    Segment(0, 0.5, 0.0, 1.0, mult=4),
+])
+def test_insert_segments_rejects_bad_rows_before_the_mesh_changes(bad):
+    # the good row 0 would add v = 0.5; the check runs before it does
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
+
+    def state():
+        return ([s.mesh.coords(0).tolist(), s.mesh.coords(1).tolist()],
+                s.mesh.segment_rows().tolist(), s.knots.tolist(), binary_size(s))
+
+    before = state()
+    with pytest.raises(ValueError, match="segment 1: "):
+        insert_segments(s, [Segment(1, 0.5, 0.0, 1.0), bad])
+    with pytest.raises(ValueError, match="segment 0: "):
+        insert_segment(s, bad)
+    assert state() == before
+    # the same rows as an array are a batch too
+    r = s.copy()
+    insert_segments(s, [Segment(1, 0.5, 0.0, 1.0)])
+    insert_segments(r, np.array([[1, 0.5, 0.0, 1.0, 1]]))
+    assert np.array_equal(r.knots, s.knots) and len(s) == 56
+
+
 def test_bspline_view_reads_the_arrays_and_refuses_writes():
     s = random_refined_surface(4, n_inserts=10, degrees=(3, 2))
     bs = s.bsplines
