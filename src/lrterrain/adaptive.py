@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import basis_matrix, eval_cache, evaluate
+from .evaluate import basis_matrix, check_points, eval_cache, evaluate
 from .least_squares import SmoothingWeights, fit_least_squares, idw_prior
 from .mba import mba_update
 from .mesh import LRSurface, insert_segments, make_tensor_surface
@@ -63,15 +63,6 @@ class IterationReport:
     @staticmethod
     def header() -> str:
         return "iteration\tcoefficients\tsize_bytes\tmax_dist\tavg_dist\tout_of_tol"
-
-
-def _finite(pts: np.ndarray, what: str = "points") -> np.ndarray:
-    """Return ``pts``; raise ValueError when an x, y or z is not finite."""
-    bad = ~np.isfinite(pts[:, :3]).all(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"{what} must be finite; row {k} is {pts[k, :3].tolist()}")
-    return pts
 
 
 def _report(surface: LRSurface, fld: dict, i: int) -> IterationReport:
@@ -185,10 +176,7 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
     ``points``, and iteration counting begins at ``first_iteration`` (so the
     cap stays ``max_iterations`` in total across both runs).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] < 3 or len(pts) == 0:
-        raise ValueError("points must be a nonempty (n, 3) array")
-    _finite(pts)
+    pts = check_points(points)
     if start is not None:
         domain = start.mesh.domain
     xmin, xmax = pts[:, 0].min(), pts[:, 0].max()

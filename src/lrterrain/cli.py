@@ -1,9 +1,15 @@
 """Command line entry points.
 
 Subcommands: fit, deconflict, eval, report, stitch.  Exit codes: 0 on
-success, 2 on any input problem (bad flags, malformed or missing files),
-3 when a fit stopped because refinement froze before reaching the
-tolerance; outputs are still written in that case so the run is usable.
+success, 2 on any input problem (bad flags, malformed or missing files,
+bad config or points), 3 when a fit stopped because refinement froze
+before reaching the tolerance; outputs are still written in that case so
+the run is usable.
+
+Input errors have one exit path: the commands and the library raise
+``ValueError`` (or ``OSError`` for a file that cannot be read or
+written), and ``main`` alone turns it into one ``error:`` line on stderr
+and exit code 2.  The file readers name their path in their messages.
 
 All emitted files are deterministic for identical inputs: JSON is written
 with sorted keys, floats with ``repr``, and binary surfaces index their
@@ -22,7 +28,7 @@ import numpy as np
 from .adaptive import IterationReport, fit
 from .config import load_settings
 from .deconflict import Survey, deconflict_fit
-from .evaluate import distance_field
+from .evaluate import check_points, distance_field
 from .formats import (
     binary_size,
     is_binary_surface,
@@ -48,26 +54,16 @@ from .tiling import (
 )
 
 
-def _fail(msg: str):
-    raise SystemExit(f"error: {msg}")
-
-
 def _pair(text: str, flag: str) -> tuple[int, int]:
     """Parse 'N' or 'NxM' into a pair of positive ints."""
     parts = text.lower().split("x")
     try:
-        if len(parts) == 1:
-            n = int(parts[0])
-            out = (n, n)
-        elif len(parts) == 2:
-            out = (int(parts[0]), int(parts[1]))
-        else:
-            raise ValueError
-        if out[0] < 1 or out[1] < 1:
-            raise ValueError
-        return out
+        n = [int(p) for p in (parts * 2 if len(parts) == 1 else parts)]
     except ValueError:
-        _fail(f"{flag} expects N or NxM with positive integers, got {text!r}")
+        n = []
+    if len(n) != 2 or min(n) < 1:
+        raise ValueError(f"{flag} expects N or NxM with positive integers, got {text!r}")
+    return n[0], n[1]
 
 
 def _jsonable(obj):
@@ -92,35 +88,11 @@ def _write_json(path, payload) -> None:
         f.write("\n")
 
 
-def _load_points(path) -> tuple[np.ndarray, dict]:
-    try:
-        return read_survey(path)
-    except FileNotFoundError:
-        _fail(f"point file not found: {path}")
-    except ValueError as e:
-        _fail(str(e))
-
-
 def _load_surface(path) -> tuple[LRSurface, bool]:
     """The surface in ``path`` and whether the file is binary, from one
     sniff of its magic."""
-    try:
-        binary = is_binary_surface(path)
-        return (read_surface_binary if binary else read_surface_text)(path), binary
-    except FileNotFoundError:
-        _fail(f"surface file not found: {path}")
-    except ValueError as e:
-        _fail(f"{path}: {e}")
-
-
-def _settings(args):
-    try:
-        return load_settings(getattr(args, "config", None),
-                             getattr(args, "tolerance", None))
-    except FileNotFoundError:
-        _fail(f"config file not found: {args.config}")
-    except ValueError as e:
-        _fail(str(e))
+    binary = is_binary_surface(path)
+    return (read_surface_binary if binary else read_surface_text)(path), binary
 
 
 def _write_surface(surface: LRSurface, path, text: bool) -> None:
@@ -157,7 +129,7 @@ def _emit(lines: list[str], path) -> None:
 
 
 def cmd_fit(args) -> int:
-    settings = _settings(args)
+    settings = load_settings(args.config, args.tolerance)
     cfg = settings.fit
     if args.max_iter is not None:
         cfg = dataclasses.replace(cfg, max_iterations=args.max_iter)
@@ -166,14 +138,11 @@ def cmd_fit(args) -> int:
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, initial_grid=_pair(args.grid, "--grid"))
 
-    pts, _meta = _load_points(args.points)
+    pts, _meta = read_survey(args.points)
     out = args.output or _stem(args.points) + (".lrs.txt" if args.text else ".lrs")
 
     if args.tile is None:
-        try:
-            surface, reports, flags = fit(pts, cfg)
-        except ValueError as e:
-            _fail(str(e))
+        surface, reports, flags = fit(pts, cfg)
         _write_surface(surface, out, args.text)
         lines = _report_lines(reports)
         lines.append(f"status\t{'converged' if flags['converged'] else 'frozen' if flags['frozen'] else 'budget-exhausted'}")
@@ -182,13 +151,10 @@ def cmd_fit(args) -> int:
 
     counts = _pair(args.tile, "--tile")
     overlap = settings.overlap if args.overlap is None else args.overlap
-    x, y = pts[:, 0], pts[:, 1]
+    x, y = check_points(pts)[:, :2].T
     bbox = (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
     tiles = make_tiles(bbox, counts, overlap)
-    try:
-        fits = fit_tiles(pts, tiles, cfg)
-    except ValueError as e:
-        _fail(str(e))
+    fits = fit_tiles(pts, tiles, cfg)
     stem = _stem(out) if out.endswith(".json") else _stem(args.points)
     ext = ".lrs.txt" if args.text else ".lrs"
     paths: list[str | None] = []
@@ -218,7 +184,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_deconflict(args) -> int:
-    settings = _settings(args)
+    settings = load_settings(args.config, args.tolerance)
     dcfg = settings.deconflict
     if args.level is not None:
         dcfg = dataclasses.replace(dcfg, reference_level=args.level)
@@ -229,20 +195,17 @@ def cmd_deconflict(args) -> int:
     surveys = []
     binary_in = []
     for path in args.surveys:
-        pts, meta = _load_points(path)
+        pts, meta = read_survey(path)
         name = meta.pop("id", None) or os.path.basename(_stem(path))
         score = None
         if "score" in meta:
             try:
                 score = float(meta.pop("score"))
             except ValueError:
-                _fail(f"{path}: score header is not a number")
+                raise ValueError(f"{path}: score header is not a number") from None
         surveys.append(Survey(points=pts, name=name, score=score, meta=meta))
         binary_in.append(is_binary_survey(path))
-    try:
-        surface, cleaned, report = deconflict_fit(surveys, fit_cfg, dcfg)
-    except ValueError as e:
-        _fail(str(e))
+    surface, cleaned, report = deconflict_fit(surveys, fit_cfg, dcfg)
 
     out = args.output or "deconflicted" + (".lrs.txt" if args.text else ".lrs")
     _write_surface(surface, out, args.text)
@@ -270,13 +233,10 @@ def cmd_deconflict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    settings = _settings(args)
+    settings = load_settings(args.config, args.tolerance)
     surface, _ = _load_surface(args.surface)
-    pts, _meta = _load_points(args.points)
-    try:
-        field = distance_field(surface, pts, settings.fit.tolerance)
-    except ValueError as e:
-        _fail(str(e))
+    pts, _meta = read_survey(args.points)
+    field = distance_field(surface, pts, settings.fit.tolerance)
     if args.output:
         write_distance_field(args.output, pts, field)
     r = np.abs(field["residual"])
@@ -294,12 +254,9 @@ def cmd_report(args) -> int:
     surface, _ = _load_surface(args.surface)
     lines = ["survey\tpoints\tmax_below\tmax_above\tavg_dist\tz_range"]
     for path in args.surveys:
-        pts, meta = _load_points(path)
+        pts, meta = read_survey(path)
         name = meta.get("id") or os.path.basename(_stem(path))
-        try:
-            res = distance_field(surface, pts, 1.0)["residual"]
-        except ValueError as e:
-            _fail(f"{path}: {e}")
+        res = distance_field(surface, pts, 1.0)["residual"]
         below = max(0.0, float(-res.min()))
         above = max(0.0, float(res.max()))
         z = pts[:, 2]
@@ -313,12 +270,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_stitch(args) -> int:
-    try:
-        manifest = read_manifest(args.manifest)
-    except FileNotFoundError:
-        _fail(f"manifest not found: {args.manifest}")
-    except (ValueError, json.JSONDecodeError) as e:
-        _fail(f"{args.manifest}: {e}")
+    manifest = read_manifest(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     counts = tuple(manifest["counts"])
     entries = manifest["tiles"]
@@ -333,8 +285,8 @@ def cmd_stitch(args) -> int:
         texts.append(not binary)
     try:
         stitched = stitch_grid(fits, counts, c1=args.c1)
-    except (ValueError, RuntimeError) as e:
-        _fail(str(e))
+    except RuntimeError as e:  # the tiles' spline spaces cannot be joined
+        raise ValueError(str(e)) from e
 
     suffix = "" if args.in_place else ".stitched"
     new_paths: list[str | None] = []
@@ -431,14 +383,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as e:
-        if isinstance(e.code, str):
-            print(e.code, file=sys.stderr)
-            return 2
-        raise
-    except OSError as e:
+    except FileNotFoundError as e:
+        print(f"error: file not found: {e.filename}", file=sys.stderr)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

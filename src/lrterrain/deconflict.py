@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import distance_field, evaluate
+from .evaluate import check_points, distance_field, evaluate
 from .mesh import LRSurface
 
 __all__ = [
@@ -550,12 +550,12 @@ def default_scores(surveys: list[Survey]) -> list[float]:
 
 
 def _check_surveys(surveys: list[Survey]) -> None:
-    """Reject an empty survey list and a survey without points."""
+    """Reject an empty survey list, and a survey whose points
+    ``check_points`` rejects."""
     if len(surveys) == 0:
         raise ValueError("no surveys given")
     for s in surveys:
-        if len(s.points) == 0:
-            raise ValueError(f"survey {s.name!r} has no points")
+        check_points(s.points, f"survey {s.name!r}")
 
 
 def deconflict(surveys: list[Survey], reference: LRSurface,
@@ -682,11 +682,9 @@ def deconflict_fit(surveys: list[Survey], fit_config=None,
     """
     from dataclasses import replace
 
-    from .adaptive import FitConfig, _finite, fit
+    from .adaptive import FitConfig, fit
 
     _check_surveys(surveys)
-    for s in surveys:
-        _finite(s.points, f"survey {s.name!r} points")
     if fit_config is None:
         fit_config = FitConfig(tolerance=cfg.tolerance)
     if abs(fit_config.tolerance - cfg.tolerance) > 1e-12 * cfg.tolerance:

@@ -326,6 +326,27 @@ def basis_matrix(surface: LRSurface, x, y):
     return B, eid
 
 
+def check_points(points, what: str = "input") -> np.ndarray:
+    """``points`` as a float array: x, y and z are its first three columns.
+
+    The one input check of the fitting entry points.  Raises ValueError,
+    naming ``what`` (the owner of the points), unless the array is 2-D
+    with at least three columns and one row, and every x, y and z is
+    finite; a non-finite row is named by its index.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] < 3:
+        raise ValueError(f"{what} points must be a nonempty (n, 3) array; "
+                         f"got shape {pts.shape}")
+    if len(pts) == 0:
+        raise ValueError(f"{what} has no points")
+    bad = ~np.isfinite(pts[:, :3]).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{what} points must be finite; row {k} is {pts[k, :3].tolist()}")
+    return pts
+
+
 def distance_field(surface: LRSurface, points: np.ndarray, tau: float) -> dict:
     """Signed vertical residuals of points against the surface.
 

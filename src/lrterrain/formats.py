@@ -21,11 +21,12 @@ and B-splines refer to them by index, which makes shared knots exact by
 construction and the round trip bit-identical.  The text format carries
 the same sections line-oriented with full-precision ``repr`` floats, and
 each unit as one whitespace-free word (the text writer rejects others).  A
-table that is not strictly increasing, an index outside its table, a
-B-spline knot-index list that decreases or spans an empty support, a
-segment record that ``insert_segments`` would reject, or a file that ends
-early is malformed: the readers raise ``ValueError`` naming the record by
-its position in the file, and the CLI exits 2.
+table that is not strictly increasing or holds a value outside the
+domain, an index outside its table, a B-spline knot-index list that
+decreases or spans an empty support, a segment record that
+``insert_segments`` would reject, or a file that ends early is malformed:
+the readers raise ``ValueError`` naming the file, and the record by its
+position in the file, and the CLI exits 2.
 
 Survey text format: optional ``# key value`` header lines, then one
 ``x y z`` row per point.  Binary survey: magic ``LRSURV01``, u32 JSON
@@ -33,6 +34,7 @@ header length, JSON header, then f64 triples.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import struct
@@ -119,10 +121,28 @@ def _bspline_record(du: int, dv: int) -> np.dtype:
 
 
 def _seed_table(mesh: BoxMesh, axis: int, table) -> list[float]:
-    """Add a knot table to the mesh coordinates; returns the snapped table."""
+    """Add a knot table to the mesh coordinates; returns the snapped table.
+    The table must be strictly increasing and inside the domain."""
     if not np.all(np.diff(table) > 0):
         raise ValueError(f"knot table of axis {axis} is not strictly increasing")
+    lo, hi = mesh.domain[2 * axis:2 * axis + 2]
+    outside = [c for c in table if not lo <= c <= hi]
+    if outside:
+        raise ValueError(f"knot table of axis {axis}: {outside[0]!r} is outside "
+                         f"the domain [{lo!r}, {hi!r}]")
     return mesh.snap_many((axis, c) for c in table)
+
+
+def _names_path(reader):
+    """``reader(path)``, with ``path`` put in front of its ValueError
+    messages, as the survey readers word theirs."""
+    @functools.wraps(reader)
+    def read(path):
+        try:
+            return reader(path)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+    return read
 
 
 def _lookup(tables, table, idx, record: str) -> np.ndarray:
@@ -166,6 +186,7 @@ def _merge_segments(mesh: BoxMesh, tables, degrees, axis, mult, idx) -> None:
     mesh._merge(_check_segments(mesh, np.column_stack([axis, values, mult]), degrees))
 
 
+@_names_path
 def read_surface_binary(path) -> LRSurface:
     with open(path, "rb") as f:
         data = f.read()
@@ -211,6 +232,7 @@ def write_surface_text(surface: LRSurface, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+@_names_path
 def read_surface_text(path) -> LRSurface:
     with open(path) as f:
         rows = [ln.split() for ln in f if ln.strip()]

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .evaluate import _dpowers, _locate, _pair_values, basis_matrix, eval_cache
+from .evaluate import _dpowers, _locate, _pair_values, basis_matrix, check_points, eval_cache
 from .mesh import LRSurface
 
 __all__ = [
@@ -188,9 +188,7 @@ def fit_least_squares(surface: LRSurface, points: np.ndarray,
     these points on the current mesh, when the caller already has it; it is
     built here when omitted.  Returns solver diagnostics.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] < 3 or len(pts) == 0:
-        raise ValueError("points must be a nonempty (n, 3) array")
+    pts = check_points(points)
     alpha2 = 1.0 - alpha1
     if basis is None:
         basis = basis_matrix(surface, pts[:, 0], pts[:, 1])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evaluate import basis_matrix, evaluate
+from .evaluate import basis_matrix, check_points, evaluate
 from .mesh import LRSurface
 
 __all__ = ["mba_update", "mba_fit"]
@@ -28,9 +28,7 @@ def mba_update(surface: LRSurface, points: np.ndarray,
     |residual| > ``tau`` are left alone, as are B-splines with no data
     support at all.  Returns sweep stats.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] < 3 or len(pts) == 0:
-        raise ValueError("points must be a nonempty (n, 3) array")
+    pts = check_points(points)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     if residuals is None:
         residuals = z - evaluate(surface, x, y)

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptive import FitConfig, IterationReport, _finite, fit
+from .adaptive import FitConfig, IterationReport, fit
+from .evaluate import check_points
+from .formats import _names_path
 from .mesh import SNAP_REL, LRSurface, _row_keys, insert_segments, restrict
 
 __all__ = [
@@ -66,8 +68,8 @@ def make_tiles(bbox, counts, overlap: float = 0.05) -> list[Tile]:
         raise ValueError("tile counts must be >= 1")
     if not (x1 > x0 and y1 > y0):
         raise ValueError("degenerate bounding box")
-    if overlap < 0:
-        raise ValueError("overlap fraction must be >= 0")
+    if not (np.isfinite(overlap) and overlap >= 0):
+        raise ValueError(f"overlap fraction must be a finite number >= 0; got {overlap!r}")
     xe = np.linspace(x0, x1, nx + 1)
     ye = np.linspace(y0, y1, ny + 1)
     dx = (x1 - x0) / nx
@@ -106,7 +108,7 @@ def fit_tiles(points: np.ndarray, tiles: list[Tile],
     A tile whose expanded rectangle contains no points becomes a hole
     (surface None); its neighbors are unaffected.
     """
-    pts = _finite(np.asarray(points, dtype=float))
+    pts = check_points(points)
     out = []
     for t in tiles:
         e = t.expanded
@@ -543,8 +545,10 @@ def write_manifest(path, tiles: list[Tile], counts, overlap: float,
         fh.write("\n")
 
 
+@_names_path
 def read_manifest(path) -> dict:
-    """Tile grid description; ValueError when a key ``stitch`` reads is bad."""
+    """Tile grid description; ValueError, naming ``path``, when the file
+    is not JSON or a key ``stitch`` reads is bad."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

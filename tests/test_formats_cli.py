@@ -238,6 +238,34 @@ def test_bad_segment_record_is_named_by_its_position(tmp_path):
         read_surface_binary(binary)
 
 
+def _text_knot_outside_domain(s, path):
+    # one more u knot, 7.5, after the last one of the [0, 1] domain
+    write_surface_text(s, path)
+    lines = path.read_text().splitlines()
+    i = next(k for k, ln in enumerate(lines) if ln.startswith("uknots"))
+    n = int(lines[i].split()[1])
+    lines[i:i + n + 1] = [f"uknots {n + 1}", *lines[i + 1:i + n + 1], "7.5"]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _binary_knot_outside_domain(s, path):
+    # the last u knot, 1.0, replaced by 7.5: the table still increases
+    write_surface_binary(s, path)
+    data = bytearray(path.read_bytes())
+    at = 44 + sum(4 + len(u.encode()) for u in s.units) + 4 + 8 * len(s.mesh.coords(0))
+    assert data[at - 8:at] == np.float64(1.0).tobytes()
+    data[at - 8:at] = np.float64(7.5).tobytes()
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("damage", [_text_knot_outside_domain, _binary_knot_outside_domain])
+def test_knot_table_value_outside_the_domain_is_rejected(damage, tmp_path):
+    path = tmp_path / "s.lrs"
+    damage(random_refined_surface(2, n_inserts=5), path)
+    with pytest.raises(ValueError, match=r"s\.lrs: knot table of axis 0: 7\.5 is outside the domain"):
+        read_surface(path)
+
+
 @pytest.mark.parametrize("damage", [
     _empty_text, _truncated_text, _text_index_out_of_range, _text_negative_index,
     _binary_index_out_of_range, _binary_table_not_increasing,
@@ -420,6 +448,28 @@ def test_cli_exit_codes(bench_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # argparse handles unknown flags
         main(["fit", str(p), "--frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "{bench}", "--max-iter", "-1"],
+    ["fit", "{bench}", "--tile", "2x2", "--overlap", "-1"],
+    ["fit", "{bench}", "--tile", "2x2", "--overlap", "nan"],
+    ["fit", "{empty}", "--tile", "2x2"],
+    ["fit", "{one}", "--tile", "2x2"],
+    ["eval", "{outside}", "{one}"],
+], ids=["max-iter", "overlap", "overlap-nan", "tile-empty", "tile-one-point",
+        "eval-knot-outside-domain"])
+def test_cli_input_errors_exit_2(argv, bench_file, tmp_path, capsys):
+    files = {"bench": bench_file[0], "empty": tmp_path / "empty.xyz",
+             "one": tmp_path / "one.xyz", "outside": tmp_path / "outside.lrs.txt"}
+    files["empty"].write_text("")
+    files["one"].write_text("0.5 0.5 0.0\n")
+    _text_knot_outside_domain(random_refined_surface(2, n_inserts=5), files["outside"])
+    code = main([a.format(**files) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_cli_config_typo_is_actionable(bench_file, tmp_path, capsys):

@@ -195,3 +195,11 @@ def test_empty_points_raise():
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
     with pytest.raises(ValueError):
         fit_least_squares(s, np.empty((0, 3)))
+
+
+def test_non_finite_z_raises(rng):
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
+    pts = rng.uniform(0, 1, (200, 3))
+    pts[3, 2] = np.nan
+    with pytest.raises(ValueError, match=r"points must be finite; row 3"):
+        fit_least_squares(s, pts)

@@ -108,6 +108,16 @@ def test_empty_points_raise():
         mba_update(s, np.empty((0, 3)))
 
 
+def test_non_finite_z_raises(rng):
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
+    pts = rng.uniform(0, 1, (200, 3))
+    pts[3, 2] = np.nan
+    before = s.coeffs.copy()
+    with pytest.raises(ValueError, match=r"points must be finite; row 3"):
+        mba_update(s, pts)
+    np.testing.assert_array_equal(s.coeffs, before)
+
+
 def test_sweep_matches_dense_reference_with_gate(rng):
     # delta_i = sum_p w_pi^3 r_p / D_p / sum_p w_pi^2 with D_p = sum_l w_pl^2,
     # applied only where some point of the support has |r| > tau

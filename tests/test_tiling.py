@@ -382,6 +382,18 @@ def test_tiled_fit_matches_untiled_accuracy():
     assert abs(tiled_out - untiled_out) <= 0.01 * len(pts)
 
 
+def test_fit_tiles_rejects_a_flat_array():
+    tiles = make_tiles((0.0, 1.0, 0.0, 1.0), (2, 2))
+    with pytest.raises(ValueError, match=r"points must be a nonempty \(n, 3\) array"):
+        fit_tiles(np.zeros(5), tiles)
+
+
+@pytest.mark.parametrize("overlap", [np.nan, np.inf])
+def test_overlap_must_be_a_finite_number(overlap):
+    with pytest.raises(ValueError, match="overlap fraction must be a finite number"):
+        make_tiles((0.0, 1.0, 0.0, 1.0), (2, 2), overlap)
+
+
 def test_fit_tiles_rejects_non_finite_rows():
     pts, tau = benchmark_points(4000)
     pts[100] = np.nan
