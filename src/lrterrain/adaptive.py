@@ -10,11 +10,13 @@ minimal element width.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .evaluate import basis_matrix, check_points, eval_cache, evaluate
+from .formats import binary_size
 from .least_squares import SmoothingWeights, fit_least_squares, idw_prior
 from .mba import mba_update
 from .mesh import LRSurface, insert_segments, make_tensor_surface
@@ -66,8 +68,6 @@ class IterationReport:
 
 
 def _report(surface: LRSurface, fld: dict, i: int) -> IterationReport:
-    from .formats import binary_size
-
     a = np.abs(fld["residual"])
     return IterationReport(
         iteration=i,
@@ -128,14 +128,6 @@ def _split_span(kn: np.ndarray):
     return kn[r, j], kn[r, j + 1]
 
 
-def _field(surface: LRSurface, pts: np.ndarray, tau: float, basis) -> dict:
-    """Residuals z - B c of the points and their element ids, from their
-    basis matrix on the current mesh (the ``distance_field`` of the fit)."""
-    B, eid = basis
-    r = pts[:, 2] - B @ surface.coeffs
-    return {"residual": r, "element_id": eid, "n_out": int((np.abs(r) > tau).sum())}
-
-
 def _area_ratio(surface: LRSurface) -> float:
     b = eval_cache(surface).bounds
     areas = (b[:, 1] - b[:, 0]) * (b[:, 3] - b[:, 2])
@@ -143,23 +135,30 @@ def _area_ratio(surface: LRSurface) -> float:
 
 
 def _approximate(surface: LRSurface, pts: np.ndarray, config: FitConfig,
-                 iteration: int, residuals: np.ndarray | None = None):
-    """One approximation pass: least squares while the space is small and
-    uniform, else one correction sweep (residuals z - B c when omitted).
-    Returns the points' basis matrix on the current mesh, (B, element id),
-    which the pass used."""
-    basis = basis_matrix(surface, pts[:, 0], pts[:, 1])
-    if (iteration <= config.n_ls
-            and _area_ratio(surface) <= config.mba_switch_ratio):
+                 iteration: int, residuals: np.ndarray | None = None,
+                 prior=None) -> dict:
+    """One approximation pass and the field it leaves: residuals z - B c,
+    element ids and the count out of tolerance, from the points' basis
+    matrix on the current mesh (the ``distance_field`` of the fit).
+
+    A ghost ``prior`` marks a fresh surface's first pass: least squares.
+    Any other pass is least squares while the space is small and uniform,
+    else one correction sweep (residuals z - B c when omitted)."""
+    B, eid = basis_matrix(surface, pts[:, 0], pts[:, 1])
+    if prior is not None or (iteration <= config.n_ls
+                             and _area_ratio(surface) <= config.mba_switch_ratio):
         fit_least_squares(surface, pts, alpha1=config.alpha1,
                           weights=config.smoothing,
-                          prior=lambda x, y: evaluate(surface, x, y), basis=basis)
+                          prior=prior or (lambda x, y: evaluate(surface, x, y)),
+                          basis=(B, eid))
     else:
         if residuals is None:
-            residuals = pts[:, 2] - basis[0] @ surface.coeffs
+            residuals = pts[:, 2] - B @ surface.coeffs
         mba_update(surface, pts, residuals=residuals, tau=config.tolerance,
-                   basis=basis)
-    return basis
+                   basis=(B, eid))
+    r = pts[:, 2] - B @ surface.coeffs
+    return {"residual": r, "element_id": eid,
+            "n_out": int((np.abs(r) > config.tolerance).sum())}
 
 
 def fit(points: np.ndarray, config: FitConfig = FitConfig(),
@@ -194,23 +193,14 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
             raise ValueError("no points inside the given domain")
     du, dv = config.degrees
     if len(pts) < (du + 1) * (dv + 1):
-        import warnings
-
         warnings.warn("fewer points than one patch's coefficients; "
                       "fit is smoothing-dominated", stacklevel=2)
-    tau = config.tolerance
     if start is None:
         surface = make_tensor_surface(domain, config.degrees, config.initial_grid)
-        basis = basis_matrix(surface, pts[:, 0], pts[:, 1])
-        fit_least_squares(surface, pts, alpha1=config.alpha1,
-                          weights=config.smoothing, prior=idw_prior(pts),
-                          basis=basis)
+        fld = _approximate(surface, pts, config, first_iteration, prior=idw_prior(pts))
     else:
         surface = start.copy()
-        basis = _approximate(surface, pts, config, first_iteration)
-    fld = _field(surface, pts, tau, basis)
-    # one basis matrix per mesh version: refinement needs only the field
-    del basis
+        fld = _approximate(surface, pts, config, first_iteration)
     reports = [_report(surface, fld, first_iteration)]
     flags = {"converged": fld["n_out"] == 0, "frozen": False,
              "iterations": first_iteration}
@@ -222,8 +212,7 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
             flags["frozen"] = counts["frozen"] > 0
             break
         # residuals stay valid across refinement (geometry-preserving)
-        fld = _field(surface, pts, tau,
-                     _approximate(surface, pts, config, it, fld["residual"]))
+        fld = _approximate(surface, pts, config, it, fld["residual"])
         reports.append(_report(surface, fld, it))
         flags["iterations"] = it
         flags["converged"] = fld["n_out"] == 0

@@ -28,14 +28,15 @@ import numpy as np
 from .adaptive import IterationReport, fit
 from .config import load_settings
 from .deconflict import Survey, deconflict_fit
-from .evaluate import check_points, distance_field
+from .evaluate import distance_field
 from .formats import (
     binary_size,
     is_binary_surface,
     is_binary_survey,
     read_surface_binary,
     read_surface_text,
-    read_survey,
+    read_survey_binary,
+    read_survey_text,
     write_distance_field,
     write_surface_binary,
     write_surface_text,
@@ -95,6 +96,17 @@ def _load_surface(path) -> tuple[LRSurface, bool]:
     return (read_surface_binary if binary else read_surface_text)(path), binary
 
 
+def _load_survey(path) -> tuple[np.ndarray, dict, bool]:
+    """The points and header of the survey in ``path`` and whether the
+    file is binary, from one sniff of its magic.  No points is an input
+    error, raised before a command prints anything."""
+    binary = is_binary_survey(path)
+    pts, meta = (read_survey_binary if binary else read_survey_text)(path)
+    if len(pts) == 0:
+        raise ValueError(f"{path}: survey has no points")
+    return pts, meta, binary
+
+
 def _write_surface(surface: LRSurface, path, text: bool) -> None:
     if text:
         write_surface_text(surface, path)
@@ -138,7 +150,7 @@ def cmd_fit(args) -> int:
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, initial_grid=_pair(args.grid, "--grid"))
 
-    pts, _meta = read_survey(args.points)
+    pts, _, _ = _load_survey(args.points)
     out = args.output or _stem(args.points) + (".lrs.txt" if args.text else ".lrs")
 
     if args.tile is None:
@@ -151,7 +163,7 @@ def cmd_fit(args) -> int:
 
     counts = _pair(args.tile, "--tile")
     overlap = settings.overlap if args.overlap is None else args.overlap
-    x, y = check_points(pts)[:, :2].T
+    x, y = pts[:, :2].T
     bbox = (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
     tiles = make_tiles(bbox, counts, overlap)
     fits = fit_tiles(pts, tiles, cfg)
@@ -195,7 +207,7 @@ def cmd_deconflict(args) -> int:
     surveys = []
     binary_in = []
     for path in args.surveys:
-        pts, meta = read_survey(path)
+        pts, meta, binary = _load_survey(path)
         name = meta.pop("id", None) or os.path.basename(_stem(path))
         score = None
         if "score" in meta:
@@ -204,7 +216,7 @@ def cmd_deconflict(args) -> int:
             except ValueError:
                 raise ValueError(f"{path}: score header is not a number") from None
         surveys.append(Survey(points=pts, name=name, score=score, meta=meta))
-        binary_in.append(is_binary_survey(path))
+        binary_in.append(binary)
     surface, cleaned, report = deconflict_fit(surveys, fit_cfg, dcfg)
 
     out = args.output or "deconflicted" + (".lrs.txt" if args.text else ".lrs")
@@ -235,7 +247,7 @@ def cmd_deconflict(args) -> int:
 def cmd_eval(args) -> int:
     settings = load_settings(args.config, args.tolerance)
     surface, _ = _load_surface(args.surface)
-    pts, _meta = read_survey(args.points)
+    pts, _, _ = _load_survey(args.points)
     field = distance_field(surface, pts, settings.fit.tolerance)
     if args.output:
         write_distance_field(args.output, pts, field)
@@ -254,7 +266,7 @@ def cmd_report(args) -> int:
     surface, _ = _load_surface(args.surface)
     lines = ["survey\tpoints\tmax_below\tmax_above\tavg_dist\tz_range"]
     for path in args.surveys:
-        pts, meta = read_survey(path)
+        pts, meta, _ = _load_survey(path)
         name = meta.get("id") or os.path.basename(_stem(path))
         res = distance_field(surface, pts, 1.0)["residual"]
         below = max(0.0, float(-res.min()))

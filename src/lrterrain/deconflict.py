@@ -15,11 +15,12 @@ an advisory signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evaluate import check_points, distance_field, evaluate
+from .adaptive import FitConfig, fit
+from .evaluate import check_points, distance_field, eval_cache, evaluate
 from .mesh import LRSurface
 
 __all__ = [
@@ -41,6 +42,11 @@ __all__ = [
 CONSISTENT = "consistent"
 NOT_CONSISTENT = "not-consistent"
 INDETERMINATE = "indeterminate"
+
+# confidence of the upper bound that flags a sample's spread as large
+STD_CONFIDENCE = 0.95
+# point spacings within which a removal edge snaps out (``_removal_rect``)
+SNAP_SPACINGS = 5.0
 
 
 @dataclass
@@ -170,13 +176,12 @@ class DeconflictConfig:
 
 
 def _bbox_overlap(a: tuple, b: tuple) -> float:
-    w = min(a[1], b[1]) - max(a[0], b[0])
-    h = min(a[3], b[3]) - max(a[2], b[2])
-    return max(w, 0.0) * max(h, 0.0)
+    r = _rect_intersect(a, b)
+    return max(r[1] - r[0], 0.0) * max(r[3] - r[2], 0.0)
 
 
-def _std_upper(s: float, n: int, conf: float = 0.95) -> float:
-    """Upper confidence bound of a standard deviation estimate.
+def _std_upper(s: float, n: int) -> float:
+    """Upper ``STD_CONFIDENCE`` bound of a standard deviation estimate.
 
     ``2 * gammaincinv(df / 2, p)`` is the chi-square quantile, as computed
     by ``scipy.stats.chi2.ppf``.
@@ -185,7 +190,7 @@ def _std_upper(s: float, n: int, conf: float = 0.95) -> float:
 
     if n < 2:
         return s
-    return s * math.sqrt((n - 1) / (2 * special.gammaincinv((n - 1) / 2, 1 - conf)))
+    return s * math.sqrt((n - 1) / (2 * special.gammaincinv((n - 1) / 2, 1 - STD_CONFIDENCE)))
 
 
 def _nearest_cross_pairs(hi_xy, hi_r, cand_xy, cand_r, k: int):
@@ -274,11 +279,8 @@ def element_consistency(hi: SampleStats, cand: SampleStats,
     big = max(hi.size, cand.size)
     overlap_ratio = overlap_area / big if big > 0 else 0.0
     if gap_scale is None:
-        x0 = min(hi.bbox[0], cand.bbox[0])
-        x1 = max(hi.bbox[1], cand.bbox[1])
-        y0 = min(hi.bbox[2], cand.bbox[2])
-        y1 = max(hi.bbox[3], cand.bbox[3])
-        gap_scale = math.hypot(x1 - x0, y1 - y0)
+        u = _rect_union(hi.bbox, cand.bbox)
+        gap_scale = math.hypot(u[1] - u[0], u[3] - u[2])
 
     detail: dict = {"overlap_area": overlap_area, "overlap_ratio": overlap_ratio}
     if hi.std is not None and cand.std is not None:
@@ -351,16 +353,22 @@ def _rect_intersect(a, b):
     return (max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3]))
 
 
-def _removal_rect(hi: SampleStats, rect, snap_factor: float = 5.0):
+def _rect_union(a, b):
+    """The bounding box of two rectangles."""
+    return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+
+
+def _removal_rect(hi: SampleStats, rect):
     """Region a rejected candidate is cleared from, local-evidence variant.
 
     The accepted sample's bounding box, with each edge snapped out to the
     enclosing region edge when the gap is small enough to be a sampling
-    artifact of the accepted survey's own density.  A gap much larger than
-    the expected spacing marks a genuine data boundary and the cut stays at
-    the box, so candidate points facing no accepted data survive.  Used
-    when the accepted survey's full footprint is unknown; the pipeline
-    passes the footprint instead, which is robust at low local counts.
+    artifact of the accepted survey's own density: at most ``SNAP_SPACINGS``
+    of its expected point spacings.  A gap much larger than the expected
+    spacing marks a genuine data boundary and the cut stays at the box, so
+    candidate points facing no accepted data survive.  Used when the
+    accepted survey's full footprint is unknown; the pipeline passes the
+    footprint instead, which is robust at low local counts.
     """
     x0, x1, y0, y1 = hi.bbox
     w = x1 - x0
@@ -370,8 +378,8 @@ def _removal_rect(hi: SampleStats, rect, snap_factor: float = 5.0):
     w_eff = max(min(x1, ex1) - max(x0, ex0), 0.1 * (ex1 - ex0), 1e-300)
     h_eff = max(min(y1, ey1) - max(y0, ey0), 0.1 * (ey1 - ey0), 1e-300)
     density = hi.n / max(w * h, 0.01 * w_eff * h_eff, 1e-300)
-    gx = snap_factor / (density * h_eff)
-    gy = snap_factor / (density * w_eff)
+    gx = SNAP_SPACINGS / (density * h_eff)
+    gy = SNAP_SPACINGS / (density * w_eff)
     if x0 - ex0 <= gx:
         x0 = ex0
     if ex1 - x1 <= gx:
@@ -388,9 +396,7 @@ def _sub_rects(hi_stats: SampleStats, cand_stats: SampleStats,
                cfg: DeconflictConfig,
                rect) -> list[tuple[float, float, float, float]]:
     """Sub-domains for a closer look at an indeterminate pair."""
-    hb, cb = hi_stats.bbox, cand_stats.bbox
-    R = (max(hb[0], cb[0]), min(hb[1], cb[1]),
-         max(hb[2], cb[2]), min(hb[3], cb[3]))
+    R = _rect_intersect(hi_stats.bbox, cand_stats.bbox)
     if cand_stats.n <= 3:
         # neighborhood of each candidate point, sized by the local spacing
         # of the accepted survey
@@ -403,7 +409,7 @@ def _sub_rects(hi_stats: SampleStats, cand_stats: SampleStats,
             h = 2.0 * float(np.max(np.atleast_1d(d)))
             rects.append((p[0] - h, p[0] + h, p[1] - h, p[1] + h))
         return rects
-    area_r = max(R[1] - R[0], 0.0) * max(R[3] - R[2], 0.0)
+    area_r = _bbox_overlap(hi_stats.bbox, cand_stats.bbox)
     if area_r <= 0:
         return []
     if area_r < 0.8 * min(hi_stats.size, cand_stats.size):
@@ -442,10 +448,7 @@ def pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r,
     hi_stats = SampleStats.from_data(hi_xy, hi_r)
     cand_stats = SampleStats.from_data(cand_xy, cand_r)
     if rect is None:
-        rect = (min(hi_stats.bbox[0], cand_stats.bbox[0]),
-                max(hi_stats.bbox[1], cand_stats.bbox[1]),
-                min(hi_stats.bbox[2], cand_stats.bbox[2]),
-                max(hi_stats.bbox[3], cand_stats.bbox[3]))
+        rect = _rect_union(hi_stats.bbox, cand_stats.bbox)
     if gap_scale is None:
         gap_scale = math.hypot(rect[1] - rect[0], rect[3] - rect[2])
     verdict, detail = element_consistency(
@@ -567,8 +570,6 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
     The report carries per-element verdicts, per-survey removal counts,
     and the score table.
     """
-    from .evaluate import eval_cache
-
     _check_surveys(surveys)
     scores = default_scores(surveys)
     cache = eval_cache(reference)
@@ -680,10 +681,6 @@ def deconflict_fit(surveys: list[Survey], fit_config=None,
     ``cfg.total_iterations``.  Returns (surface, cleaned_surveys, report);
     the report gains the reference/final iteration rows and flags.
     """
-    from dataclasses import replace
-
-    from .adaptive import FitConfig, fit
-
     _check_surveys(surveys)
     if fit_config is None:
         fit_config = FitConfig(tolerance=cfg.tolerance)

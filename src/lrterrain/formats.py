@@ -323,10 +323,14 @@ def read_survey_text(path):
     pts = np.asarray(rows, dtype=float).reshape(-1, 3)
     if not np.isfinite(pts).all():
         raise ValueError(f"{path}: non-finite coordinates")
-    if "count" in meta and int(meta["count"]) != len(pts):
-        raise ValueError(
-            f"{path}: header count {meta['count']} != {len(pts)} data rows")
-    meta.pop("count", None)
+    count = meta.pop("count", None)
+    if count is not None:
+        try:
+            n = int(count)
+        except ValueError:
+            raise ValueError(f"{path}: header count {count!r} is not an integer") from None
+        if n != len(pts):
+            raise ValueError(f"{path}: header count {count} != {len(pts)} data rows")
     return pts, meta
 
 
@@ -346,8 +350,11 @@ def read_survey_binary(path):
         data = f.read()
     if data[:8] != _MAGIC_SURV:
         raise ValueError("not a binary survey file (bad magic)")
-    (hlen,) = struct.unpack_from("<I", data, 8)
-    meta = json.loads(data[12:12 + hlen].decode())
+    try:
+        (hlen,) = struct.unpack_from("<I", data, 8)
+        meta = json.loads(data[12:12 + hlen].decode())
+    except (struct.error, ValueError) as e:
+        raise ValueError(f"{path}: binary survey header does not parse: {e}") from None
     if not isinstance(meta, dict) or type(meta.get("count")) is not int:
         raise ValueError(f"{path}: binary survey header lacks an integer 'count'")
     body = data[12 + hlen:]

@@ -11,6 +11,10 @@ First order:   pi/2   (Fu^2 + Fv^2)
 Second order:  pi/8   (3 Fuu^2 + 2 Fuu Fvv + 4 Fuv^2 + 3 Fvv^2)
 Third order:   pi/16  (5 Fuuu^2 + 9 Fuuv^2 + 9 Fuvv^2 + 5 Fvvv^2
                        + 6 Fuuu Fuvv + 6 Fuuv Fvvv)
+
+The normal equations go to sparse LU up to ``CG_THRESHOLD`` unknowns and
+to preconditioned CG beyond; ghost anchors on data-starved B-splines
+enter at weight ``GHOST_WEIGHT``.
 """
 from __future__ import annotations
 
@@ -26,11 +30,16 @@ from .mesh import LRSurface
 __all__ = [
     "SmoothingWeights",
     "smoothing_matrix",
-    "smoothing_energy",
     "idw_prior",
     "ghost_points",
     "fit_least_squares",
 ]
+
+# weight of a ghost anchor's squared residual, relative to a data point's
+GHOST_WEIGHT = 1e-3
+# unknowns above which the normal equations go to CG instead of sparse LU,
+# whose fill-in makes it the slower of the two on large spaces
+CG_THRESHOLD = 25_000
 
 
 @dataclass(frozen=True)
@@ -115,20 +124,15 @@ def smoothing_matrix(surface: LRSurface, weights: SmoothingWeights = SmoothingWe
     return S
 
 
-def smoothing_energy(surface: LRSurface,
-                     weights: SmoothingWeights = SmoothingWeights()) -> float:
-    S = smoothing_matrix(surface, weights)
-    return float(surface.coeffs @ (S @ surface.coeffs))
-
-
-def idw_prior(points: np.ndarray, k: int = 8):
-    """Inverse-distance-weighted height interpolant over scattered data."""
+def idw_prior(points: np.ndarray):
+    """Inverse-distance-weighted height interpolant over scattered data:
+    each query averages its 8 nearest data points."""
     from scipy.spatial import cKDTree
 
     pts = np.asarray(points, dtype=float)
     tree = cKDTree(pts[:, :2])
     zs = pts[:, 2]
-    kk = min(k, len(pts))
+    kk = min(8, len(pts))
 
     def prior(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         q = np.column_stack([x, y])
@@ -141,25 +145,23 @@ def idw_prior(points: np.ndarray, k: int = 8):
     return prior
 
 
-def ghost_points(surface: LRSurface, points: np.ndarray, prior=None,
-                 min_support: int | None = None):
+def ghost_points(surface: LRSurface, points: np.ndarray):
     """Anchor points for B-splines with data-starved supports.
 
-    Any B-spline seeing fewer data points over its support than it has
-    degrees of freedom nearby gets its covered element centers added as
-    low-weight anchors; heights come from ``prior`` (default: IDW over the
-    data).  Returns (m, 3) array, possibly empty.
+    Any B-spline seeing fewer data points over its support than one
+    element's (du + 1)(dv + 1) coefficients gets its covered element
+    centers added as low-weight anchors, at the heights of ``idw_prior``
+    over the data.  Returns (m, 3) array, possibly empty.
     """
     pts = np.asarray(points, dtype=float)
     eid = _locate(eval_cache(surface), pts[:, 0], pts[:, 1])
-    return _ghosts(surface, pts, eid, prior, min_support)
+    return _ghosts(surface, pts, eid)
 
 
-def _ghosts(surface: LRSurface, pts: np.ndarray, eid: np.ndarray, prior=None,
-            min_support: int | None = None) -> np.ndarray:
-    """``ghost_points`` for points already located in elements ``eid``."""
+def _ghosts(surface: LRSurface, pts: np.ndarray, eid: np.ndarray, prior=None) -> np.ndarray:
+    """``ghost_points`` for points located in elements ``eid``; ``prior`` gives heights."""
     du, dv = surface.degrees
-    need = min_support if min_support is not None else (du + 1) * (dv + 1)
+    need = (du + 1) * (dv + 1)
     cache = eval_cache(surface)
     per_el = np.bincount(eid, minlength=len(cache.bounds))
     per_bs = np.bincount(cache.res, weights=per_el[cache.pair_element],
@@ -178,14 +180,14 @@ def _ghosts(surface: LRSurface, pts: np.ndarray, eid: np.ndarray, prior=None,
 def fit_least_squares(surface: LRSurface, points: np.ndarray,
                       alpha1: float = 1e-6,
                       weights: SmoothingWeights = SmoothingWeights(),
-                      prior=None, ghost_weight: float = 1e-3,
-                      cg_threshold: int = 25_000, basis=None) -> dict:
+                      prior=None, basis=None) -> dict:
     """Solve the penalized normal equations and update the coefficients.
 
-    Direct sparse LU up to ``cg_threshold`` unknowns, Jacobi-preconditioned
-    CG beyond.  Ghost anchors keep the system nonsingular on elements the
-    data does not reach.  ``basis`` is ``basis_matrix(surface, x, y)`` of
-    these points on the current mesh, when the caller already has it; it is
+    Direct sparse LU up to ``CG_THRESHOLD`` unknowns, Jacobi-preconditioned
+    CG beyond (LU when CG does not converge).  Ghost anchors at weight
+    ``GHOST_WEIGHT`` keep the system nonsingular on elements the data does
+    not reach.  ``basis`` is ``basis_matrix(surface, x, y)`` of these
+    points on the current mesh, when the caller already has it; it is
     built here when omitted.  Returns solver diagnostics.
     """
     pts = check_points(points)
@@ -199,14 +201,14 @@ def fit_least_squares(surface: LRSurface, points: np.ndarray,
     Btz = B.T @ z
     if len(ghosts):
         G, _ = basis_matrix(surface, ghosts[:, 0], ghosts[:, 1])
-        BtB = BtB + ghost_weight * (G.T @ G)
-        Btz = Btz + ghost_weight * (G.T @ ghosts[:, 2])
+        BtB = BtB + GHOST_WEIGHT * (G.T @ G)
+        Btz = Btz + GHOST_WEIGHT * (G.T @ ghosts[:, 2])
     S = smoothing_matrix(surface, weights)
     A = (alpha1 * S + alpha2 * BtB).tocsc()
     b = alpha2 * Btz
     L = A.shape[0]
     info = {"n_ghosts": int(len(ghosts)), "n_unknowns": L}
-    if L <= cg_threshold:
+    if L <= CG_THRESHOLD:
         try:
             lu = spla.splu(A)
             c = lu.solve(b)

@@ -13,7 +13,7 @@ import numpy as np
 from .evaluate import basis_matrix, check_points, evaluate
 from .mesh import LRSurface
 
-__all__ = ["mba_update", "mba_fit"]
+__all__ = ["mba_update"]
 
 
 def mba_update(surface: LRSurface, points: np.ndarray,
@@ -54,12 +54,3 @@ def mba_update(surface: LRSurface, points: np.ndarray,
         "n_updated": int(active.sum()),
         "max_delta": float(np.abs(delta).max()) if L else 0.0,
     }
-
-
-def mba_fit(surface: LRSurface, points: np.ndarray, sweeps: int = 5,
-            tau: float = 0.0) -> list[dict]:
-    """Run several sweeps, re-evaluating residuals each time."""
-    stats = []
-    for _ in range(sweeps):
-        stats.append(mba_update(surface, points, tau=tau))
-    return stats

@@ -43,7 +43,6 @@ __all__ = [
     "insert_segment",
     "insert_segments",
     "validate_surface",
-    "independence_report",
     "restrict",
     "transpose",
 ]
@@ -112,7 +111,6 @@ class BoxMesh:
         self.domain = (umin, umax, vmin, vmax)
         self._coords: list[list[float]] = [[umin, umax], [vmin, vmax]]
         self._mult = [np.zeros((2, 1), dtype=np.uint8) for _ in range(2)]
-        self.version = 0
 
     # -- coordinates -------------------------------------------------
 
@@ -161,8 +159,8 @@ class BoxMesh:
 
     def _merge(self, rows) -> bool:
         """Merge legal segment rows (axis, pos, lo, hi, mult), every value a
-        mesh coordinate, into the grids by maximum multiplicity.  Bumps
-        ``version`` once and returns True when a grid changed."""
+        mesh coordinate, into the grids by maximum multiplicity.  Returns
+        True when a grid changed."""
         rec = np.asarray(rows, dtype=float).reshape(-1, 5)
         changed = False
         for axis in (0, 1):
@@ -175,7 +173,6 @@ class BoxMesh:
             if (grid[cells] < mult).any():
                 np.maximum.at(grid, cells, mult)
                 changed = True
-        self.version += changed
         return changed
 
     def cover_mult(self, axis: int, pos: float, lo: float, hi: float) -> int:
@@ -678,15 +675,15 @@ def _first_fault(faults):
     return faults[int(np.argmax(bad[:, i]))][1](i)
 
 
-def validate_surface(surface: LRSurface, check_unity: bool = True) -> None:
+def validate_surface(surface: LRSurface) -> None:
     """Structural invariants; raises AssertionError with a diagnostic.
 
     Checks that every line multiplicity is at most degree + 1, that every
     B-spline knot is a mesh coordinate (the file formats index the
     coordinate tables) on a line traversing its support, that scaling
     factors are positive, that the element partition is consistent with
-    the mesh lines, and (optionally) partition of unity at random sample
-    points.  A faulty B-spline is named by its index; the lowest one is.
+    the mesh lines, and partition of unity at random sample points.  A
+    faulty B-spline is named by its index; the lowest one is.
     """
     mesh = surface.mesh
     for axis, d in enumerate(surface.degrees):
@@ -726,49 +723,14 @@ def validate_surface(surface: LRSurface, check_unity: bool = True) -> None:
         bad = np.argwhere((mesh._mult[axis][1:-1] > 0) == same)
         assert not len(bad), (f"edge inconsistency at {'uv'[axis]}="
                               f"{mesh._coords[axis][bad[0, 0] + 1]}, cell {bad[0, 1]}")
-    if check_unity:
-        from .evaluate import partition_of_unity
-        rng = np.random.default_rng(0)
-        umin, umax, vmin, vmax = mesh.domain
-        x = rng.uniform(umin, umax, 200)
-        y = rng.uniform(vmin, vmax, 200)
-        unity = partition_of_unity(surface, x, y)
-        err = np.abs(unity - 1.0).max()
-        assert err <= 1e-10, f"partition of unity violated: {err}"
-
-
-def independence_report(surface: LRSurface, samples_per_dir: int | None = None) -> dict:
-    """Sampling-based linear independence diagnostic.
-
-    Builds a collocation matrix on a dense per-element sample grid and
-    checks its column rank through the Gram matrix spectrum.  This flags
-    dependence reliably at desk scale but is not a structural proof.
-    """
-    from .evaluate import _dpowers, _pair_values, eval_cache
-    du, dv = surface.degrees
-    n = samples_per_dir or (max(du, dv) + 2)
-    L = len(surface)
-    if L > 4000:
-        raise ValueError("independence diagnostic is limited to 4000 B-splines")
-    cache = eval_cache(surface)
-    t = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    B = _pair_values(cache, _dpowers(t, du, 0, 1.0), _dpowers(t, dv, 0, 1.0))
-    gram = np.zeros((L, L))
-    for e in range(len(cache.bounds)):
-        k = slice(cache.offsets[e], cache.offsets[e + 1])
-        gram[np.ix_(cache.res[k], cache.res[k])] += B[k] @ B[k].T
-    w = np.linalg.eigvalsh(gram)
-    tol = max(w[-1], 1.0) * 1e-12 * L
-    rank = int((w > tol).sum())
-    cap = (du + 1) * (dv + 1)
-    suspects = np.flatnonzero(np.diff(cache.offsets) > cap).tolist()
-    return {
-        "n_bsplines": L,
-        "rank": rank,
-        "full_rank": rank == L,
-        "min_eigenvalue": float(w[0]),
-        "suspect_elements": suspects,
-    }
+    from .evaluate import partition_of_unity
+    rng = np.random.default_rng(0)
+    umin, umax, vmin, vmax = mesh.domain
+    x = rng.uniform(umin, umax, 200)
+    y = rng.uniform(vmin, vmax, 200)
+    unity = partition_of_unity(surface, x, y)
+    err = np.abs(unity - 1.0).max()
+    assert err <= 1e-10, f"partition of unity violated: {err}"
 
 
 # -- restriction and transposition -------------------------------------

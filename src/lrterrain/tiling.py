@@ -278,13 +278,6 @@ def _row_factors(d: int, xs: float, side: int, k0, k1) -> tuple[float, float]:
     return -d / (k0[..., -1] - xs), d / (k1[..., -2] - xs)
 
 
-def _deriv_factors(surface: LRSurface, ax: int, side: int, row0, row1):
-    """Per-window derivative weights of the two edge rows at the boundary."""
-    kn = surface.axis_knots(ax)
-    return _row_factors(surface.degrees[ax], _edge_pos(surface, ax, side), side,
-                        kn[row0], kn[row1])
-
-
 def _c1_edge(a: LRSurface, b: LRSurface, ax: int, weights,
              skip_lo: bool, skip_hi: bool) -> None:
     """Equalize the cross-boundary derivative on a settled, C0-equal edge.
@@ -299,8 +292,9 @@ def _c1_edge(a: LRSurface, b: LRSurface, ax: int, weights,
     nk = len(r0a)
     if nk != len(r0b):
         raise RuntimeError("boundary spaces disagree after settling")
-    fa0, fa1 = _deriv_factors(a, ax, 0, r0a, r1a)
-    fb0, fb1 = _deriv_factors(b, ax, 1, r0b, r1b)
+    ka, kb = a.axis_knots(ax), b.axis_knots(ax)
+    fa0, fa1 = _row_factors(a.degrees[ax], _edge_pos(a, ax, 0), 0, ka[r0a], ka[r1a])
+    fb0, fb1 = _row_factors(b.degrees[ax], _edge_pos(b, ax, 1), 1, kb[r0b], kb[r1b])
     g0a = _gamma(a, r0a)
     g0b = _gamma(b, r0b)
     da = fa0 * g0a + fa1 * _gamma(a, r1a)

@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 
 from lrterrain import Segment, insert_segment, make_tensor_surface
+from lrterrain.mba import mba_update
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def mba_fit(surface, points, sweeps: int = 5, tau: float = 0.0) -> list[dict]:
+    """Run several correction sweeps, re-evaluating residuals each time."""
+    stats = []
+    for _ in range(sweeps):
+        stats.append(mba_update(surface, points, tau=tau))
+    return stats
 
 
 def random_refined_surface(seed: int, n_inserts: int = 40,

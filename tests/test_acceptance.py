@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_refined_surface
+from conftest import mba_fit, random_refined_surface
 from test_least_squares import numeric_energy
 
 from lrterrain import (
@@ -39,9 +39,8 @@ from lrterrain.formats import write_survey_text
 from lrterrain.least_squares import (
     SmoothingWeights,
     fit_least_squares,
-    smoothing_energy,
+    smoothing_matrix,
 )
-from lrterrain.mba import mba_fit
 from lrterrain.tiling import fit_tiles, make_tiles, stitch_grid
 
 # reference samples for the statistical gates: two dense agreeing surveys
@@ -278,7 +277,8 @@ def test_criterion_09_smoothing_energy_closed_form():
         coef, *_ = np.linalg.lstsq(Bd, z, rcond=None)
         s.coeffs[:] = coef
         s.bump()
-        worst = max(worst, abs(smoothing_energy(s, w) - numeric_energy(s, w)))
+        J = s.coeffs @ smoothing_matrix(s, w) @ s.coeffs
+        worst = max(worst, abs(J - numeric_energy(s, w)))
     assert worst <= 1e-10
 
 

@@ -153,12 +153,44 @@ def test_non_finite_points_raise(row, col, value):
 def test_converged_benchmark_fit_is_full_rank():
     # local linear dependence is a known hazard of LR refinement; the
     # converged benchmark space must keep every B-spline independent
-    from lrterrain.mesh import independence_report
+    from oracles import independence_report
     pts, tau = benchmark_points(100_000)
     surface, _, flags = fit(pts, FitConfig(tolerance=tau))
     assert flags["converged"]
     rep = independence_report(surface)
     assert rep["full_rank"], (rep["rank"], rep["n_bsplines"])
+
+
+def test_fresh_first_pass_is_least_squares_with_idw_prior(monkeypatch):
+    # a fresh tensor space starts from least squares with the data's IDW
+    # prior, even when first_iteration is past n_ls; later passes sweep
+    import lrterrain.adaptive as adaptive
+
+    priors, calls = [], []
+    real_idw, real_ls = adaptive.idw_prior, adaptive.fit_least_squares
+    real_sweep = adaptive.mba_update
+
+    def idw(pts):
+        priors.append(real_idw(pts))
+        return priors[-1]
+
+    def ls(surface, pts, prior=None, **kwargs):
+        calls.append(("ls", prior))
+        return real_ls(surface, pts, prior=prior, **kwargs)
+
+    def sweep(*args, **kwargs):
+        calls.append(("sweep", None))
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(adaptive, "idw_prior", idw)
+    monkeypatch.setattr(adaptive, "fit_least_squares", ls)
+    monkeypatch.setattr(adaptive, "mba_update", sweep)
+    pts, tau = benchmark_points(4000)
+    _, reports, _ = fit(pts, FitConfig(tolerance=tau, max_iterations=6, n_ls=1),
+                        first_iteration=4)
+    assert len(priors) == 1 and calls[0] == ("ls", priors[0])
+    assert calls[1:] == [("sweep", None)] * (len(reports) - 1)
+    assert len(reports) == 3
 
 
 def _resumed_fit(pts, tau):
@@ -176,15 +208,15 @@ def test_fit_residuals_agree_with_distance_field(monkeypatch):
     import lrterrain.adaptive as adaptive
     from lrterrain.evaluate import distance_field
 
-    real_field, real_sweep, seen = adaptive._field, adaptive.mba_update, []
+    real_field, real_sweep, seen = adaptive._approximate, adaptive.mba_update, []
 
     def close(r, surface, pts):
         ref = distance_field(surface, pts, 1.0)
         assert np.abs(r - ref["residual"]).max() <= 1e-12 * np.abs(pts[:, 2]).max()
         return ref
 
-    def field(surface, pts, tau, basis):
-        fld = real_field(surface, pts, tau, basis)
+    def field(surface, pts, *args, **kwargs):
+        fld = real_field(surface, pts, *args, **kwargs)
         ref = close(fld["residual"], surface, pts)
         np.testing.assert_array_equal(fld["element_id"], ref["element_id"])
         seen.append("field")
@@ -195,7 +227,7 @@ def test_fit_residuals_agree_with_distance_field(monkeypatch):
         seen.append("sweep")
         return real_sweep(surface, pts, residuals, **kwargs)
 
-    monkeypatch.setattr(adaptive, "_field", field)
+    monkeypatch.setattr(adaptive, "_approximate", field)
     monkeypatch.setattr(adaptive, "mba_update", sweep)
     pts, tau = benchmark_points(4000)
     _resumed_fit(pts, tau)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from lrterrain import evaluate, restrict
+from lrterrain import evaluate, make_tensor_surface, restrict
 from lrterrain.benchmark import benchmark_points, benchmark_terrain
 from lrterrain.cli import main
 from lrterrain.config import Settings, default_dict, load_settings
@@ -591,6 +591,43 @@ def test_binary_survey_without_count_exits_2(tmp_path, capsys):
         read_survey_binary(p)
     assert main(["fit", str(p)]) == 2
     assert "count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "{empty}"],
+    ["eval", "{surface}", "{empty}"],
+    ["report", "{surface}", "{empty}"],
+    ["deconflict", "{one}", "{empty}"],
+], ids=["fit", "eval", "report", "deconflict"])
+def test_cli_empty_survey_exits_2_naming_it(argv, tmp_path, capsys):
+    files = {"empty": tmp_path / "empty.xyz", "one": tmp_path / "one.xyz",
+             "surface": tmp_path / "s.lrs"}
+    files["empty"].write_text("")
+    files["one"].write_text("0.5 0.5 0.0\n")
+    write_surface_binary(make_tensor_surface((0, 1, 0, 1)), files["surface"])
+    assert main([a.format(**files) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {files['empty']}: survey has no points\n"
+
+
+def _survey_header_not_int(path):
+    path.write_text("# count abc\n1 2 3\n")
+
+
+def _survey_header_not_json(path):
+    header = b"{x: 1}"
+    path.write_bytes(b"LRSURV01" + len(header).to_bytes(4, "little") + header)
+
+
+@pytest.mark.parametrize("write", [_survey_header_not_int, _survey_header_not_json],
+                         ids=["text-count", "binary-json"])
+def test_cli_malformed_survey_header_names_path_once(write, tmp_path, capsys):
+    p = tmp_path / "bad.survey"
+    write(p)
+    assert main(["fit", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and err.count(str(p)) == 1
 
 
 @pytest.fixture(scope="module")

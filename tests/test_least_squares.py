@@ -8,7 +8,6 @@ from lrterrain.least_squares import (
     fit_least_squares,
     ghost_points,
     idw_prior,
-    smoothing_energy,
     smoothing_matrix,
 )
 from conftest import random_refined_surface
@@ -54,7 +53,7 @@ def test_smoothing_closed_form_vs_quadrature_hand_case(rng):
     x = rng.uniform(0, 1, 4000)
     y = rng.uniform(0, 1, 4000)
     fit_least_squares(s, np.column_stack([x, y, x ** 2 + y ** 2]), alpha1=1e-12)
-    assert smoothing_energy(s) == pytest.approx(4 * np.pi, rel=1e-8)
+    assert s.coeffs @ smoothing_matrix(s) @ s.coeffs == pytest.approx(4 * np.pi, rel=1e-8)
 
 
 def test_smoothing_first_order_hand_case(rng):
@@ -64,7 +63,7 @@ def test_smoothing_first_order_hand_case(rng):
     y = rng.uniform(0, 1, 3000)
     fit_least_squares(s, np.column_stack([x, y, x + 2 * y]), alpha1=1e-12)
     w = SmoothingWeights(w1=1.0, w2=0.0)
-    assert smoothing_energy(s, w) == pytest.approx(2.5 * np.pi, rel=1e-9)
+    assert s.coeffs @ smoothing_matrix(s, w) @ s.coeffs == pytest.approx(2.5 * np.pi, rel=1e-9)
 
 
 def test_smoothing_matches_numeric_quadrature_random_surfaces():
@@ -75,7 +74,7 @@ def test_smoothing_matches_numeric_quadrature_random_surfaces():
         s = make_tensor_surface((0, 2.5, -1, 1), (2, 2), (6, 5))
         s.coeffs[:] = rng.normal(size=len(s))
         w = SmoothingWeights(w1=float(rng.uniform(0, 1)), w2=float(rng.uniform(0.2, 2)))
-        J = smoothing_energy(s, w)
+        J = s.coeffs @ smoothing_matrix(s, w) @ s.coeffs
         Jn = numeric_energy(s, w)
         assert J == pytest.approx(Jn, rel=1e-12, abs=1e-12)
 
@@ -85,7 +84,7 @@ def test_smoothing_annihilates_linears(rng):
     x = rng.uniform(0, 1, 3000)
     y = rng.uniform(0, 1, 3000)
     fit_least_squares(s, np.column_stack([x, y, 3.0 - x + 0.5 * y]), alpha1=1e-6)
-    assert smoothing_energy(s) == pytest.approx(0.0, abs=1e-8)
+    assert s.coeffs @ smoothing_matrix(s) @ s.coeffs == pytest.approx(0.0, abs=1e-8)
 
 
 def test_smoothing_matrix_is_symmetric_psd():
@@ -181,7 +180,7 @@ def test_penalty_optimality(rng):
         old = s.coeffs
         s.coeffs = c
         ssr = float(((evaluate(s, x, y) - z) ** 2).sum())
-        J = smoothing_energy(s)
+        J = s.coeffs @ smoothing_matrix(s) @ s.coeffs
         s.coeffs = old
         return alpha1 * J + (1 - alpha1) * ssr
 
@@ -203,3 +202,37 @@ def test_non_finite_z_raises(rng):
     pts[3, 2] = np.nan
     with pytest.raises(ValueError, match=r"points must be finite; row 3"):
         fit_least_squares(s, pts)
+
+
+def _cg_case():
+    """A 12 x 12 tensor space and 3000 points of a smooth height field."""
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(0, 1, 3000), rng.uniform(0, 1, 3000)
+    pts = np.column_stack([x, y, np.sin(3 * x) * np.cos(2 * y)])
+    return make_tensor_surface((0, 1, 0, 1), (2, 2), (12, 12)), pts
+
+
+def test_cg_branch_matches_splu(monkeypatch):
+    import lrterrain.least_squares as ls
+
+    s, pts = _cg_case()
+    assert fit_least_squares(s, pts)["solver"] == "splu"
+    direct = s.coeffs.copy()
+    s, pts = _cg_case()
+    monkeypatch.setattr(ls, "CG_THRESHOLD", 0)
+    assert fit_least_squares(s, pts)["solver"] == "cg(0)"
+    np.testing.assert_allclose(s.coeffs, direct, rtol=0,
+                               atol=1e-8 * np.abs(direct).max())
+
+
+def test_cg_without_convergence_falls_back_to_splu(monkeypatch):
+    import lrterrain.least_squares as ls
+
+    s, pts = _cg_case()
+    fit_least_squares(s, pts)
+    direct = s.coeffs.copy()
+    s, pts = _cg_case()
+    monkeypatch.setattr(ls, "CG_THRESHOLD", 0)
+    monkeypatch.setattr(ls.spla, "cg", lambda A, b, **kwargs: (np.zeros_like(b), 7))
+    assert fit_least_squares(s, pts)["solver"] == "splu-after-cg"
+    np.testing.assert_array_equal(s.coeffs, direct)

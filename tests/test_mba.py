@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lrterrain import evaluate, make_tensor_surface
-from lrterrain.mba import mba_fit, mba_update
-from conftest import random_refined_surface
+from lrterrain.mba import mba_update
+from conftest import mba_fit, random_refined_surface
 
 
 def test_zero_residuals_change_nothing(rng):

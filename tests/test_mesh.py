@@ -15,12 +15,12 @@ from lrterrain import (
 from lrterrain.formats import binary_size
 from lrterrain.mesh import (
     _split_weights,
-    independence_report,
     residents_of,
     transpose,
     validate_surface,
 )
 from conftest import random_refined_surface
+from oracles import independence_report
 
 
 def test_tensor_construction_counts():
@@ -86,11 +86,11 @@ def test_single_insert_geometry_and_counts(rng):
 def test_insert_is_idempotent():
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
     insert_segment(s, Segment(0, 0.5, 0.0, 0.6))
-    n = len(s)
-    v = s.mesh.version
+    n, rows, v = len(s), s.mesh.segment_rows(), s.version
     insert_segment(s, Segment(0, 0.5, 0.0, 0.6))
     assert len(s) == n
-    assert s.mesh.version == v
+    np.testing.assert_array_equal(s.mesh.segment_rows(), rows)
+    assert s.version == v
 
 
 def test_insert_rejects_dangling_endpoints():
