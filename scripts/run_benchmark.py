@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Fit the synthetic benchmark terrain and print the iteration table."""
 import argparse
+import resource
 import time
 
 from lrterrain import FitConfig, fit, write_surface_binary
@@ -25,15 +26,18 @@ def main():
     surface, reports, flags = fit(pts, FitConfig(tolerance=tau,
                                                  max_iterations=args.max_iter))
     dt = time.perf_counter() - t0
+    # ru_maxrss is in kB on Linux; the peak includes making the input points
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     print(reports[0].header())
     for r in reports:
         print(r.row())
     fld = distance_field(surface, pts, tau)
     status = "converged" if flags["converged"] else "not converged"
-    print(f"{status} after {flags['iterations']} iterations in {dt:.1f}s; "
+    print(f"{status} after {flags['iterations']} iterations; "
           f"{len(surface)} coefficients, "
           f"{int((fld['status'] != 0).sum())} points out of tolerance")
+    print(f"fit wall {dt:.2f} s, peak RSS {peak_mb:.1f} MB")
     if args.output:
         write_surface_binary(surface, args.output)
         print(f"surface written to {args.output}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import basis_matrix, check_points, eval_cache, evaluate
+from .evaluate import _evaluate_at, _gather, check_points, eval_cache, evaluate
 from .formats import binary_size
 from .least_squares import SmoothingWeights, fit_least_squares, idw_prior
 from .mba import mba_update
@@ -137,27 +137,31 @@ def _area_ratio(surface: LRSurface) -> float:
 def _approximate(surface: LRSurface, pts: np.ndarray, config: FitConfig,
                  iteration: int, residuals: np.ndarray | None = None,
                  prior=None) -> dict:
-    """One approximation pass and the field it leaves: residuals z - B c,
-    element ids and the count out of tolerance, from the points' basis
-    matrix on the current mesh (the ``distance_field`` of the fit).
+    """One approximation pass and the field it leaves: residuals z - F,
+    element ids and the count out of tolerance (the ``distance_field`` of
+    the fit).  The points are located once, and the pass and the field
+    share that gather.
 
     A ghost ``prior`` marks a fresh surface's first pass: least squares.
     Any other pass is least squares while the space is small and uniform,
-    else one correction sweep (residuals z - B c when omitted)."""
-    B, eid = basis_matrix(surface, pts[:, 0], pts[:, 1])
+    else one correction sweep (residuals z - F when omitted)."""
+    cache = eval_cache(surface)
+    located = _gather(cache, pts[:, 0], pts[:, 1])
+
+    def misfit() -> np.ndarray:
+        return pts[:, 2] - _evaluate_at(cache, surface.coeffs, *located, 0)[:, 0]
+
     if prior is not None or (iteration <= config.n_ls
                              and _area_ratio(surface) <= config.mba_switch_ratio):
         fit_least_squares(surface, pts, alpha1=config.alpha1,
                           weights=config.smoothing,
                           prior=prior or (lambda x, y: evaluate(surface, x, y)),
-                          basis=(B, eid))
+                          located=located)
     else:
-        if residuals is None:
-            residuals = pts[:, 2] - B @ surface.coeffs
-        mba_update(surface, pts, residuals=residuals, tau=config.tolerance,
-                   basis=(B, eid))
-    r = pts[:, 2] - B @ surface.coeffs
-    return {"residual": r, "element_id": eid,
+        mba_update(surface, pts, residuals=misfit() if residuals is None else residuals,
+                   tau=config.tolerance, located=located)
+    r = misfit()
+    return {"residual": r, "element_id": located[0],
             "n_out": int((np.abs(r) > config.tolerance).sum())}
 
 

@@ -15,7 +15,6 @@ by name so a typo cannot silently fall back to a default.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field, fields
 
@@ -23,7 +22,7 @@ from .adaptive import FitConfig
 from .deconflict import DeconflictConfig
 from .least_squares import SmoothingWeights
 
-__all__ = ["Settings", "load_settings", "default_dict", "settings_to_dict"]
+__all__ = ["Settings", "load_settings"]
 
 
 @dataclass
@@ -88,17 +87,3 @@ def load_settings(path=None, tolerance: float | None = None) -> Settings:
     return Settings(fit=_build(FitConfig, "fit", fit_d),
                     deconflict=_build(DeconflictConfig, "deconflict", dec_d),
                     overlap=float(til_d.get("overlap", 0.05)))
-
-
-def settings_to_dict(s: Settings) -> dict:
-    out = {"fit": dataclasses.asdict(s.fit),
-           "deconflict": dataclasses.asdict(s.deconflict),
-           "tiling": {"overlap": s.overlap}}
-    for key in ("degrees", "initial_grid"):
-        out["fit"][key] = list(out["fit"][key])
-    return out
-
-
-def default_dict() -> dict:
-    """The full default configuration, ready to serialize as a template."""
-    return settings_to_dict(Settings())

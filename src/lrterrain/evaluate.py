@@ -24,9 +24,11 @@ outside, so ``evaluate`` and ``basis_matrix`` raise on it and
 ``distance_field`` reports it with status 2.  ``evaluate`` and
 ``distance_field`` then sum the coefficient-weighted tensors of only the
 elements their points hit, so a query costs what its points touch, not
-the size of the surface; ``basis_matrix`` instead keeps one entry per
-(point, resident).
-The fitting layers build on ``basis_matrix`` and the flat arrays.
+the size of the surface.  ``_basis_blocks`` instead forms the basis value
+of every (point, resident) pair, a bounded block of points at a time:
+``basis_matrix`` stores them as a CSR matrix, and the correction sweep
+(``mba``) sums them away block by block.  The least-squares layer reads
+only the gather and the tensors, so no fit builds a collocation matrix.
 """
 from __future__ import annotations
 
@@ -210,14 +212,6 @@ def _dpowers(t: np.ndarray, d: int, order: int, scale) -> np.ndarray:
     return out
 
 
-def _pair_values(cache: _EvalCache, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Every pair's tensor contracted with power rows U (in u) and V (in v):
-    (n_pairs, len(U) * len(V)), the value at local grid point (a, b) in
-    column a * len(V) + b."""
-    vals = np.einsum("aj,kjl,bl->kab", U, cache.tensors, V, optimize=True)
-    return vals.reshape(len(cache.res), -1)
-
-
 def _evaluate_at(cache: _EvalCache, coeffs: np.ndarray, eid, tu, tv, wu, wv,
                  order: int) -> np.ndarray:
     """Evaluate gathered points; columns as in ``evaluate``.
@@ -283,6 +277,32 @@ def partition_of_unity(surface: LRSurface, x, y) -> np.ndarray:
     return evaluate(surface, x, y, coeffs=np.ones(len(surface)))
 
 
+def _basis_blocks(cache: _EvalCache, eid: np.ndarray, tu: np.ndarray, tv: np.ndarray):
+    """Scaled basis values of gathered points, a block of points at a time.
+
+    Yields (a, b, counts, pair, values) for the points a:b: point a + p
+    has ``counts[p]`` entries, one per resident of its element, and the
+    entries run point by point, ``pair`` naming the (element, resident)
+    pair of each and ``values`` its scaled basis value.  A block holds
+    about ``_CHUNK`` entries, so the tensor rows it reads stay in cache
+    from one monomial to the next; each entry sums over monomials from
+    zero, never gathering a whole tensor.
+    """
+    du, dv = cache.tensors.shape[1] - 1, cache.tensors.shape[2] - 1
+    n_res = np.diff(cache.offsets)
+    step = max(1, _CHUNK // ((du + 1) * (dv + 1)))
+    for a in range(0, len(eid), step):
+        b = min(a + step, len(eid))
+        c = n_res[eid[a:b]]
+        pair = _ranges(cache.offsets[eid[a:b]], c)
+        U, V = _dpowers(tu[a:b], du, 0, 1.0), _dpowers(tv[a:b], dv, 0, 1.0)
+        v = np.zeros(len(pair))
+        for j in range(du + 1):
+            for k in range(dv + 1):
+                v += cache.tensors[:, j, k][pair] * np.repeat(U[:, j] * V[:, k], c)
+        yield a, b, c, pair, v
+
+
 def basis_matrix(surface: LRSurface, x, y):
     """Global sparse collocation matrix B with B[p, i] = s_i N_i(x_p, y_p).
 
@@ -298,29 +318,14 @@ def basis_matrix(surface: LRSurface, x, y):
                          f"got shapes {x.shape} and {y.shape}")
     cache = eval_cache(surface)
     eid, tu, tv, _, _ = _gather(cache, x, y)
-    du, dv = surface.degrees
     # one entry per (point, resident of its element), grouped by point
-    counts = np.diff(cache.offsets)[eid]
     indptr = np.zeros(len(x) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    U, V = _dpowers(tu, du, 0, 1.0), _dpowers(tv, dv, 0, 1.0)
+    np.cumsum(np.diff(cache.offsets)[eid], out=indptr[1:])
     vals = np.empty(indptr[-1])
     cols = np.empty(indptr[-1], dtype=cache.res.dtype)
-    # blocks of about _CHUNK entries (by points), so the tensor rows a
-    # block reads stay in cache from one monomial to the next; each entry
-    # sums over monomials from zero, never gathering a whole tensor
-    step = max(1, _CHUNK // ((du + 1) * (dv + 1)))
-    for a in range(0, len(x), step):
-        b = min(a + step, len(x))
-        e = slice(indptr[a], indptr[b])
-        c = counts[a:b]
-        pair = _ranges(cache.offsets[eid[a:b]], c)
-        v = np.zeros(len(pair))
-        for j in range(du + 1):
-            for k in range(dv + 1):
-                v += cache.tensors[:, j, k][pair] * np.repeat(U[a:b, j] * V[a:b, k], c)
-        vals[e] = v
-        cols[e] = cache.res[pair]
+    for a, b, _, pair, v in _basis_blocks(cache, eid, tu, tv):
+        vals[indptr[a]:indptr[b]] = v
+        cols[indptr[a]:indptr[b]] = cache.res[pair]
     B = sparse.csr_matrix((vals, cols, indptr),
                           shape=(len(x), len(surface)))
     return B, eid

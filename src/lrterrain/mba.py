@@ -5,12 +5,17 @@ each point proposes the correction that would make the surface interpolate
 it alone, and each B-spline blends proposals from the points in its support
 with weights proportional to the (scaled) basis value there.  No linear
 system is solved; repeated sweeps converge geometrically on fixed data.
+
+The sweep reads the points' basis values from the element layer a block
+of points at a time (``evaluate._basis_blocks``) and sums each block's
+share of every B-spline's numerator, denominator and out-of-tolerance
+count, so it never holds a collocation matrix.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .evaluate import basis_matrix, check_points, evaluate
+from .evaluate import _basis_blocks, _evaluate_at, _gather, check_points, eval_cache
 from .mesh import LRSurface
 
 __all__ = ["mba_update"]
@@ -18,35 +23,43 @@ __all__ = ["mba_update"]
 
 def mba_update(surface: LRSurface, points: np.ndarray,
                residuals: np.ndarray | None = None, tau: float = 0.0,
-               basis=None) -> dict:
+               located=None) -> dict:
     """Apply one correction sweep in place.
 
-    ``residuals`` are z - F per point; recomputed with ``evaluate`` when
-    omitted.  ``basis`` is ``basis_matrix(surface, x, y)`` of these points
-    on the current mesh, when the caller already has it; it is built here
-    when omitted.  B-splines whose support holds no point with
-    |residual| > ``tau`` are left alone, as are B-splines with no data
-    support at all.  Returns sweep stats.
+    ``residuals`` are z - F per point, a finite (n,) array; computed here
+    when omitted.  ``located`` is ``evaluate._gather`` of these points on
+    the current mesh, when the caller already has it.  B-splines whose
+    support holds no point with |residual| > ``tau`` are left alone, as
+    are B-splines with no data support at all.  Returns sweep stats.
     """
     pts = check_points(points)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    cache = eval_cache(surface)
+    if located is None:
+        located = _gather(cache, pts[:, 0], pts[:, 1])
     if residuals is None:
-        residuals = z - evaluate(surface, x, y)
+        residuals = pts[:, 2] - _evaluate_at(cache, surface.coeffs, *located, 0)[:, 0]
     r = np.asarray(residuals, dtype=float)
-    if basis is None:
-        basis = basis_matrix(surface, x, y)
-    B, _ = basis
-    rows = np.repeat(np.arange(len(pts)), np.diff(B.indptr))
-    w, cols = B.data, B.indices
-    w2 = w * w
-    # per-point normalization; positive, since the scaled basis sums to one
-    D = np.bincount(rows, weights=w2, minlength=len(pts))
+    if r.shape != (len(pts),):
+        raise ValueError(f"residuals must be a ({len(pts)},) array, one per point; "
+                         f"got shape {r.shape}")
+    bad = ~np.isfinite(r)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"residuals must be finite; row {k} is {r[k]}")
     L = len(surface)
-    num = np.bincount(cols, weights=w * w2 * (r / D)[rows], minlength=L)
-    den = np.bincount(cols, weights=w2, minlength=L)
-    max_abs_r = np.zeros(L)
-    np.maximum.at(max_abs_r, cols, np.abs(r)[rows])
-    active = (den > 0) & (max_abs_r > tau)
+    num, den, n_big = np.zeros(L), np.zeros(L), np.zeros(L)
+    big = np.abs(r) > tau
+    eid, tu, tv = located[:3]
+    for a, b, counts, pair, w in _basis_blocks(cache, eid, tu, tv):
+        rows = np.repeat(np.arange(b - a), counts)
+        cols = cache.res[pair]
+        w2 = w * w
+        # per-point normalization; positive, since the scaled basis sums to one
+        D = np.bincount(rows, weights=w2, minlength=b - a)
+        num += np.bincount(cols, weights=w * w2 * (r[a:b] / D)[rows], minlength=L)
+        den += np.bincount(cols, weights=w2, minlength=L)
+        n_big += np.bincount(cols, weights=big[a:b][rows], minlength=L)
+    active = (den > 0) & (n_big > 0)
     delta = np.zeros(L)
     delta[active] = num[active] / den[active]
     surface.coeffs = surface.coeffs + delta

@@ -29,14 +29,24 @@ and sums monomial by monomial; it shares the power rows (``_dpowers``) with
 ``independence_report`` is a sampled check that a surface's B-splines are
 linearly independent: the rank of their Gram matrix on a grid of sample
 points inside every element.
+
+``smoothing_matrix_quadrature``, ``normal_equations_collocation`` and
+``mba_delta_collocation`` are the fit's linear algebra as it was first
+built: the smoothing matrix by Gauss-Legendre quadrature of every pair's
+derivatives (``pair_values``), the normal equations from the collocation
+matrices ``basis_matrix`` of the points and ghosts (B^T B, G^T G), and the
+correction sweep from the CSR entries of B.  The tests compare the
+library's per-element moment assembly and blocked sweep against them.
 """
 import bisect
 from collections import deque
 
 import numpy as np
 
-from lrterrain.evaluate import (_CHUNK, _COLUMNS, _dpowers, _monomials, _pair_values,
-                                eval_cache)
+from scipy import sparse
+
+from lrterrain.evaluate import _CHUNK, _COLUMNS, _dpowers, _monomials, basis_matrix, eval_cache
+from lrterrain.least_squares import GHOST_WEIGHT, _smoothing_terms
 from lrterrain.mesh import ScaledBSpline, Segment, residents_of
 
 
@@ -293,7 +303,7 @@ def independence_report(surface, samples_per_dir: int | None = None) -> dict:
         raise ValueError("independence diagnostic is limited to 4000 B-splines")
     cache = eval_cache(surface)
     t = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    B = _pair_values(cache, _dpowers(t, du, 0, 1.0), _dpowers(t, dv, 0, 1.0))
+    B = pair_values(cache, _dpowers(t, du, 0, 1.0), _dpowers(t, dv, 0, 1.0))
     gram = np.zeros((L, L))
     for e in range(len(cache.bounds)):
         k = slice(cache.offsets[e], cache.offsets[e + 1])
@@ -310,3 +320,84 @@ def independence_report(surface, samples_per_dir: int | None = None) -> dict:
         "min_eigenvalue": float(w[0]),
         "suspect_elements": suspects,
     }
+
+
+def pair_values(cache, U, V):
+    """Every pair's tensor contracted with power rows U (in u) and V (in v):
+    (n_pairs, len(U) * len(V)), the value at local grid point (a, b) in
+    column a * len(V) + b."""
+    vals = np.einsum("aj,kjl,bl->kab", U, cache.tensors, V, optimize=True)
+    return vals.reshape(len(cache.res), -1)
+
+
+def smoothing_matrix_quadrature(surface, weights):
+    """The smoothing matrix S by Gauss-Legendre quadrature with degree + 1
+    points per direction, exact for the piecewise-polynomial integrand."""
+    du, dv = surface.degrees
+    terms = _smoothing_terms(weights, surface.degrees)
+    L = len(surface)
+    if not terms:
+        return sparse.csr_matrix((L, L))
+    pairs = sorted({p for _, p, q in terms} | {q for _, p, q in terms})
+    cache = eval_cache(surface)
+    gx_u, gw_u = np.polynomial.legendre.leggauss(du + 1)
+    gx_v, gw_v = np.polynomial.legendre.leggauss(dv + 1)
+    tu, tv = 0.5 + 0.5 * gx_u, 0.5 + 0.5 * gx_v
+    wu = cache.bounds[:, 1] - cache.bounds[:, 0]
+    wv = cache.bounds[:, 3] - cache.bounds[:, 2]
+    W = 0.25 * (wu * wv)[:, None] * np.outer(gw_u, gw_v).ravel()
+    # D[(a, b)][k, q]: d^a_u d^b_v of pair k's scaled B-spline at Gauss point q
+    pe = cache.pair_element
+    D = {(a, b): pair_values(cache, _dpowers(tu, du, a, 1.0), _dpowers(tv, dv, b, 1.0))
+         * ((1.0 / wu[pe]) ** a * (1.0 / wv[pe]) ** b)[:, None]
+         for a, b in pairs}
+    counts = np.diff(cache.offsets)
+    rows, cols, vals = [], [], []
+    for n_res in np.unique(counts):
+        els = np.flatnonzero(counts == n_res)
+        k = cache.offsets[els, None] + np.arange(n_res)
+        Se = sum(c * (D[p][k] * W[els, None, :]) @ D[q][k].transpose(0, 2, 1)
+                 for c, p, q in terms)
+        res = cache.res[k]
+        rows.append(np.repeat(res, n_res, axis=1).ravel())
+        cols.append(np.tile(res, n_res).ravel())
+        vals.append(Se.ravel())
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(L, L)).tocsr()
+
+
+def normal_equations_collocation(surface, points, ghosts, alpha1, weights):
+    """(A, b) of the penalized fit from collocation matrices:
+    A = alpha1 S + alpha2 (B^T B + GHOST_WEIGHT G^T G) and
+    b = alpha2 (B^T z + GHOST_WEIGHT G^T z_ghost), alpha2 = 1 - alpha1."""
+    B, _ = basis_matrix(surface, points[:, 0], points[:, 1])
+    BtB = B.T @ B
+    Btz = B.T @ points[:, 2]
+    if len(ghosts):
+        G, _ = basis_matrix(surface, ghosts[:, 0], ghosts[:, 1])
+        BtB = BtB + GHOST_WEIGHT * (G.T @ G)
+        Btz = Btz + GHOST_WEIGHT * (G.T @ ghosts[:, 2])
+    alpha2 = 1.0 - alpha1
+    A = (alpha1 * smoothing_matrix_quadrature(surface, weights) + alpha2 * BtB).tocsc()
+    return A, alpha2 * Btz
+
+
+def mba_delta_collocation(surface, points, residuals, tau):
+    """The coefficient change of one correction sweep, from the CSR
+    entries of the points' collocation matrix."""
+    B, _ = basis_matrix(surface, points[:, 0], points[:, 1])
+    r = np.asarray(residuals, dtype=float)
+    rows = np.repeat(np.arange(len(points)), np.diff(B.indptr))
+    w, cols = B.data, B.indices
+    w2 = w * w
+    D = np.bincount(rows, weights=w2, minlength=len(points))
+    L = len(surface)
+    num = np.bincount(cols, weights=w * w2 * (r / D)[rows], minlength=L)
+    den = np.bincount(cols, weights=w2, minlength=L)
+    max_abs_r = np.zeros(L)
+    np.maximum.at(max_abs_r, cols, np.abs(r)[rows])
+    active = (den > 0) & (max_abs_r > tau)
+    delta = np.zeros(L)
+    delta[active] = num[active] / den[active]
+    return delta

@@ -195,14 +195,14 @@ def test_fresh_first_pass_is_least_squares_with_idw_prior(monkeypatch):
 
 def _resumed_fit(pts, tau):
     """A fit, then a resume on the same points that starts in MBA sweeps
-    (iteration 4 > n_ls) and so takes its residuals from z - B c."""
+    (iteration 4 > n_ls) and so takes its residuals from z - F."""
     s, _, _ = fit(pts, FitConfig(tolerance=tau, max_iterations=2))
     return fit(pts, FitConfig(tolerance=tau, max_iterations=5), start=s,
                first_iteration=4)
 
 
 def test_fit_residuals_agree_with_distance_field(monkeypatch):
-    # every field fit measures (z - B c from the pass's basis matrix), and
+    # every field fit measures (z - F on the pass's one gather), and
     # every residual a correction sweep gets, is the distance field of the
     # surface at that moment
     import lrterrain.adaptive as adaptive

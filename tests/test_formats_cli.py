@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -7,7 +8,7 @@ import pytest
 from lrterrain import evaluate, make_tensor_surface, restrict
 from lrterrain.benchmark import benchmark_points, benchmark_terrain
 from lrterrain.cli import main
-from lrterrain.config import Settings, default_dict, load_settings
+from lrterrain.config import Settings, load_settings
 from lrterrain.formats import (
     binary_size,
     read_surface,
@@ -333,12 +334,19 @@ def test_survey_validation(tmp_path):
 # -- config -----------------------------------------------------------------
 
 
+def settings_to_dict(s: Settings) -> dict:
+    """``s`` as the nested dict of the config file layout."""
+    return {"fit": dataclasses.asdict(s.fit),
+            "deconflict": dataclasses.asdict(s.deconflict),
+            "tiling": {"overlap": s.overlap}}
+
+
 def test_default_settings_match_dataclasses():
     s = load_settings()
     assert s.fit == Settings().fit
     assert s.deconflict == Settings().deconflict
     assert s.overlap == 0.05
-    d = default_dict()
+    d = settings_to_dict(Settings())
     assert d["fit"]["tolerance"] == 0.5
     assert d["deconflict"]["reference_level"] == 3
 

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 from lrterrain import evaluate, make_tensor_surface
-from lrterrain.evaluate import eval_cache
+from lrterrain.evaluate import _gather, eval_cache
 from lrterrain.least_squares import (
     SmoothingWeights,
+    _element_system,
+    _moments,
     fit_least_squares,
     ghost_points,
     idw_prior,
     smoothing_matrix,
 )
 from conftest import random_refined_surface
+from oracles import normal_equations_collocation, smoothing_matrix_quadrature
+
+DEGREES = [(2, 2), (3, 2), (3, 3)]
 
 
 def numeric_energy(surface, weights: SmoothingWeights) -> float:
@@ -95,6 +100,36 @@ def test_smoothing_matrix_is_symmetric_psd():
     assert w.min() >= -1e-10
 
 
+def _max_rel(A, ref):
+    """Largest entry of |A - ref| relative to the largest of |ref|."""
+    return abs(A - ref).max() / abs(ref).max()
+
+
+@pytest.mark.parametrize("degrees", DEGREES)
+def test_smoothing_matrix_matches_quadrature_oracle(degrees):
+    s = random_refined_surface(67, n_inserts=30, domain=(0, 2.5, -1, 1), degrees=degrees)
+    w = SmoothingWeights(w1=0.3, w2=1.0, w3=0.7)
+    assert _max_rel(smoothing_matrix(s, w), smoothing_matrix_quadrature(s, w)) <= 1e-12
+
+
+@pytest.mark.parametrize("degrees", DEGREES)
+def test_moment_system_matches_collocation_oracle(degrees):
+    # per-element moments against B^T B + G^T G and quadrature smoothing,
+    # with ghosts on the corner the data does not reach
+    rng = np.random.default_rng(sum(degrees))
+    s = random_refined_surface(71, n_inserts=30, degrees=degrees)
+    x, y = rng.uniform(0, 0.7, 3000), rng.uniform(0.2, 1, 3000)
+    pts = np.column_stack([x, y, np.sin(3 * x) * np.cos(2 * y)])
+    ghosts = ghost_points(s, pts)
+    assert len(ghosts) > 0
+    w = SmoothingWeights(w1=0.1, w2=1.0, w3=0.5)
+    A, b = _element_system(s, w, 1e-3, _moments(s, _gather(eval_cache(s), x, y),
+                                                pts[:, 2], ghosts))
+    A0, b0 = normal_equations_collocation(s, pts, ghosts, 1e-3, w)
+    assert _max_rel(A, A0) <= 1e-12
+    assert _max_rel(b, b0) <= 1e-12
+
+
 def test_linear_reproduction_through_penalty(rng):
     # smoothing term vanishes on linears, so the fit is exact regardless
     # of alpha1
@@ -135,19 +170,22 @@ def test_ghost_points_cover_starved_bsplines(rng):
 
 
 def test_given_basis_gives_the_same_fit(rng):
-    # a caller's basis matrix replaces both the collocation build and the
-    # point location of the ghost count; starved corners need ghosts here
-    from lrterrain.evaluate import basis_matrix
+    # _approximate locates the points once and hands that gather to the
+    # fit and to its residuals; the fit is the public call's, and starved
+    # corners need ghosts here
+    from lrterrain.adaptive import FitConfig, _approximate
 
     x = rng.uniform(0, 0.6, 400)
     y = rng.uniform(0, 0.6, 400)
     pts = np.column_stack([x, y, np.sin(3 * x) + y])
     a = random_refined_surface(53, n_inserts=25)
     b = a.copy()
-    info_a = fit_least_squares(a, pts, alpha1=1e-6)
-    info_b = fit_least_squares(b, pts, alpha1=1e-6, basis=basis_matrix(b, x, y))
-    assert info_a["n_ghosts"] == info_b["n_ghosts"] > 0
+    prior = idw_prior(pts)
+    info_a = fit_least_squares(a, pts, alpha1=1e-6, prior=prior)
+    fld = _approximate(b, pts, FitConfig(alpha1=1e-6), 0, prior=prior)
+    assert info_a["n_ghosts"] > 0
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    np.testing.assert_array_equal(fld["residual"], pts[:, 2] - evaluate(a, x, y))
 
 
 def test_ghost_points_absent_on_dense_data(rng):

@@ -4,6 +4,7 @@ import pytest
 from lrterrain import evaluate, make_tensor_surface
 from lrterrain.mba import mba_update
 from conftest import mba_fit, random_refined_surface
+from oracles import mba_delta_collocation
 
 
 def test_zero_residuals_change_nothing(rng):
@@ -143,14 +144,57 @@ def test_sweep_matches_dense_reference_with_gate(rng):
 
 
 def test_given_basis_gives_the_same_sweep(rng):
-    from lrterrain.evaluate import basis_matrix
+    # a pass after n_ls is a sweep on _approximate's one gather; it equals
+    # the public call with the same residuals, and without them
+    from lrterrain.adaptive import FitConfig, _approximate
 
     a = random_refined_surface(59, n_inserts=30)
-    b = a.copy()
     x = rng.uniform(0, 1, 800)
     y = rng.uniform(0, 1, 800)
     pts = np.column_stack([x, y, np.cos(4 * x) * y])
     r = pts[:, 2] - evaluate(a, x, y)
-    mba_update(a, pts, residuals=r, tau=0.01)
-    mba_update(b, pts, residuals=r, tau=0.01, basis=basis_matrix(b, x, y))
-    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    config = FitConfig(tolerance=0.01, n_ls=0)
+    for residuals in (r, None):
+        b, c = a.copy(), a.copy()
+        mba_update(b, pts, residuals=residuals, tau=0.01)
+        fld = _approximate(c, pts, config, 1, residuals=residuals)
+        np.testing.assert_array_equal(b.coeffs, c.coeffs)
+        np.testing.assert_array_equal(fld["residual"], pts[:, 2] - evaluate(b, x, y))
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 2), (3, 3)])
+def test_blocked_sweep_matches_collocation_oracle(degrees):
+    # enough points for many blocks; the gate leaves part of the space alone
+    rng = np.random.default_rng(sum(degrees))
+    s = random_refined_surface(73, n_inserts=40, degrees=degrees)
+    x, y = rng.uniform(0, 1, 6000), rng.uniform(0, 1, 6000)
+    r = rng.normal(0, 0.1, 6000)
+    r[x > 0.5] *= 0.01
+    pts = np.column_stack([x, y, evaluate(s, x, y) + r])
+    expect = mba_delta_collocation(s, pts, r, 0.05)
+    assert 0 < np.count_nonzero(expect) < len(s)
+    before = s.coeffs.copy()
+    stats = mba_update(s, pts, residuals=r, tau=0.05)
+    np.testing.assert_allclose(s.coeffs - before, expect, rtol=0, atol=1e-13)
+    assert stats["n_updated"] == np.count_nonzero(expect)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda r: np.where(np.arange(len(r)) == 7, np.nan, r),
+     r"residuals must be finite; row 7 is nan"),
+    (lambda r: np.where(np.arange(len(r)) == 11, -np.inf, r),
+     r"residuals must be finite; row 11 is -inf"),
+    (lambda r: r[:1], r"residuals must be a \(300,\) array.*got shape \(1,\)"),
+    (lambda r: r[0], r"residuals must be a \(300,\) array.*got shape \(\)"),
+    (lambda r: r[:, None], r"residuals must be a \(300,\) array.*got shape \(300, 1\)"),
+], ids=["nan", "inf", "length_1", "scalar", "column"])
+def test_bad_residuals_raise(rng, bad, message):
+    # a NaN used to leave every B-spline over its point alone, silently;
+    # the wrong shapes ended in an IndexError or a broadcast error
+    s = random_refined_surface(79, n_inserts=10)
+    pts = rng.uniform(0, 1, (300, 3))
+    r = pts[:, 2] - evaluate(s, pts[:, 0], pts[:, 1])
+    before = s.coeffs.copy()
+    with pytest.raises(ValueError, match=message):
+        mba_update(s, pts, residuals=bad(r))
+    np.testing.assert_array_equal(s.coeffs, before)
