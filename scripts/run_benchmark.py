@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Fit the synthetic benchmark terrain and print the iteration table."""
+"""Fit the synthetic benchmark terrain and print the iteration table.
+
+After the fit it prints the wall time of ``evaluate`` over the input
+points at orders 0 and 2; the peak RSS it prints is taken before that.
+"""
 import argparse
 import resource
 import time
 
-from lrterrain import FitConfig, fit, write_surface_binary
+from lrterrain import FitConfig, evaluate, fit, write_surface_binary
 from lrterrain.benchmark import benchmark_points
 from lrterrain.evaluate import distance_field
 
@@ -38,6 +42,12 @@ def main():
           f"{len(surface)} coefficients, "
           f"{int((fld['status'] != 0).sum())} points out of tolerance")
     print(f"fit wall {dt:.2f} s, peak RSS {peak_mb:.1f} MB")
+    walls = []
+    for order in (0, 2):
+        t0 = time.perf_counter()
+        evaluate(surface, pts[:, 0], pts[:, 1], order=order)
+        walls.append(f"order {order} {time.perf_counter() - t0:.3f} s")
+    print(f"evaluate at {args.n} points: {', '.join(walls)}")
     if args.output:
         write_surface_binary(surface, args.output)
         print(f"surface written to {args.output}")

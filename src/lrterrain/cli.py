@@ -244,14 +244,30 @@ def cmd_deconflict(args) -> int:
 # -- eval ------------------------------------------------------------------
 
 
+def _survey_field(surface: LRSurface, pts: np.ndarray, tau: float, path):
+    """``distance_field`` of a survey's points, and the mask of those in
+    the surface domain, which the statistics are taken over.  The count
+    outside goes to stderr; a survey with no point inside is an input
+    error, raised before a command prints anything."""
+    field = distance_field(surface, pts, tau)
+    inside = field["status"] != 2
+    n_off = len(pts) - int(inside.sum())
+    if n_off == len(pts):
+        raise ValueError(f"{path}: no point lies inside the surface domain")
+    if n_off:
+        print(f"{path}: {n_off} of {len(pts)} points lie outside the surface "
+              "domain and are left out of the statistics", file=sys.stderr)
+    return field, inside
+
+
 def cmd_eval(args) -> int:
     settings = load_settings(args.config, args.tolerance)
     surface, _ = _load_surface(args.surface)
     pts, _, _ = _load_survey(args.points)
-    field = distance_field(surface, pts, settings.fit.tolerance)
+    field, inside = _survey_field(surface, pts, settings.fit.tolerance, args.points)
     if args.output:
         write_distance_field(args.output, pts, field)
-    r = np.abs(field["residual"])
+    r = np.abs(field["residual"][inside])
     n_out = int((np.abs(field["status"]) == 1).sum())
     print("coefficients\tsize_bytes\tmax_dist\tavg_dist\tout_of_tol")
     print(f"{len(surface)}\t{binary_size(surface)}"
@@ -268,7 +284,8 @@ def cmd_report(args) -> int:
     for path in args.surveys:
         pts, meta, _ = _load_survey(path)
         name = meta.get("id") or os.path.basename(_stem(path))
-        res = distance_field(surface, pts, 1.0)["residual"]
+        field, inside = _survey_field(surface, pts, 1.0, path)
+        res = field["residual"][inside]
         below = max(0.0, float(-res.min()))
         above = max(0.0, float(res.max()))
         z = pts[:, 2]

@@ -21,10 +21,18 @@ Every point query goes through one gather: locate the element of each
 point and take its local coordinates.  One domain rule decides which
 points are inside for every query; a NaN or infinite coordinate is
 outside, so ``evaluate`` and ``basis_matrix`` raise on it and
-``distance_field`` reports it with status 2.  ``evaluate`` and
+``distance_field`` reports it with status 2.  A point's element is the
+``cell_map`` entry of its fine cell, and the layer holds a cell table per
+axis to find that cell: ``_BUCKETS`` uniform buckets per fine cell, each
+naming the cell that holds all of it, or marking that a fine coordinate
+falls inside it.  Most points read their cell from the table; only those
+in a marked bucket are settled by a binary search over the coordinates,
+so the result is that search's for every point.  ``evaluate`` and
 ``distance_field`` then sum the coefficient-weighted tensors of only the
 elements their points hit, so a query costs what its points touch, not
-the size of the surface.  ``_basis_blocks`` instead forms the basis value
+the size of the surface, and contract those sums with the points' power
+rows a block of ``_BLOCK`` points at a time, so the per-point tensors and
+rows never exceed one block.  ``_basis_blocks`` instead forms the basis value
 of every (point, resident) pair, a bounded block of points at a time:
 ``basis_matrix`` stores them as a CSR matrix, and the correction sweep
 (``mba``) sums them away block by block.  The least-squares layer reads
@@ -32,7 +40,9 @@ only the gather and the tensors, so no fit builds a collocation matrix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +58,48 @@ __all__ = [
 
 # pieces or pairs per batch of the layer build; bounds its temporary arrays
 _CHUNK = 1 << 14
+# points per block of the contraction in _evaluate_at; bounds its temporaries
+_BLOCK = 1 << 15
+# uniform buckets per fine cell of an axis's cell table
+_BUCKETS = 32
 # derivative (order in u, order in v) of each evaluate() output column
 _COLUMNS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+class _CellTable(NamedTuple):
+    """Uniform buckets over one axis's fine coordinates.
+
+    A value x falls in bucket ``bucket(x)``; ``cell[b]`` is the fine cell
+    that holds every value of bucket b, or -1 when a coordinate falls in
+    b, so that its values may lie in more than one cell.
+    """
+
+    lo: float
+    scale: float
+    cell: np.ndarray
+
+    def bucket(self, x: np.ndarray) -> np.ndarray:
+        """Bucket of each value: floor of its offset in bucket widths,
+        clipped to the table; nondecreasing in x."""
+        b = ((x - self.lo) * self.scale).astype(np.intp)
+        return np.clip(b, 0, len(self.cell) - 1, out=b)
+
+
+def _cell_table(coords: np.ndarray) -> _CellTable:
+    """The cell table of sorted fine coordinates.
+
+    The bucket of a value does not decrease as the value grows, so a
+    bucket that no coordinate falls in lies strictly between two
+    consecutive coordinates: every value in it has the cell of the
+    coordinates in earlier buckets.
+    """
+    n_buckets = _BUCKETS * (len(coords) - 1)
+    table = _CellTable(float(coords[0]), n_buckets / float(coords[-1] - coords[0]),
+                       np.empty(n_buckets, dtype=np.intp))
+    held = table.bucket(coords)
+    table.cell[:] = np.searchsorted(held, np.arange(n_buckets)) - 1
+    table.cell[held] = -1
+    return table
 
 
 @dataclass
@@ -62,13 +112,15 @@ class _EvalCache:
     local coordinates t, s in [0, 1].  ``pair_element[k]`` is e.
     ``tensors[k]`` is scaling[res[k]] * pu[:, None] * pv[None, :] for the
     pair's univariate pieces pu and pv (see ``_pieces``); the pieces
-    themselves are not kept.
+    themselves are not kept.  ``tables`` holds the cell table of the u
+    and of the v coordinates (``_cell_table``).
     """
 
     version: int
     cell_map: np.ndarray
     uc: np.ndarray
     vc: np.ndarray
+    tables: tuple[_CellTable, _CellTable]
     bounds: np.ndarray
     offsets: np.ndarray
     res: np.ndarray
@@ -160,7 +212,8 @@ def eval_cache(surface: LRSurface) -> _EvalCache:
         sv = np.take(pv, iv[k], axis=0)
         for j in range(du + 1):
             np.multiply(su[:, j, None], sv, out=tensors[k, j])
-    cache = _EvalCache(surface.version, cell_map, uc, vc, bounds,
+    cache = _EvalCache(surface.version, cell_map, uc, vc,
+                       (_cell_table(uc), _cell_table(vc)), bounds,
                        offsets, res, pair_element, tensors)
     surface._eval_cache = cache
     return cache
@@ -177,6 +230,15 @@ def _inside(cache: _EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             & (y >= vc[0] - eps_v) & (y <= vc[-1] + eps_v))
 
 
+def _cells(table: _CellTable, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fine cell of each value: clip(searchsorted(coords, x, "right") - 1,
+    0, len(coords) - 2), read from the cell table where it can be."""
+    i = table.cell[table.bucket(x)]
+    k = np.flatnonzero(i < 0)
+    i[k] = np.clip(np.searchsorted(coords, x[k], side="right") - 1, 0, len(coords) - 2)
+    return i
+
+
 def _locate(cache: _EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Element index per point; raises on points outside the domain."""
     uc, vc = cache.uc, cache.vc
@@ -186,29 +248,33 @@ def _locate(cache: _EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"point ({x[k]}, {y[k]}) outside surface domain "
             f"[{uc[0]}, {uc[-1]}] x [{vc[0]}, {vc[-1]}]")
-    iu = np.clip(np.searchsorted(uc, x, side="right") - 1, 0, len(uc) - 2)
-    iv = np.clip(np.searchsorted(vc, y, side="right") - 1, 0, len(vc) - 2)
-    return cache.cell_map[iu, iv]
+    flat = _cells(cache.tables[0], uc, x)
+    flat *= len(vc) - 1
+    flat += _cells(cache.tables[1], vc, y)
+    return cache.cell_map.ravel().take(flat)
 
 
 def _gather(cache: _EvalCache, x: np.ndarray, y: np.ndarray):
     """Point -> element gather: (element id, tu, tv, wu, wv) per point, with
     local coordinates tu, tv in [0, 1] and element widths wu, wv."""
     eid = _locate(cache, x, y)
-    b = cache.bounds[eid]
-    wu = b[:, 1] - b[:, 0]
-    wv = b[:, 3] - b[:, 2]
-    return eid, (x - b[:, 0]) / wu, (y - b[:, 2]) / wv, wu, wv
+    b = cache.bounds
+    lu, lv = b[:, 0].take(eid), b[:, 2].take(eid)
+    wu, wv = (b[:, 1] - b[:, 0]).take(eid), (b[:, 3] - b[:, 2]).take(eid)
+    return eid, (x - lu) / wu, (y - lv) / wv, wu, wv
 
 
 def _dpowers(t: np.ndarray, d: int, order: int, scale) -> np.ndarray:
-    """Rows of d^order/dx^order of [1, t, t^2, ...] with t = (x-lo)*scale."""
+    """Rows of d^order/dx^order of [1, t, t^2, ...] with t = (x-lo)*scale:
+    column k is k!/(k - order)! * scale^order * t^(k - order), the power
+    of t by running product."""
     out = np.zeros((len(t), d + 1))
+    s = scale ** order if order else 1.0
+    p = 1.0
     for k in range(order, d + 1):
-        f = 1.0
-        for m in range(order):
-            f *= (k - m)
-        out[:, k] = f * (scale ** order) * t ** (k - order)
+        out[:, k] = math.perm(k, order) * s * p
+        if k < d:
+            p = p * t
     return out
 
 
@@ -218,32 +284,36 @@ def _evaluate_at(cache: _EvalCache, coeffs: np.ndarray, eid, tu, tv, wu, wv,
 
     Only the elements the points hit get a polynomial tensor: the segment
     sum of coeffs[res] * T over that element's pairs, in the same order as
-    over the whole layer.  Each point then gathers its element's tensor
-    once and contracts it with its power rows in v, then in u.
+    over the whole layer.  Then, a block of ``_BLOCK`` points at a time,
+    each point gathers its element's tensor once and contracts it with its
+    power rows in v, then in u; a point's value does not depend on its
+    block.
     """
     du, dv = cache.tensors.shape[1] - 1, cache.tensors.shape[2] - 1
     cols = _COLUMNS[:{0: 1, 1: 3, 2: 6}[order]]
     if len(eid) == 0:
         return np.zeros((0, len(cols)))
     offsets = cache.offsets
-    # the hit elements in increasing order, and each point's row among them
+    # the hit elements in increasing order; the rows of P of the others
+    # stay zero and are never touched
     mark = np.zeros(len(offsets) - 1, dtype=bool)
     mark[eid] = True
     hit = np.flatnonzero(mark)
-    pos = np.empty(len(mark), dtype=np.intp)
-    pos[hit] = np.arange(len(hit))
-    row = pos[eid]
     counts = offsets[hit + 1] - offsets[hit]
     pair = _ranges(offsets[hit], counts)
-    P = np.add.reduceat(coeffs[cache.res[pair], None, None] * cache.tensors[pair],
-                        np.cumsum(counts) - counts, axis=0)
-    Pe = P[row]
-    U = [_dpowers(tu, du, a, 1.0 / wu) for a in range(order + 1)]
-    PV = [np.einsum("njk,nk->nj", Pe, _dpowers(tv, dv, b, 1.0 / wv))
-          for b in range(order + 1)]
+    P = np.zeros((len(mark), du + 1, dv + 1))
+    P[hit] = np.add.reduceat(coeffs[cache.res[pair], None, None] * cache.tensors[pair],
+                             np.cumsum(counts) - counts, axis=0)
     out = np.empty((len(eid), len(cols)))
-    for c, (a, b) in enumerate(cols):
-        out[:, c] = np.einsum("nj,nj->n", U[a], PV[b])
+    for start in range(0, len(eid), _BLOCK):
+        k = slice(start, start + _BLOCK)
+        Pe = P.take(eid[k], axis=0)
+        su, sv = (1.0 / wu[k], 1.0 / wv[k]) if order else (1.0, 1.0)
+        U = [_dpowers(tu[k], du, a, su) for a in range(order + 1)]
+        PV = [np.einsum("njk,nk->nj", Pe, _dpowers(tv[k], dv, b, sv))
+              for b in range(order + 1)]
+        for c, (a, b) in enumerate(cols):
+            np.einsum("nj,nj->n", U[a], PV[b], out=out[k, c])
     return out
 
 

@@ -23,6 +23,7 @@ on data-starved B-splines enter the moments at weight ``GHOST_WEIGHT``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -180,17 +181,22 @@ def smoothing_matrix(surface: LRSurface, weights: SmoothingWeights = SmoothingWe
 
 def idw_prior(points: np.ndarray):
     """Inverse-distance-weighted height interpolant over scattered data:
-    each query averages its 8 nearest data points."""
+    each query averages its 8 nearest data points.  The search tree is
+    built on the first query, so a prior that is never queried costs
+    nothing."""
     from scipy.spatial import cKDTree
 
     pts = np.asarray(points, dtype=float)
-    tree = cKDTree(pts[:, :2])
     zs = pts[:, 2]
     kk = min(8, len(pts))
 
+    @functools.cache
+    def tree():
+        return cKDTree(pts[:, :2])
+
     def prior(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         q = np.column_stack([x, y])
-        dist, idx = tree.query(q, k=kk)
+        dist, idx = tree().query(q, k=kk)
         if kk == 1:
             return zs[idx]
         w = 1.0 / np.maximum(dist, 1e-12)

@@ -194,11 +194,6 @@ class BoxMesh:
                           for axis in (0, 1)
                           for line, lo, hi, mult in [_runs(self._mult[axis])]])
 
-    def segments(self) -> list[Segment]:
-        """``segment_rows`` as segments, with coordinate values."""
-        return [Segment(a, self._coords[a][p], self._coords[1 - a][lo], self._coords[1 - a][hi], m)
-                for a, m, p, lo, hi in self.segment_rows().tolist()]
-
     def copy(self) -> "BoxMesh":
         out = BoxMesh(self.domain)
         out._coords = [list(c) for c in self._coords]
@@ -274,10 +269,6 @@ class ScaledBSpline:
     @property
     def kv(self) -> tuple[float, ...]:
         return self.knots[1]
-
-    def support(self) -> tuple[float, float, float, float]:
-        ku, kv = self.knots
-        return (ku[0], ku[-1], kv[0], kv[-1])
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ and ``BoxMesh.elements`` against them.
 
 ``CoverOracle`` keeps the mesh coverage as the mesh once did: per line,
 a sorted list of disjoint (lo, hi, mult) tuples, merged by maximum
-multiplicity; the tests compare ``BoxMesh.segments`` and
-``BoxMesh.cover_mult`` against it.
+multiplicity; the tests compare a mesh's ``segments`` and
+``BoxMesh.cover_mult`` against it.  ``segments`` and ``support`` read a
+mesh's coverage and a B-spline's support for the tests.
 
 ``eval_cache_per_pair`` builds the element layer as it was first built:
 Cox-de Boor once per (element, resident) pair and axis, in batches of
@@ -23,8 +24,9 @@ bit for bit.
 
 ``evaluate_at_all_elements`` is the point evaluation that builds the
 polynomial of every element of the surface, whatever points are asked for,
-and sums monomial by monomial; it shares the power rows (``_dpowers``) with
-``lrterrain.evaluate._evaluate_at``, which the tests compare against it.
+and sums monomial by monomial, over power rows of its own (``powers``,
+one float power per column); the tests compare
+``lrterrain.evaluate._evaluate_at`` against it.
 
 ``independence_report`` is a sampled check that a surface's B-splines are
 linearly independent: the rank of their Gram matrix on a grid of sample
@@ -45,9 +47,35 @@ import numpy as np
 
 from scipy import sparse
 
-from lrterrain.evaluate import _CHUNK, _COLUMNS, _dpowers, _monomials, basis_matrix, eval_cache
+from lrterrain.evaluate import _CHUNK, _COLUMNS, _monomials, basis_matrix, eval_cache
 from lrterrain.least_squares import GHOST_WEIGHT, _smoothing_terms
 from lrterrain.mesh import ScaledBSpline, Segment, residents_of
+
+
+def segments(mesh):
+    """The mesh's coverage as ``Segment`` tuples with coordinate values,
+    one per row of ``BoxMesh.segment_rows``."""
+    coords = [mesh.coords(0).tolist(), mesh.coords(1).tolist()]
+    return [Segment(a, coords[a][p], coords[1 - a][lo], coords[1 - a][hi], m)
+            for a, m, p, lo, hi in mesh.segment_rows().tolist()]
+
+
+def support(b):
+    """(u_lo, u_hi, v_lo, v_hi): the outer knots of a ``ScaledBSpline``."""
+    ku, kv = b.knots
+    return (ku[0], ku[-1], kv[0], kv[-1])
+
+
+def powers(t, d, order, scale):
+    """Rows of d^order/dx^order of [1, t, t^2, ...] with t = (x-lo)*scale,
+    one float power t ** (k - order) per column k."""
+    out = np.zeros((len(t), d + 1))
+    for k in range(order, d + 1):
+        f = 1.0
+        for m in range(order):
+            f *= (k - m)
+        out[:, k] = f * (scale ** order) * t ** (k - order)
+    return out
 
 
 def insert_knot_1d(t, d, c):
@@ -95,7 +123,7 @@ def split_worklist(surface) -> None:
     Every B-spline starts in the queue; products re-enter it.  Duplicate
     products merge by summing scaled contributions.
     """
-    covered = [sorted({s.pos for s in surface.mesh.segments() if s.axis == axis})
+    covered = [sorted({s.pos for s in segments(surface.mesh) if s.axis == axis})
                for axis in (0, 1)]
     bs = list(surface.bsplines)
     coeffs = list(surface.coeffs)
@@ -147,7 +175,7 @@ def element_scan(mesh):
     # vcut[i, j]: vertical edge at u=uc[i+1] between cells (i,j),(i+1,j)
     vcut = np.zeros((max(nu - 1, 0), nv), dtype=bool)
     ucut = np.zeros((nu, max(nv - 1, 0)), dtype=bool)
-    for s in mesh.segments():
+    for s in segments(mesh):
         if s.axis == 0:
             i = int(np.searchsorted(uc, s.pos))
             if 0 < i < nu:
@@ -260,8 +288,8 @@ def evaluate_at_all_elements(cache, coeffs, eid, tu, tv, wu, wv, order):
     du, dv = cache.tensors.shape[1] - 1, cache.tensors.shape[2] - 1
     P = np.add.reduceat(coeffs[cache.res, None, None] * cache.tensors,
                         cache.offsets[:-1], axis=0)
-    U = [_dpowers(tu, du, a, 1.0 / wu) for a in range(order + 1)]
-    V = [_dpowers(tv, dv, b, 1.0 / wv) for b in range(order + 1)]
+    U = [powers(tu, du, a, 1.0 / wu) for a in range(order + 1)]
+    V = [powers(tv, dv, b, 1.0 / wv) for b in range(order + 1)]
     cols = _COLUMNS[:{0: 1, 1: 3, 2: 6}[order]]
     out = np.zeros((len(eid), len(cols)))
     for j in range(du + 1):
@@ -303,7 +331,7 @@ def independence_report(surface, samples_per_dir: int | None = None) -> dict:
         raise ValueError("independence diagnostic is limited to 4000 B-splines")
     cache = eval_cache(surface)
     t = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    B = pair_values(cache, _dpowers(t, du, 0, 1.0), _dpowers(t, dv, 0, 1.0))
+    B = pair_values(cache, powers(t, du, 0, 1.0), powers(t, dv, 0, 1.0))
     gram = np.zeros((L, L))
     for e in range(len(cache.bounds)):
         k = slice(cache.offsets[e], cache.offsets[e + 1])
@@ -348,7 +376,7 @@ def smoothing_matrix_quadrature(surface, weights):
     W = 0.25 * (wu * wv)[:, None] * np.outer(gw_u, gw_v).ravel()
     # D[(a, b)][k, q]: d^a_u d^b_v of pair k's scaled B-spline at Gauss point q
     pe = cache.pair_element
-    D = {(a, b): pair_values(cache, _dpowers(tu, du, a, 1.0), _dpowers(tv, dv, b, 1.0))
+    D = {(a, b): pair_values(cache, powers(tu, du, a, 1.0), powers(tv, dv, b, 1.0))
          * ((1.0 / wu[pe]) ** a * (1.0 / wv[pe]) ** b)[:, None]
          for a, b in pairs}
     counts = np.diff(cache.offsets)

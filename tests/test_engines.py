@@ -13,7 +13,7 @@ from lrterrain import mesh, read_surface, restrict, write_surface_binary
 from lrterrain.formats import binary_size
 from lrterrain.tiling import stitch_grid
 from conftest import random_refined_surface
-from oracles import CoverOracle, element_scan, insert_knot_1d, split_worklist
+from oracles import CoverOracle, element_scan, insert_knot_1d, segments, split_worklist
 from test_tiling import grid_fits
 
 RECT = (0.23, 0.81, 0.31, 0.77)
@@ -21,7 +21,7 @@ RECT = (0.23, 0.81, 0.31, 0.77)
 
 def assert_same_surface(new, old):
     assert [b.knots for b in new.bsplines] == [b.knots for b in old.bsplines]
-    assert new.mesh.segments() == old.mesh.segments()
+    assert segments(new.mesh) == segments(old.mesh)
     assert binary_size(new) == binary_size(old)
     np.testing.assert_allclose([b.scaling for b in new.bsplines],
                                [b.scaling for b in old.bsplines], rtol=1e-14, atol=0)
@@ -127,7 +127,7 @@ def random_batch(rng, s):
 
 
 def assert_same_cover(m, ref, rng):
-    assert m.segments() == ref.segments()
+    assert segments(m) == ref.segments()
     for axis in (0, 1):
         own, other = m.coords(axis), m.coords(1 - axis)
         pos = np.concatenate([own, rng.uniform(own[0], own[-1], 5)])
@@ -144,7 +144,7 @@ def test_coverage_grid_matches_tuple_lists(tmp_path, degrees, seed):
     rng = np.random.default_rng(seed)
     domain = (0.0, 1.0, 0.0, 1.0)
     s = mesh.make_tensor_surface(domain, degrees, (6, 6))
-    ref = CoverOracle(s.mesh.segments())
+    ref = CoverOracle(segments(s.mesh))
     for _ in range(4):
         batch = random_batch(rng, s)
         mesh.insert_segments(s, batch)
@@ -169,7 +169,7 @@ def test_replay_does_not_depend_on_segment_order(degrees, seed):
     s = random_refined_surface(seed, n_inserts=60, degrees=degrees)
     assert len(s) > 49
     rng = np.random.default_rng(seed)
-    segs = s.mesh.segments()
+    segs = segments(s.mesh)
     order = rng.permutation(len(segs))
     cuts = np.sort(rng.choice(np.arange(1, len(segs)), size=5, replace=False))
     for batches in ([segs], [[segs[k] for k in part] for part in np.split(order, cuts)]):

@@ -1,15 +1,20 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from lrterrain import evaluate, make_tensor_surface, partition_of_unity, restrict
 from lrterrain.evaluate import (
+    _cells,
     _evaluate_at,
     _gather,
+    _locate,
     _pieces,
     basis_matrix,
     distance_field,
     eval_cache,
 )
+from lrterrain.mesh import Segment, insert_segments
 from conftest import random_refined_surface
 from lrterrain.tiling import stitch_c1
 from oracles import eval_cache_per_pair, evaluate_at_all_elements
@@ -270,3 +275,75 @@ def test_piece_key_refuses_to_overflow():
     empty = np.empty(0, dtype=np.int64)
     with pytest.raises(OverflowError, match="int64 piece key"):
         _pieces(knots, coords, coords[:1], coords[1:2], empty, empty, 2)
+
+
+def _searched(coords, x):
+    """The fine cell of each value by binary search."""
+    return np.clip(np.searchsorted(coords, x, side="right") - 1, 0, len(coords) - 2)
+
+
+def _axis_queries(coords, rng):
+    """Every coordinate and its two float neighbours, both domain ends
+    and 1e-9 of the extent outside them, and random values."""
+    eps = 1e-9 * (coords[-1] - coords[0])
+    return np.concatenate([coords, np.nextafter(coords, -np.inf)[1:],
+                           np.nextafter(coords, np.inf)[:-1],
+                           [coords[0] - eps, coords[-1] + eps],
+                           rng.uniform(coords[0], coords[-1], 2000)])
+
+
+def _cluster_surface():
+    """A surface with four u lines at the width floor (2^-14 of the
+    extent) next to u = 0.5, all in one bucket of the u table."""
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (12, 12))
+    insert_segments(s, [Segment(0, 0.5 + k * 2.0 ** -14, 0.0, 1.0) for k in range(1, 5)])
+    return s
+
+
+def _locate_cases():
+    yield "refined", random_refined_surface(61, n_inserts=60)
+    yield "offset domain", random_refined_surface(
+        67, n_inserts=40, domain=(1000.0, 1003.0, -5.0, 2.0), grid=(9, 5))
+    yield "cluster", _cluster_surface()
+    yield "single u cell", make_tensor_surface((0, 1, 0, 1), (2, 2), (3, 9))
+
+
+def test_cell_table_equals_binary_search():
+    rng = np.random.default_rng(19)
+    for label, s in _locate_cases():
+        cache = eval_cache(s)
+        queries = []
+        for coords, table in zip((cache.uc, cache.vc), cache.tables):
+            q = _axis_queries(coords, rng)
+            np.testing.assert_array_equal(_cells(table, coords, q), _searched(coords, q),
+                                          err_msg=label)
+            queries.append(q)
+        n = min(map(len, queries))
+        x, y = queries[0][:n], rng.permutation(queries[1])[:n]
+        want = cache.cell_map[_searched(cache.uc, x), _searched(cache.vc, y)]
+        np.testing.assert_array_equal(_locate(cache, x, y), want, err_msg=label)
+
+
+def test_cell_table_cases_cover_what_they_name():
+    cache = eval_cache(_cluster_surface())
+    cluster = 0.5 + np.arange(5) * 2.0 ** -14
+    assert np.isin(cluster, cache.uc).all()
+    assert len(set(cache.tables[0].bucket(cluster).tolist())) == 1
+    single = eval_cache(make_tensor_surface((0, 1, 0, 1), (2, 2), (3, 9)))
+    assert len(single.uc) == 2
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 3)])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_point_blocks_do_not_change_values(degrees, order, monkeypatch):
+    ev = importlib.import_module("lrterrain.evaluate")
+    s = random_refined_surface(37, n_inserts=50, degrees=degrees)
+    rng = np.random.default_rng(3)
+    cache = eval_cache(s)
+    # 1002 = 7 * 143 + 1: the last block holds one point
+    located = _gather(cache, rng.uniform(0, 1, 1002), rng.uniform(0, 1, 1002))
+    assert ev._BLOCK >= 1002
+    whole = _evaluate_at(cache, s.coeffs, *located, order)
+    monkeypatch.setattr(ev, "_BLOCK", 7)
+    blocked = _evaluate_at(cache, s.coeffs, *located, order)
+    assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))

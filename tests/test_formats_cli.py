@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from lrterrain import evaluate, make_tensor_surface, restrict
+from lrterrain import FitConfig, evaluate, fit, make_tensor_surface, restrict
 from lrterrain.benchmark import benchmark_points, benchmark_terrain
 from lrterrain.cli import main
 from lrterrain.config import Settings, load_settings
@@ -23,6 +23,7 @@ from lrterrain.formats import (
     write_survey_text,
 )
 from conftest import random_refined_surface
+from oracles import segments
 
 
 def sample(surface, n=1000, seed=0):
@@ -81,7 +82,7 @@ def test_restricted_surface_round_trips(tmp_path):
     t = read_surface_binary(p)
     x, y, z = sample(s)
     assert np.array_equal(evaluate(t, x, y), z)
-    assert len(t.mesh.segments()) == len(s.mesh.segments())
+    assert len(segments(t.mesh)) == len(segments(s.mesh))
 
 
 def test_surface_sniffing(tmp_path):
@@ -617,6 +618,58 @@ def test_cli_empty_survey_exits_2_naming_it(argv, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {files['empty']}: survey has no points\n"
+
+
+@pytest.fixture
+def off_domain_files(tmp_path):
+    """A fitted surface, a survey of 200 points with one moved 5 units past
+    the domain, and the same survey without that point."""
+    pts, tau = benchmark_points(200, seed=5)
+    surface = fit(pts, FitConfig(tolerance=tau, max_iterations=1))[0]
+    k = int(np.argmax(pts[:, 0]))
+    moved = pts.copy()
+    moved[k, 0] = surface.domain[1] + 5.0
+    files = {"surface": tmp_path / "s.lrs", "off": tmp_path / "off.xyz",
+             "kept": tmp_path / "kept.xyz"}
+    write_surface_binary(surface, files["surface"])
+    write_survey_text(files["off"], moved, {"id": "bench"})
+    write_survey_text(files["kept"], np.delete(pts, k, axis=0), {"id": "bench"})
+    return files
+
+
+def test_cli_eval_takes_statistics_over_points_inside(off_domain_files, capsys):
+    f = off_domain_files
+    assert main(["eval", str(f["surface"]), str(f["kept"]), "--tolerance", "1"]) == 0
+    want = capsys.readouterr().out
+    assert main(["eval", str(f["surface"]), str(f["off"]), "--tolerance", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert "nan" not in out and out == want
+    assert err == (f"{f['off']}: 1 of 200 points lie outside the surface domain "
+                   "and are left out of the statistics\n")
+
+
+def test_cli_report_takes_statistics_over_points_inside(off_domain_files, capsys):
+    f = off_domain_files
+    assert main(["report", str(f["surface"]), str(f["kept"])]) == 0
+    want = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert main(["report", str(f["surface"]), str(f["off"])]) == 0
+    out, err = capsys.readouterr()
+    got = out.splitlines()[1].split("\t")
+    # the points column counts the whole survey; z_range is of all its points
+    assert got[:2] == ["bench", "200"] and got[2:5] == want[2:5]
+    assert float(got[2]) > 0 and float(got[3]) > 0
+    assert "outside the surface domain" in err and str(f["off"]) in err
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_cli_survey_wholly_outside_the_surface_exits_2(command, tmp_path, capsys):
+    surface, far = tmp_path / "s.lrs", tmp_path / "far.xyz"
+    write_surface_binary(make_tensor_surface((0, 1, 0, 1)), surface)
+    far.write_text("5.0 5.0 1.0\n6.0 5.5 2.0\n")
+    assert main([command, str(surface), str(far)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {far}: no point lies inside the surface domain\n"
 
 
 def _survey_header_not_int(path):

@@ -203,6 +203,48 @@ def test_idw_prior_reproduces_constant(rng):
                                7.0, atol=1e-12)
 
 
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """The count of search trees built, by a patched tree class."""
+    from scipy import spatial
+
+    built = []
+
+    class CountingTree(spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(spatial, "cKDTree", CountingTree)
+    return built
+
+
+def test_idw_prior_builds_its_tree_on_first_query(rng, tree_builds):
+    from scipy.spatial import KDTree
+
+    pts = np.column_stack([rng.uniform(0, 1, (300, 2)), rng.normal(size=300)])
+    qx, qy = rng.uniform(0, 1, (2, 40))
+    prior = idw_prior(pts)
+    assert tree_builds == []
+    first, second = prior(qx, qy), prior(qx, qy)
+    assert len(tree_builds) == 1
+    # the values of a tree built at once
+    dist, idx = KDTree(pts[:, :2]).query(np.column_stack([qx, qy]), k=8)
+    w = 1.0 / np.maximum(dist, 1e-12)
+    want = (w * pts[idx, 2]).sum(axis=1) / w.sum(axis=1)
+    np.testing.assert_array_equal(first, want)
+    np.testing.assert_array_equal(second, want)
+
+
+def test_ghost_free_fit_builds_no_tree(tree_builds):
+    from lrterrain import FitConfig, fit
+    from lrterrain.benchmark import benchmark_points
+
+    pts, tau = benchmark_points(3000, seed=2)
+    fit(pts, FitConfig(tolerance=tau, max_iterations=2))
+    assert tree_builds == []
+
+
 def test_penalty_optimality(rng):
     # the solved coefficients minimize the functional: any perturbation
     # increases alpha1 J + alpha2 SSR

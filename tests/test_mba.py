@@ -4,7 +4,7 @@ import pytest
 from lrterrain import evaluate, make_tensor_surface
 from lrterrain.mba import mba_update
 from conftest import mba_fit, random_refined_surface
-from oracles import mba_delta_collocation
+from oracles import mba_delta_collocation, support
 
 
 def test_zero_residuals_change_nothing(rng):
@@ -75,7 +75,7 @@ def test_locality(rng):
     mba_update(s, pts)
     moved = np.nonzero(s.coeffs != 0)[0]
     for i in moved:
-        u0, u1, v0, v1 = s.bsplines[i].support()
+        u0, u1, v0, v1 = support(s.bsplines[i])
         assert u0 < 0.05 and v0 < 0.05
 
 

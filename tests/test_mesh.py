@@ -20,7 +20,7 @@ from lrterrain.mesh import (
     validate_surface,
 )
 from conftest import random_refined_surface
-from oracles import independence_report
+from oracles import independence_report, segments, support
 
 
 def test_tensor_construction_counts():
@@ -116,12 +116,12 @@ def test_rejected_insert_leaves_surface_untouched():
     insert_segment(s, Segment(0, 0.5, 0.0, 0.333333333333333))
     r = restrict(s, (0.0, 1.0, 0.4444444444444444, 1.0))
     coords = [r.mesh.coords(0).tolist(), r.mesh.coords(1).tolist()]
-    size, segments = binary_size(r), r.mesh.segments()
+    size, segs = binary_size(r), segments(r.mesh)
     with pytest.raises(ValueError, match="traverse"):
         insert_segment(r, Segment(0, 0.5, 0.5555555555555556, 0.6666666666666666))
     assert [r.mesh.coords(0).tolist(), r.mesh.coords(1).tolist()] == coords
     assert binary_size(r) == size
-    assert r.mesh.segments() == segments
+    assert segments(r.mesh) == segs
 
 
 def test_multiplicity_two_midline():
@@ -311,7 +311,7 @@ def test_residents_match_support_scan():
     bounds, offsets, res, cell_map, uc, vc = residents_of(s)
     expect = [[] for _ in bounds]
     for i, b in enumerate(s.bsplines):
-        u0, u1, v0, v1 = b.support()
+        u0, u1, v0, v1 = support(b)
         block = cell_map[np.searchsorted(uc, u0):np.searchsorted(uc, u1),
                          np.searchsorted(vc, v0):np.searchsorted(vc, v1)]
         for e in np.unique(block):
