@@ -81,7 +81,9 @@ class _CellTable(NamedTuple):
     def bucket(self, x: np.ndarray) -> np.ndarray:
         """Bucket of each value: floor of its offset in bucket widths,
         clipped to the table; nondecreasing in x."""
-        b = ((x - self.lo) * self.scale).astype(np.intp)
+        f = np.subtract(x, self.lo)
+        f *= self.scale
+        b = f.astype(np.intp)
         return np.clip(b, 0, len(self.cell) - 1, out=b)
 
 
@@ -233,7 +235,7 @@ def _inside(cache: _EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _cells(table: _CellTable, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Fine cell of each value: clip(searchsorted(coords, x, "right") - 1,
     0, len(coords) - 2), read from the cell table where it can be."""
-    i = table.cell[table.bucket(x)]
+    i = table.cell.take(table.bucket(x))
     k = np.flatnonzero(i < 0)
     i[k] = np.clip(np.searchsorted(coords, x[k], side="right") - 1, 0, len(coords) - 2)
     return i
@@ -269,10 +271,13 @@ def _dpowers(t: np.ndarray, d: int, order: int, scale) -> np.ndarray:
     column k is k!/(k - order)! * scale^order * t^(k - order), the power
     of t by running product."""
     out = np.zeros((len(t), d + 1))
+    if order > d:
+        return out
     s = scale ** order if order else 1.0
-    p = 1.0
-    for k in range(order, d + 1):
-        out[:, k] = math.perm(k, order) * s * p
+    out[:, order] = math.factorial(order) * s
+    p = t
+    for k in range(order + 1, d + 1):
+        np.multiply(math.perm(k, order) * s, p, out=out[:, k])
         if k < d:
             p = p * t
     return out
