@@ -1,6 +1,6 @@
 """Surface and survey file formats.
 
-Binary surface (magic ``LRSURF01``, little-endian throughout):
+Binary surface (magic ``LRSURF02``, little-endian throughout):
 
     magic            8 bytes
     degrees          u8 du, u8 dv, u16 reserved (0)
@@ -11,22 +11,32 @@ Binary surface (magic ``LRSURF01``, little-endian throughout):
     segments         u32 count + per segment (16 bytes):
                      u8 axis, u8 mult, u16 reserved, u32 pos/lo/hi indices
                      (pos indexes the axis table, lo/hi the other table)
-    B-splines        u32 count + per function:
-                     u32[du+2] u-knot indices, u32[dv+2] v-knot indices,
-                     f64 scaling, f64 coefficient
+    coefficients     u32 count + f64[count], in canonical B-spline order
+
+The file holds the LR mesh and no B-spline: the B-splines are the replay
+of the mesh (``mesh.replay``), which fixes them, and the reader rebuilds
+them so; a coefficient count other than the replay's is an error.  The
+writer raises ``ValueError`` naming the first B-spline that differs, before
+it opens the file, when the surface's knot rows are not its mesh's replay;
+the text format keeps such a surface.  ``LRSURF01``, read only, has the
+same sections and then, in place of the coefficients, a u32 count and per
+B-spline its u32 u- and v-knot indices, f64 scaling and f64 coefficient.
 
 The knot tables are the mesh's coordinate tables: every knot, line
 position and segment endpoint is a mesh coordinate, stored once; segments
 and B-splines refer to them by index, which makes shared knots exact by
 construction and the round trip bit-identical.  The text format carries
-the same sections line-oriented with full-precision ``repr`` floats, and
-each unit as one whitespace-free word (the text writer rejects others).  A
-table that is not strictly increasing or holds a value outside the
-domain, an index outside its table, a B-spline knot-index list that
-decreases or spans an empty support, a segment record that
-``insert_segments`` would reject, or a file that ends early is malformed:
-the readers raise ``ValueError`` naming the file, and the record by its
-position in the file, and the CLI exits 2.
+the sections of ``LRSURF01`` line-oriented with full-precision ``repr``
+floats, and each unit as one whitespace-free word (the text writer rejects
+others).  A table that is not strictly increasing or holds a value outside
+the domain, an index outside its table, a segment record that
+``insert_segments`` would reject, a domain side below multiplicity
+degree + 1, a non-finite coefficient, or a file that ends early is
+malformed; so is, in a file that lists its B-splines, a knot-index list
+that decreases or spans an empty support, a row that does not follow the
+one before it in canonical order, or a scaling that is not finite and
+above 0.  The readers raise ``ValueError`` naming the file, and the record
+by its position in the file, and the CLI exits 2.
 
 Survey text format: optional ``# key value`` header lines, then one
 ``x y z`` row per point.  Binary survey: magic ``LRSURV01``, u32 JSON
@@ -41,7 +51,7 @@ import struct
 
 import numpy as np
 
-from .mesh import BoxMesh, LRSurface, _check_segments, _first_fault, _knot_rows
+from .mesh import BoxMesh, LRSurface, _check_segments, _first_fault, _knot_rows, replay
 
 __all__ = [
     "binary_size",
@@ -60,7 +70,8 @@ __all__ = [
     "write_distance_field",
 ]
 
-_MAGIC_SURF = b"LRSURF01"
+_MAGIC_SURF = b"LRSURF02"
+_MAGIC_SURF01 = b"LRSURF01"  # read only
 _MAGIC_SURV = b"LRSURV01"
 # one binary segment record: axis and multiplicity, then pos, lo and hi indices
 _SEGMENT_RECORD = np.dtype([("axis_mult", "u1", (2,)), ("reserved", "<u2"),
@@ -68,26 +79,43 @@ _SEGMENT_RECORD = np.dtype([("axis_mult", "u1", (2,)), ("reserved", "<u2"),
 
 
 def binary_size(surface: LRSurface) -> int:
-    """Exact byte count of the binary serialization: the 44-byte header,
-    then six blocks of a u32 count and their records."""
+    """Exact byte count of the ``LRSURF02`` serialization: the 44-byte
+    header, then six blocks of a u32 count and their records."""
     mesh = surface.mesh
     return (44 + 6 * 4 + sum(len(unit.encode()) for unit in surface.units)
             + 8 * (len(mesh.coords(0)) + len(mesh.coords(1)))
-            + _SEGMENT_RECORD.itemsize * len(mesh.segment_rows())
-            + _bspline_record(*surface.degrees).itemsize * len(surface))
+            + _SEGMENT_RECORD.itemsize * len(mesh.segment_rows()) + 8 * len(surface))
+
+
+def _check_replay(surface: LRSurface) -> None:
+    """Raise ValueError, naming the first B-spline that differs, unless the
+    surface's knot rows are those of its mesh's replay."""
+    hint = "LRSURF02 stores only the mesh; write_surface_text keeps every B-spline"
+    try:
+        want = replay(surface.mesh, surface.degrees).knots
+    except ValueError as e:
+        raise ValueError(f"{e}; {hint}") from None
+    n = min(len(want), len(surface))
+    differ = np.flatnonzero((surface.knots[:n] != want[:n]).any(axis=1))
+    i = int(differ[0]) if len(differ) else n  # past the shorter: a count differs
+    if i < max(len(want), len(surface)):
+        raise ValueError(f"B-spline {i} differs from the replay of the surface's mesh "
+                         f"({len(surface)} B-splines, the replay has {len(want)}); {hint}")
 
 
 def write_surface_binary(surface: LRSurface, path) -> None:
+    """Write ``surface`` as ``LRSURF02``: its mesh, then its coefficients.
+    Before the file is opened, raises ValueError when the surface's knot
+    rows are not the replay of its mesh (``mesh.replay``)."""
+    _check_replay(surface)
     mesh, (du, dv) = surface.mesh, surface.degrees
     segs = mesh.segment_rows()
     seg = np.zeros(len(segs), dtype=_SEGMENT_RECORD)
     seg["axis_mult"], seg["idx"] = segs[:, :2], segs[:, 2:]
-    rec = np.empty(len(surface), dtype=_bspline_record(du, dv))
-    rec["knots"] = _knot_rows(surface)
-    rec["scaling"], rec["coeff"] = surface.scaling, surface.coeffs
     # after the header, blocks of a u32 count and that many records
     blocks = ([np.frombuffer(unit.encode(), "u1") for unit in surface.units]
-              + [mesh.coords(axis).astype("<f8") for axis in (0, 1)] + [seg, rec])
+              + [mesh.coords(axis).astype("<f8") for axis in (0, 1)]
+              + [seg, surface.coeffs.astype("<f8")])
     data = b"".join([_MAGIC_SURF, struct.pack("<BBH4d", du, dv, 0, *mesh.domain)]
                     + [struct.pack("<I", len(b)) + b.tobytes() for b in blocks])
     with open(path, "wb") as f:
@@ -116,7 +144,8 @@ class _Reader:
 
 
 def _bspline_record(du: int, dv: int) -> np.dtype:
-    """One binary B-spline record: its knot indices, scaling and coefficient."""
+    """One ``LRSURF01`` B-spline record: its knot indices, scaling and
+    coefficient."""
     return np.dtype([("knots", "<u4", (du + dv + 4,)), ("scaling", "<f8"), ("coeff", "<f8")])
 
 
@@ -157,23 +186,38 @@ def _lookup(tables, table, idx, record: str) -> np.ndarray:
     return np.concatenate(tables)[idx + table * len(tables[0])]
 
 
-def _bspline_knots(tables, degrees: tuple[int, int], idx) -> np.ndarray:
-    """Knot values of B-splines from their rows of u- and v-knot indices.
+def _bspline_surface(mesh: BoxMesh, tables, degrees: tuple[int, int], idx, scaling, coeffs,
+                     units) -> LRSurface:
+    """The surface of a file's B-spline records: rows of u- and v-knot
+    indices, scalings and coefficients.
 
     Per axis, a B-spline's indices must be nondecreasing over a non-empty
-    support and lie inside the table; the first B-spline that breaks a
+    support and lie inside the table; the rows must increase strictly in
+    canonical order (no B-spline twice); a scaling must be finite and
+    above 0 and a coefficient finite.  The first B-spline that breaks a
     rule is named.
     """
     du, dv = degrees
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, du + dv + 4)
+    scaling, coeffs = np.array(scaling, dtype=float), np.array(coeffs, dtype=float)
+    # each row against the one before it: its first differing index is higher
+    step = np.diff(idx, axis=0, prepend=idx[:1] - 1)
+    rising = step[np.arange(len(idx)), np.argmax(step != 0, axis=1)] > 0
     fault = _first_fault([
-        ((np.diff(c, axis=1) < 0).any(axis=1) | (c[:, 0] >= c[:, -1]),
-         lambda i, axis=axis, c=c: f"B-spline {i}: {'uv'[axis]}-knot indices "
-         f"{c[i].tolist()} are not nondecreasing over a non-empty support")
-        for axis, c in enumerate((idx[:, :du + 2], idx[:, du + 2:]))])
+        *(((np.diff(c, axis=1) < 0).any(axis=1) | (c[:, 0] >= c[:, -1]),
+           lambda i, axis=axis, c=c: f"B-spline {i}: {'uv'[axis]}-knot indices "
+           f"{c[i].tolist()} are not nondecreasing over a non-empty support")
+          for axis, c in enumerate((idx[:, :du + 2], idx[:, du + 2:]))),
+        (~rising, lambda i: f"B-spline {i}: its knot indices {idx[i].tolist()} do not follow "
+                            f"those of B-spline {i - 1} in canonical order"),
+        (~(np.isfinite(scaling) & (scaling > 0)),
+         lambda i: f"B-spline {i}: scaling {float(scaling[i])!r} is not finite and above 0"),
+        (~np.isfinite(coeffs), lambda i: f"B-spline {i}: coefficient {float(coeffs[i])!r} is not finite"),
+    ])
     if fault is not None:
         raise ValueError(fault)
-    return _lookup(tables, np.repeat([0, 1], [du + 2, dv + 2]), idx, "B-spline")
+    knots = _lookup(tables, np.repeat([0, 1], [du + 2, dv + 2]), idx, "B-spline")
+    return LRSurface(degrees, mesh, knots, scaling, coeffs, units)
 
 
 def _merge_segments(mesh: BoxMesh, tables, degrees, axis, mult, idx) -> None:
@@ -188,10 +232,13 @@ def _merge_segments(mesh: BoxMesh, tables, degrees, axis, mult, idx) -> None:
 
 @_names_path
 def read_surface_binary(path) -> LRSurface:
+    """Read an ``LRSURF02`` file, whose B-splines are the replay of its
+    mesh, or an ``LRSURF01`` file, which lists them."""
     with open(path, "rb") as f:
         data = f.read()
     r = _Reader(data)
-    if r.take(8) != _MAGIC_SURF:
+    magic = r.take(8)
+    if magic not in (_MAGIC_SURF, _MAGIC_SURF01):
         raise ValueError("not a binary surface file (bad magic)")
     du, dv, _, *domain = r.unpack("<BBH4d")
     units = tuple(r.block("u1").tobytes().decode() for _ in range(2))
@@ -199,12 +246,22 @@ def read_surface_binary(path) -> LRSurface:
     tables = [_seed_table(mesh, axis, r.block("<f8").tolist()) for axis in (0, 1)]
     seg = r.block(_SEGMENT_RECORD)
     _merge_segments(mesh, tables, (du, dv), *seg["axis_mult"].T, seg["idx"])
-    rec = r.block(_bspline_record(du, dv))
-    knots = _bspline_knots(tables, (du, dv), rec["knots"])
+    rec = r.block(_bspline_record(du, dv) if magic == _MAGIC_SURF01 else "<f8")
     if r.off != len(data):
         raise ValueError("trailing bytes after surface data")
-    return LRSurface((du, dv), mesh, knots, rec["scaling"].astype(float),
-                     rec["coeff"].astype(float), units)
+    if magic == _MAGIC_SURF01:
+        return _bspline_surface(mesh, tables, (du, dv), rec["knots"], rec["scaling"],
+                                rec["coeff"], units)
+    coeffs = rec.astype(float)
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if len(bad):
+        raise ValueError(f"coefficient {bad[0]} is not finite: {float(coeffs[bad[0]])!r}")
+    surface = replay(mesh, (du, dv))
+    if len(surface) != len(coeffs):
+        raise ValueError(f"{len(coeffs)} coefficients, but the replay of the mesh has "
+                         f"{len(surface)} B-splines")
+    surface.coeffs, surface.units = coeffs, units
+    return surface
 
 
 def write_surface_text(surface: LRSurface, path) -> None:
@@ -275,9 +332,7 @@ def read_surface_text(path) -> LRSurface:
     seg, _ = block("segments", 5, 5)
     _merge_segments(mesh, tables, (du, dv), seg[:, 0], seg[:, 1], seg[:, 2:])
     idx, values = block("bsplines", du + dv + 6, du + dv + 4)
-    knots = _bspline_knots(tables, (du, dv), idx)
-    scaling, coeffs = values.T.copy()
-    return LRSurface((du, dv), mesh, knots, scaling, coeffs, units)
+    return _bspline_surface(mesh, tables, (du, dv), idx, *values.T, units)
 
 
 # -- surveys -----------------------------------------------------------
@@ -381,9 +436,9 @@ def read_survey(path):
 
 
 def is_binary_surface(path) -> bool:
-    """True when the file starts with the binary surface magic."""
+    """True when the file starts with a binary surface magic."""
     with open(path, "rb") as f:
-        return f.read(8) == _MAGIC_SURF
+        return f.read(8) in (_MAGIC_SURF, _MAGIC_SURF01)
 
 
 def read_surface(path) -> LRSurface:

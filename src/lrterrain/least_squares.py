@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .evaluate import _gather, _locate, check_points, eval_cache
+from .evaluate import _dpowers, _gather, _locate, check_points, eval_cache
 from .mesh import LRSurface
 
 __all__ = [
@@ -256,8 +256,8 @@ def _moments(surface: LRSurface, located, z: np.ndarray, ghosts: np.ndarray):
                                  (g[:3], ghosts[:, 2], GHOST_WEIGHT)):
         for s in range(0, len(eid), _BLOCK):
             e, blk = eid[s:s + _BLOCK], slice(s, s + _BLOCK)
-            pu = w * tu[blk, None] ** np.arange(2 * du + 1)
-            pv = tv[blk, None] ** np.arange(2 * dv + 1)
+            pu = w * _dpowers(tu[blk], 2 * du, 0, 1.0)
+            pv = _dpowers(tv[blk], 2 * dv, 0, 1.0)
             zu = zs[blk, None] * pu[:, :du + 1]
             for i in range(2 * du + 1):
                 for k in range(2 * dv + 1):

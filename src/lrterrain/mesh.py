@@ -16,9 +16,11 @@ surface stores its B-splines once, as arrays in canonical order: one row
 of mesh coordinates per B-spline (its u-knots, then its v-knots) and one
 scaling each.  Float rows never renumber when a coordinate is added, so
 the mesh knows nothing of B-splines; the knot index rows the split engine
-works on are one ``searchsorted`` away.  The engine splits every queued
-B-spline at its first traversing line at once, one generation at a time,
-and merges products with equal knots.  ``LRSurface.bsplines`` is a
+works on are one ``searchsorted`` away.  The engine inserts into every
+queued B-spline all the lines that traverse it, on both axes at once, one
+generation at a time, and merges children with equal knots.  The mesh
+fixes the B-splines: ``replay`` rebuilds them from the mesh alone, which
+is how the binary format stores a surface.  ``LRSurface.bsplines`` is a
 read-only view that builds a ``ScaledBSpline`` for each element read.  The
 element partition walks each fine cell left to the nearest cut, then down;
 element e is row e of an (n, 4) bounds array, with no object of its own.
@@ -43,6 +45,7 @@ __all__ = [
     "insert_segment",
     "insert_segments",
     "validate_surface",
+    "replay",
     "restrict",
     "transpose",
 ]
@@ -372,6 +375,29 @@ def make_tensor_surface(domain: tuple[float, float, float, float],
                      units)
 
 
+def replay(mesh: BoxMesh, degrees: tuple[int, int]) -> LRSurface:
+    """The LR B-splines of ``mesh``, with coefficients 0: the one-element
+    tensor surface of ``degrees`` on the mesh's domain, split by every
+    line of (a copy of) the mesh.
+
+    An LR B-spline set is fixed by its mesh (Dokken, Lyche & Pettersen
+    2013), so a surface that refinement built from a tensor surface, or
+    restricted or transposed, has the knot rows of its mesh's replay, in
+    the same canonical order, and its scalings up to rounding.  Raises
+    ValueError when a side of the domain is not a line of multiplicity
+    degree + 1 over its whole length, which every such mesh has.
+    """
+    for axis, d in enumerate(degrees):
+        for side in (0, -1):
+            if (mesh._mult[axis][side] != d + 1).any():
+                raise ValueError(f"the domain side {'uv'[axis]} = {mesh._coords[axis][side]!r} "
+                                 f"is not a line of multiplicity {d + 1} over its whole length")
+    out = make_tensor_surface(mesh.domain, degrees, (degrees[0] + 1, degrees[1] + 1))
+    out.mesh = mesh.copy()
+    _split_worklist(out)
+    return out
+
+
 # -- knot insertion ---------------------------------------------------
 
 
@@ -380,7 +406,10 @@ def _split_weights(t: np.ndarray, d: int, c: np.ndarray):
 
     ``t`` is (n, d + 2) and ``c`` is (n,), with t[:, 0] < c < t[:, -1].  With
     t1 and t2 the first and the last d + 2 knots of t with c inserted,
-    N_t = a1 * N_t1 + a2 * N_t2.
+    N_t = a1 * N_t1 + a2 * N_t2.  Where c is not strictly inside the
+    support and t holds fewer than d + 1 copies of c, the weights clipped
+    to [0, 1] keep N_t whole: a1 = 1, a2 = 0 when c >= t[:, -1], and
+    a1 = 0, a2 = 1 when c <= t[:, 0].
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         a1 = np.where(c >= t[:, d], 1.0, (c - t[:, 0]) / (t[:, d] - t[:, 0]))
@@ -424,44 +453,98 @@ def _traverses(table, t, line, lo, hi) -> np.ndarray:
     return (keys[k] >= row) & (keys[k] <= row + lo) & (ends[k] >= hi)
 
 
-def _first_splits(rows: np.ndarray, cols, tables):
-    """The first line that splits each row's B-spline, as (axis, pos).
+def _lacking_lines(rows: np.ndarray, cols, tables, deg) -> list:
+    """Every line that fully traverses a row's B-spline at a multiplicity
+    its knots lack, on either axis.
 
-    Scans the coordinates strictly inside the support, axis 0 before axis
-    1 and lower positions first, for a line that fully traverses the
-    support at a multiplicity above the row's own; ``pos`` is -1 where none
-    does.  Works through the rows in slices of ``_CHUNK``, which bounds
-    the (row, line) pair arrays.
+    Scans the coordinates strictly inside the support on both axes; per
+    axis returns (row, line, count) arrays, by row, then by line, where
+    ``count`` is how many more copies of the line's coordinate the row's
+    knots need to carry the line's multiplicity over the whole support.
+    Works through the rows in slices of ``_CHUNK``, which bounds the
+    (row, line) pair arrays.
     """
-    axis = np.zeros(len(rows), dtype=np.int8)
-    pos = np.full(len(rows), -1, dtype=np.int64)
-    for base, ax in itertools.product(range(0, len(rows), _CHUNK), (0, 1)):
-        todo = base + np.flatnonzero(pos[base:base + _CHUNK] < 0)
-        kn, other = rows[todo][:, cols[ax]], rows[todo][:, cols[1 - ax]]
-        start = kn[:, 0] + 1
-        count = np.maximum(kn[:, -1] - start, 0)
-        b = np.repeat(np.arange(len(todo)), count)
-        p = _ranges(start, count)
-        have = sum(col[b] == p for col in kn.T)
-        hit = _traverses(tables[ax], have, p, other[b, 0], other[b, -1])
-        b, p = b[hit], p[hit]
-        first = np.flatnonzero(np.diff(b, prepend=-1))
-        pos[todo[b[first]]] = p[first]
-        axis[todo[b[first]]] = ax
-    return axis, pos
+    out = []
+    for ax in (0, 1):
+        parts = []
+        for base in range(0, len(rows), _CHUNK):
+            blk = rows[base:base + _CHUNK]
+            kn, other = blk[:, cols[ax]], blk[:, cols[1 - ax]]
+            start = kn[:, 0] + 1
+            count = np.maximum(kn[:, -1] - start, 0)
+            b = np.repeat(np.arange(len(blk)), count)
+            p = _ranges(start, count)
+            have = sum(col[b] == p for col in kn.T)
+            lo, hi = other[b, 0], other[b, -1]
+            hit = np.flatnonzero(_traverses(tables[ax], have, p, lo, hi))
+            b, p, have, lo, hi = b[hit], p[hit], have[hit], lo[hit], hi[hit]
+            # one more copy for every multiplicity above have + 1 that the
+            # line also keeps over the support
+            add = np.ones(len(b), dtype=np.int64)
+            go = np.flatnonzero(have + 1 <= deg[ax])
+            while len(go):
+                go = go[_traverses(tables[ax], have[go] + add[go], p[go], lo[go], hi[go])]
+                add[go] += 1
+                go = go[have[go] + add[go] <= deg[ax]]
+            parts.append((base + b, p, add))
+        out.append([np.concatenate(a) for a in zip(*parts)])
+    return out
+
+
+def _insert_knots(kn: np.ndarray, coords: np.ndarray, d: int, row, line, count):
+    """Boehm insertion of several knots into each row's degree-``d`` B-spline.
+
+    ``kn`` is (n, d + 2) knot index rows into ``coords``; row ``row[k]``
+    gets ``count[k]`` copies of coordinate ``line[k]``, strictly inside its
+    support, the copies of a row's lines in ascending order.  Returns
+    (knots, alpha, per), padded to the most insertions m of a row: with
+    per[r] insertions, row r's B-spline is the sum over j <= per[r] of
+    alpha[r, j] times the B-spline on knots[r, j:j + d + 2]; knots is
+    (n, d + 2 + m) and alpha (n, 1 + m).  One knot at a time splits every
+    B-spline of the row's current refinement (``_split_weights``).
+    """
+    n = len(kn)
+    per = np.bincount(row, count, minlength=n).astype(np.int64)
+    m = int(per.max(initial=0))
+    # the knots to insert, padded: row r's own are x[r, :per[r]], ascending
+    x = np.zeros((n, m), dtype=kn.dtype)
+    r = np.repeat(row, count)
+    x[r, np.arange(len(r)) - np.repeat(np.cumsum(per) - per, per)] = np.repeat(line, count)
+    knots = np.empty((n, d + 2 + m), dtype=kn.dtype)
+    knots[:, :d + 2], knots[:, d + 2:] = kn, kn[:, -1:]
+    alpha = np.zeros((n, 1 + m))
+    alpha[:, 0] = 1.0
+    for s in range(m):
+        # rows with more than s insertions hold s + 1 B-splines on d + 2 + s
+        # knots; one more knot splits each at most once
+        r = np.flatnonzero(per > s)
+        t = coords[knots[r, :d + 2 + s]]
+        win = np.lib.stride_tricks.sliding_window_view(t, d + 2, axis=1).reshape(-1, d + 2)
+        a1, a2 = (np.clip(a, 0.0, 1.0).reshape(len(r), s + 1) for a in
+                  _split_weights(win, d, np.repeat(coords[x[r, s]], s + 1)))
+        c = alpha[r, :s + 1]
+        new = np.zeros((len(r), s + 2))
+        new[:, :-1] = a1 * c
+        new[:, 1:] += a2 * c
+        alpha[r, :s + 2] = new
+        knots[r, :d + 3 + s] = np.sort(np.column_stack([knots[r, :d + 2 + s], x[r, s]]), axis=1)
+    return knots, alpha, per
 
 
 def _split_worklist(surface: LRSurface) -> None:
     """Split every B-spline (transitively) that a mesh line now traverses.
 
     Works on knot index rows, one generation at a time.  Generation 0 is
-    every B-spline.  Each generation finds the first traversing line of
-    every queued B-spline (``_first_splits``), splits all hits at once and
-    merges the products that have equal knots: with each other, and into
-    the live B-spline that already has those knots, by summing scaled
-    contributions.  The products that are new form the next generation.
-    The live B-splines are kept as sorted row keys, so the result comes out
-    in canonical order; it replaces the surface's arrays.
+    every B-spline.  Each generation finds, for every queued B-spline, all
+    lines that fully traverse it on either axis and the multiplicity each
+    lacks there (``_lacking_lines``), inserts them into its two knot rows
+    at once (``_insert_knots``) and forms the tensor children, weighted
+    alpha_u * alpha_v.  Children with equal knots merge: with each other,
+    and into the live B-spline that already has those knots, by summing
+    scaled contributions.  The children that are new form the next
+    generation: a line may traverse a child that it did not traverse the
+    parent.  The live B-splines are kept as sorted row keys, so the result
+    comes out in canonical order; it replaces the surface's arrays.
     """
     mesh = surface.mesh
     deg = surface.degrees
@@ -481,25 +564,23 @@ def _split_worklist(surface: LRSurface) -> None:
     at[slot] = np.arange(n0)
     base = 0  # storage slot of queue[0]
     while len(queue):
-        axis, pos = _first_splits(queue, cols, tables)
-        hit = np.flatnonzero(pos >= 0)
+        lines = _lacking_lines(queue, cols, tables, deg)
+        hit = np.unique(np.concatenate([lines[0][0], lines[1][0]]))
         if not len(hit):
             break
         keys, slot = np.delete(keys, at[hit]), np.delete(slot, at[hit])
-        rows, s, c = [], [], []
-        for ax in (0, 1):
-            h = hit[axis[hit] == ax]
-            r, p = queue[h], pos[h]
-            t = r[:, cols[ax]]
-            a1, a2 = _split_weights(coords[ax][t], deg[ax], coords[ax][p])
-            ext = np.sort(np.column_stack([t, p]), axis=1)
-            for a, tk in ((a1, ext[:, :-1]), (a2, ext[:, 1:])):
-                prod = r.copy()
-                prod[:, cols[ax]] = tk
-                rows.append(prod)
-                s.append(scal[base + h] * a)
-                c.append(coef[base + h])
-        rows, s, c = np.concatenate(rows), np.concatenate(s), np.concatenate(c)
+        (ku, au, nu), (kv, av, nv) = (
+            _insert_knots(queue[hit][:, cols[ax]], coords[ax], deg[ax],
+                          np.searchsorted(hit, row), line, count)
+            for ax, (row, line, count) in enumerate(lines))
+        # child (i, j) of a hit row: its i-th u-window and its j-th v-window
+        nu, nv = nu + 1, nv + 1
+        r = np.repeat(np.arange(len(hit)), nu * nv)
+        i, j = np.divmod(_ranges(np.zeros(len(hit), dtype=np.int64), nu * nv), nv[r])
+        rows = np.hstack([ku[r[:, None], i[:, None] + np.arange(deg[0] + 2)],
+                          kv[r[:, None], j[:, None] + np.arange(deg[1] + 2)]])
+        s = scal[base + hit][r] * au[r, i] * av[r, j]
+        c = coef[base + hit][r]
         pkey, first, group = np.unique(_row_keys(rows), return_index=True,
                                        return_inverse=True)
         tot, wsum = np.bincount(group, s), np.bincount(group, s * c)

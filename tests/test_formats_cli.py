@@ -9,6 +9,7 @@ from lrterrain import FitConfig, evaluate, fit, make_tensor_surface, restrict
 from lrterrain.benchmark import benchmark_points, benchmark_terrain
 from lrterrain.cli import main
 from lrterrain.config import Settings, load_settings
+from lrterrain.tiling import stitch_grid
 from lrterrain.formats import (
     binary_size,
     read_surface,
@@ -23,7 +24,8 @@ from lrterrain.formats import (
     write_survey_text,
 )
 from conftest import random_refined_surface
-from oracles import segments
+from oracles import lrsurf01_size, segments, write_lrsurf01
+from test_tiling import grid_fits
 
 
 def sample(surface, n=1000, seed=0):
@@ -39,14 +41,14 @@ def sample(surface, n=1000, seed=0):
 def test_binary_surface_round_trip_is_bit_exact(tmp_path):
     s = random_refined_surface(4)
     p = tmp_path / "s.lrs"
-    write_surface_binary(s, p)
-    assert p.stat().st_size == binary_size(s)
+    write_lrsurf01(s, p)
+    assert p.stat().st_size == lrsurf01_size(s)
     t = read_surface_binary(p)
     x, y, z = sample(s)
     assert np.array_equal(evaluate(t, x, y), z)
     # writing the loaded surface again reproduces the file byte for byte
     p2 = tmp_path / "s2.lrs"
-    write_surface_binary(t, p2)
+    write_lrsurf01(t, p2)
     assert p2.read_bytes() == p.read_bytes()
 
 
@@ -78,7 +80,7 @@ def test_restricted_surface_round_trips(tmp_path):
     s = restrict(random_refined_surface(15, domain=(0, 2, 0, 1), grid=(9, 5)),
                  (0.0, 1.0, 0.0, 1.0))
     p = tmp_path / "r.lrs"
-    write_surface_binary(s, p)
+    write_lrsurf01(s, p)
     t = read_surface_binary(p)
     x, y, z = sample(s)
     assert np.array_equal(evaluate(t, x, y), z)
@@ -87,18 +89,20 @@ def test_restricted_surface_round_trips(tmp_path):
 
 def test_surface_sniffing(tmp_path):
     s = random_refined_surface(2, n_inserts=5)
-    pb, pt = tmp_path / "b.lrs", tmp_path / "t.lrs"
-    write_surface_binary(s, pb)
+    pb, pt, p2 = tmp_path / "b.lrs", tmp_path / "t.lrs", tmp_path / "b2.lrs"
+    write_lrsurf01(s, pb)
     write_surface_text(s, pt)  # extension does not matter, content does
+    write_surface_binary(s, p2)
     x, y, z = sample(s, 50)
     assert np.array_equal(evaluate(read_surface(pb), x, y), z)
     assert np.max(np.abs(evaluate(read_surface(pt), x, y) - z)) < 1e-12
+    assert np.max(np.abs(evaluate(read_surface(p2), x, y) - z)) < 1e-13 * np.abs(z).max()
 
 
 def test_binary_surface_rejects_damage(tmp_path):
     s = random_refined_surface(2, n_inserts=5)
     p = tmp_path / "s.lrs"
-    write_surface_binary(s, p)
+    write_lrsurf01(s, p)
     data = p.read_bytes()
     (tmp_path / "trunc.lrs").write_bytes(data[:-9])
     with pytest.raises(ValueError, match="truncated"):
@@ -162,7 +166,7 @@ def _text_empty_support(s, path):
 
 def _binary_knots_not_nondecreasing(s, path):
     # swap the first and last u index of the last B-spline record
-    write_surface_binary(s, path)
+    write_lrsurf01(s, path)
     data = bytearray(path.read_bytes())
     du, dv = s.degrees
     at = len(data) - (4 * (du + 2) + 4 * (dv + 2) + 16)
@@ -172,7 +176,7 @@ def _binary_knots_not_nondecreasing(s, path):
 
 
 def _binary_index_out_of_range(s, path):
-    write_surface_binary(s, path)
+    write_lrsurf01(s, path)
     data = bytearray(path.read_bytes())
     # the last v-knot index of the last B-spline, before its two f64
     data[-20:-16] = (2**32 - 1).to_bytes(4, "little")
@@ -180,7 +184,7 @@ def _binary_index_out_of_range(s, path):
 
 
 def _binary_table_not_increasing(s, path):
-    write_surface_binary(s, path)
+    write_lrsurf01(s, path)
     data = bytearray(path.read_bytes())
     # the first two u knots, right after the u table count
     at = 44 + sum(4 + len(u.encode()) for u in s.units) + 4
@@ -207,7 +211,7 @@ def _text_lo_above_hi(s, path):
 
 def _binary_multiplicity_above_degree(s, path):
     # the multiplicity byte of the first segment record: 200 on a degree-2 axis
-    write_surface_binary(s, path)
+    write_lrsurf01(s, path)
     data = bytearray(path.read_bytes())
     at = (44 + sum(4 + len(u.encode()) for u in s.units)
           + sum(4 + 8 * len(s.mesh.coords(axis)) for axis in (0, 1)) + 4)
@@ -232,7 +236,7 @@ def test_bad_segment_record_is_named_by_its_position(tmp_path):
     with pytest.raises(ValueError, match="segment 2: knot index out of range"):
         read_surface_text(text)
     # a cut inside the segment block: the block is read whole
-    write_surface_binary(s, binary)
+    write_lrsurf01(s, binary)
     at = (44 + sum(4 + len(u.encode()) for u in s.units)
           + sum(4 + 8 * len(s.mesh.coords(axis)) for axis in (0, 1)) + 4)
     binary.write_bytes(binary.read_bytes()[:at + 16 * 2 + 5])
@@ -252,7 +256,7 @@ def _text_knot_outside_domain(s, path):
 
 def _binary_knot_outside_domain(s, path):
     # the last u knot, 1.0, replaced by 7.5: the table still increases
-    write_surface_binary(s, path)
+    write_lrsurf01(s, path)
     data = bytearray(path.read_bytes())
     at = 44 + sum(4 + len(u.encode()) for u in s.units) + 4 + 8 * len(s.mesh.coords(0))
     assert data[at - 8:at] == np.float64(1.0).tobytes()
@@ -283,6 +287,162 @@ def test_cli_eval_of_malformed_surface_exits_2(damage, tmp_path, capsys):
     pts.write_text("0.5 0.5 0.0\n")
     assert main(["eval", str(path), str(pts)]) == 2
     assert "bad.lrs" in capsys.readouterr().err
+
+
+# -- LRSURF02: the mesh and the coefficients --------------------------------
+
+
+def _stitched():
+    return stitch_grid(grid_fits(7, counts=(3, 3)), (3, 3), c1=True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: [random_refined_surface(4, n_inserts=60)],
+    lambda: [random_refined_surface(5, n_inserts=60, degrees=(3, 2))],
+    lambda: [random_refined_surface(6, n_inserts=60, degrees=(3, 3))],
+    lambda: [restrict(random_refined_surface(15, domain=(0, 2, 0, 1), grid=(9, 5)),
+                      (0.3, 1.1, 0.0, 0.7))],
+    _stitched,
+], ids=["d22", "d32", "d33", "restricted", "c1-grid"])
+def test_lrsurf02_round_trip(build, tmp_path):
+    p, p2 = tmp_path / "s.lrs", tmp_path / "s2.lrs"
+    for s in build():
+        write_surface_binary(s, p)
+        assert p.read_bytes()[:8] == b"LRSURF02"
+        assert p.stat().st_size == binary_size(s) < lrsurf01_size(s)
+        t = read_surface_binary(p)
+        write_surface_binary(t, p2)
+        assert p2.read_bytes() == p.read_bytes()
+        assert np.array_equal(t.knots, s.knots) and t.units == s.units
+        x, y, z = sample(s)
+        assert np.max(np.abs(evaluate(t, x, y) - z)) <= 1e-13 * np.abs(z).max()
+
+
+def _coefficient_block(s, data):
+    """Offset of the u32 coefficient count in an LRSURF02 file of ``s``."""
+    return len(data) - 8 * len(s) - 4
+
+
+def _lrsurf02_truncated(s, data):
+    return data[:-5]
+
+
+def _lrsurf02_trailing(s, data):
+    return data + b"\0"
+
+
+def _lrsurf02_count_not_replay(s, data):
+    # one coefficient fewer, and the count says so
+    at = _coefficient_block(s, data)
+    return data[:at] + (len(s) - 1).to_bytes(4, "little") + data[at + 4:-8]
+
+
+def _lrsurf02_coefficient_nan(s, data):
+    return data[:-8] + np.float64(np.nan).tobytes()
+
+
+def _lrsurf02_multiplicity_above_degree(s, data):
+    # the multiplicity byte of the first segment record: 200 on a degree-2 axis
+    at = (44 + sum(4 + len(u.encode()) for u in s.units)
+          + sum(4 + 8 * len(s.mesh.coords(axis)) for axis in (0, 1)) + 4)
+    return data[:at + 1] + bytes([200]) + data[at + 2:]
+
+
+def _lrsurf02_side_below_full(s, data):
+    # the first segment record is the side u = 0 at multiplicity 3; make it 1
+    at = (44 + sum(4 + len(u.encode()) for u in s.units)
+          + sum(4 + 8 * len(s.mesh.coords(axis)) for axis in (0, 1)) + 4)
+    assert data[at:at + 2] == bytes([0, 3])
+    return data[:at + 1] + bytes([1]) + data[at + 2:]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_lrsurf02_truncated, "truncated"),
+    (_lrsurf02_trailing, "trailing bytes"),
+    (_lrsurf02_count_not_replay, r"coefficients, but the replay of the mesh has \d+ B-splines"),
+    (_lrsurf02_coefficient_nan, r"coefficient \d+ is not finite"),
+    (_lrsurf02_multiplicity_above_degree, "segment 0: multiplicity 200"),
+    (_lrsurf02_side_below_full, "domain side u = 0.0 is not a line of multiplicity 3"),
+], ids=["truncated", "trailing", "count", "nan", "segment", "side"])
+def test_cli_eval_of_malformed_lrsurf02_exits_2(damage, message, tmp_path, capsys):
+    s = random_refined_surface(2, n_inserts=5)
+    path = tmp_path / "bad.lrs"
+    write_surface_binary(s, path)
+    path.write_bytes(damage(s, path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        read_surface(path)
+    pts = tmp_path / "pts.xyz"
+    pts.write_text("0.5 0.5 0.0\n")
+    assert main(["eval", str(path), str(pts)]) == 2
+    assert "bad.lrs" in capsys.readouterr().err
+
+
+def _drop_bspline(s):
+    s.knots, s.scaling, s.coeffs = (np.delete(a, 5, axis=0) for a in (s.knots, s.scaling, s.coeffs))
+    return r"B-spline 5 differs from the replay"
+
+
+def _line_without_splits(s):
+    # a full line merged into the mesh, but no B-spline split by it
+    s.mesh.snap_many([(0, 0.37)])
+    s.mesh._merge([(0, 0.37, 0.0, 1.0, 1)])
+    return r"B-spline \d+ differs from the replay"
+
+
+@pytest.mark.parametrize("edit", [_drop_bspline, _line_without_splits])
+def test_writer_refuses_a_surface_that_is_not_its_mesh_replay(edit, tmp_path):
+    s = random_refined_surface(3, n_inserts=20)
+    message = edit(s)
+    path = tmp_path / "s.lrs"
+    with pytest.raises(ValueError, match=message + ".*write_surface_text"):
+        write_surface_binary(s, path)
+    assert not path.exists()
+    write_surface_text(s, tmp_path / "s.lrs.txt")  # the text format lists every B-spline
+
+
+def _scaling_negative(s):
+    s.scaling[0] = -1.0
+    return "B-spline 0: scaling -1.0 is not finite and above 0"
+
+
+def _scaling_inf(s):
+    s.scaling[0] = np.inf
+    return "B-spline 0: scaling inf is not finite and above 0"
+
+
+def _coefficient_nan(s):
+    s.coeffs[0] = np.nan
+    return "B-spline 0: coefficient nan is not finite"
+
+
+def _record_repeated(s):
+    # record 1 copied over record 0
+    for a in (s.knots, s.scaling, s.coeffs):
+        a[0] = a[1]
+    return "B-spline 1: its knot indices .* do not follow those of B-spline 0"
+
+
+def _records_swapped(s):
+    for a in (s.knots, s.scaling, s.coeffs):
+        a[[0, 1]] = a[[1, 0]]
+    return "B-spline 1: its knot indices .* do not follow those of B-spline 0"
+
+
+@pytest.mark.parametrize("write", [write_lrsurf01, write_surface_text], ids=["lrsurf01", "text"])
+@pytest.mark.parametrize("corrupt", [_scaling_negative, _scaling_inf, _coefficient_nan,
+                                     _record_repeated, _records_swapped])
+def test_cli_eval_of_corrupt_bspline_record_exits_2(corrupt, write, tmp_path, capsys):
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (5, 5), coeff=1.0)
+    message = corrupt(s)
+    path = tmp_path / "bad.lrs"
+    write(s, path)
+    with pytest.raises(ValueError, match=message):
+        read_surface(path)
+    pts = tmp_path / "pts.xyz"
+    pts.write_text("0.5 0.5 1.0\n0.2 0.7 1.0\n")
+    assert main(["eval", str(path), str(pts)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.lrs" in err and "B-spline" in err
 
 
 # -- survey files -----------------------------------------------------------
@@ -525,7 +685,7 @@ def test_cli_tile_and_stitch(bench_file, tmp_path, capsys):
     assert code == 0
     m2 = json.loads((tmp_path / "grid.stitched.json").read_text())
     heads = [(tmp_path / e["surface"]).read_bytes()[:8] for e in m2["tiles"]]
-    assert heads[0] == b"lrsurfac" and heads[1:] == [b"LRSURF01"] * 3
+    assert heads[0] == b"lrsurfac" and heads[1:] == [b"LRSURF02"] * 3
     S = [read_surface(tmp_path / e["surface"]) for e in m2["tiles"]]
     xs = S[0].domain[1]
     t = np.linspace(S[0].domain[2], S[0].domain[3], 500)

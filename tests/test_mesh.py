@@ -318,3 +318,47 @@ def test_residents_match_support_scan():
             expect[e].append(i)
     got = [res[offsets[e]:offsets[e + 1]].tolist() for e in range(len(bounds))]
     assert got == expect
+
+
+def _multiple_lines():
+    # degree 3: the interior knot u = 0.5 raised from 1 to 3 copies by a
+    # full line, a v-line of multiplicity 2 over half the domain, and a
+    # u-line at 0.75 of multiplicity 2 below v = 0.5 and 1 above it, so a
+    # support gets as many copies as the line keeps over all of it
+    s = make_tensor_surface((0, 1, 0, 1), (3, 3), (5, 5))
+    s.coeffs[:] = np.arange(len(s), dtype=float)
+    insert_segments(s, [Segment(0, 0.5, 0.0, 1.0, 3), Segment(1, 0.3, 0.0, 0.5, 2),
+                        Segment(0, 0.75, 0.0, 0.5, 2), Segment(0, 0.75, 0.5, 1.0, 1)])
+    return s
+
+
+def _child_only_line():
+    # the v-line at 0.5 spans u in [0, 0.5]: no support of the one-element
+    # start, whose supports all span [0, 1], but the children that the
+    # full u-line at 0.5 makes on its left
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (3, 3))
+    s.coeffs[:] = np.arange(len(s), dtype=float)
+    s.mesh.snap_many([(0, 0.5)])
+    insert_segments(s, [Segment(0, 0.5, 0.0, 1.0), Segment(1, 0.5, 0.0, 0.5)])
+    return s
+
+
+@pytest.mark.parametrize("build", [_multiple_lines, _child_only_line],
+                         ids=["multiplicity", "child-only"])
+def test_split_engine_matches_oracle_on_multiple_and_child_only_lines(monkeypatch, build):
+    from test_engines import assert_same_surface, both_engines
+
+    new, old = both_engines(monkeypatch, build)
+    assert_same_surface(new, old)
+    validate_surface(new)
+    if build is _child_only_line:
+        # the v-line split the children left of u = 0.5 only
+        split = (new.axis_knots(1) == 0.5).any(axis=1)
+        assert split.any() and (new.axis_knots(0)[split, -1] <= 0.5).all()
+    else:
+        assert (new.axis_knots(0) == 0.5).sum(axis=1).max() == 3
+        assert (new.axis_knots(1) == 0.3).sum(axis=1).max() == 2
+        # two copies of 0.75 where the support lies below v = 0.5, else one
+        below = new.axis_knots(1)[:, -1] <= 0.5
+        copies = (new.axis_knots(0) == 0.75).sum(axis=1)
+        assert copies[below].max() == 2 and copies[~below].max() == 1
