@@ -212,7 +212,8 @@ def _bspline_surface(mesh: BoxMesh, tables, degrees: tuple[int, int], idx, scali
                             f"those of B-spline {i - 1} in canonical order"),
         (~(np.isfinite(scaling) & (scaling > 0)),
          lambda i: f"B-spline {i}: scaling {float(scaling[i])!r} is not finite and above 0"),
-        (~np.isfinite(coeffs), lambda i: f"B-spline {i}: coefficient {float(coeffs[i])!r} is not finite"),
+        (~np.isfinite(coeffs),
+         lambda i: f"B-spline {i}: coefficient {float(coeffs[i])!r} is not finite"),
     ])
     if fault is not None:
         raise ValueError(fault)

@@ -341,19 +341,21 @@ def _lrsurf02_coefficient_nan(s, data):
     return data[:-8] + np.float64(np.nan).tobytes()
 
 
-def _lrsurf02_multiplicity_above_degree(s, data):
-    # the multiplicity byte of the first segment record: 200 on a degree-2 axis
-    at = (44 + sum(4 + len(u.encode()) for u in s.units)
-          + sum(4 + 8 * len(s.mesh.coords(axis)) for axis in (0, 1)) + 4)
-    return data[:at + 1] + bytes([200]) + data[at + 2:]
-
-
-def _lrsurf02_side_below_full(s, data):
-    # the first segment record is the side u = 0 at multiplicity 3; make it 1
+def _first_segment_mult(s, data, mult):
+    """``data`` with the multiplicity byte of its first segment record set
+    to ``mult``; that record is the side u = 0 at multiplicity 3."""
     at = (44 + sum(4 + len(u.encode()) for u in s.units)
           + sum(4 + 8 * len(s.mesh.coords(axis)) for axis in (0, 1)) + 4)
     assert data[at:at + 2] == bytes([0, 3])
-    return data[:at + 1] + bytes([1]) + data[at + 2:]
+    return data[:at + 1] + bytes([mult]) + data[at + 2:]
+
+
+def _lrsurf02_multiplicity_above_degree(s, data):
+    return _first_segment_mult(s, data, 200)  # on a degree-2 axis
+
+
+def _lrsurf02_side_below_full(s, data):
+    return _first_segment_mult(s, data, 1)
 
 
 @pytest.mark.parametrize("damage, message", [
