@@ -3,25 +3,28 @@
 Iteration 0 is a least-squares fit on a coarse tensor space.  Each later
 iteration refines the B-splines whose supports hold out-of-tolerance
 points, then runs one approximation pass: least squares while the space is
-small and uniform, the local correction sweep once elements vary a lot in
-size (or after ``n_ls`` iterations).  Terminates when no point is out of
-tolerance, the iteration cap is reached, or refinement is frozen by the
-minimal element width.
+small and uniform, the local correction sweep once the largest element
+area exceeds ``MBA_SWITCH_RATIO`` times the smallest (or after ``n_ls``
+iterations).  Terminates when no point is out of tolerance, the iteration
+cap is reached, or refinement is frozen by the minimal element width.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .evaluate import _evaluate_at, _gather, check_points, eval_cache, evaluate
 from .formats import binary_size
-from .least_squares import SmoothingWeights, fit_least_squares, idw_prior
+from .least_squares import fit_least_squares, idw_prior
 from .mba import mba_update
 from .mesh import LRSurface, insert_segments, make_tensor_surface
 
 __all__ = ["FitConfig", "IterationReport", "fit", "refine_step"]
+
+MBA_SWITCH_RATIO = 16.0  # element area max/min that forces the local sweep
+ASPECT_THRESHOLD = 1.5   # support aspect below which both axes split
 
 
 @dataclass(frozen=True)
@@ -31,11 +34,8 @@ class FitConfig:
     degrees: tuple[int, int] = (2, 2)
     initial_grid: tuple[int, int] = (7, 7)
     n_ls: int = 3                    # LS passes before switching to local updates
-    mba_switch_ratio: float = 16.0   # element area max/min that forces the switch
-    aspect_threshold: float = 1.5    # support aspect below which both axes split
     min_width_fraction: float = 2.0 ** -14  # of domain extent, freezes refinement
     alpha1: float = 1e-6
-    smoothing: SmoothingWeights = field(default_factory=SmoothingWeights)
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -83,8 +83,9 @@ def refine_step(surface: LRSurface, fld: dict, config: FitConfig) -> dict:
     """Insert knot segments over the supports holding out-of-tol points.
 
     Split direction: the longer support axis, both when the aspect ratio is
-    below the threshold.  The split lands at the midpoint of the central
-    knot span; candidates narrower than the width floor are frozen out.
+    below ``ASPECT_THRESHOLD``.  The split lands at the midpoint of the
+    central knot span; candidates narrower than the width floor are frozen
+    out.
     Returns counts {inserted, frozen}.
     """
     tau = config.tolerance
@@ -96,7 +97,7 @@ def refine_step(surface: LRSurface, fld: dict, config: FitConfig) -> dict:
     marked = np.unique(cache.res[bad[cache.pair_element]])
     ku, kv = surface.axis_knots(0)[marked], surface.axis_knots(1)[marked]
     du_len, dv_len = ku[:, -1] - ku[:, 0], kv[:, -1] - kv[:, 0]
-    both = np.maximum(du_len, dv_len) / np.minimum(du_len, dv_len) < config.aspect_threshold
+    both = np.maximum(du_len, dv_len) / np.minimum(du_len, dv_len) < ASPECT_THRESHOLD
     # one column per axis: whether to split there, and the span to split
     use = np.column_stack([both | (du_len > dv_len), both | ~(du_len > dv_len)])
     lo, hi = (np.column_stack(ends) for ends in zip(_split_span(ku), _split_span(kv)))
@@ -152,9 +153,8 @@ def _approximate(surface: LRSurface, pts: np.ndarray, config: FitConfig,
         return pts[:, 2] - _evaluate_at(cache, surface.coeffs, *located, 0)[:, 0]
 
     if prior is not None or (iteration <= config.n_ls
-                             and _area_ratio(surface) <= config.mba_switch_ratio):
+                             and _area_ratio(surface) <= MBA_SWITCH_RATIO):
         fit_least_squares(surface, pts, alpha1=config.alpha1,
-                          weights=config.smoothing,
                           prior=prior or (lambda x, y: evaluate(surface, x, y)),
                           located=located)
     else:

@@ -197,11 +197,10 @@ def cmd_fit(args) -> int:
 
 def cmd_deconflict(args) -> int:
     settings = load_settings(args.config, args.tolerance)
-    dcfg = settings.deconflict
-    if args.level is not None:
-        dcfg = dataclasses.replace(dcfg, reference_level=args.level)
-    if args.total is not None:
-        dcfg = dataclasses.replace(dcfg, total_iterations=args.total)
+    # one replace, so the pair is checked as given, not against a default
+    given = {"reference_level": args.level, "total_iterations": args.total}
+    dcfg = dataclasses.replace(settings.deconflict,
+                               **{k: v for k, v in given.items() if v is not None})
     fit_cfg = dataclasses.replace(settings.fit, tolerance=dcfg.tolerance)
 
     surveys = []

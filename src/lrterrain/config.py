@@ -1,17 +1,24 @@
-"""One configuration file for every tunable threshold.
+"""One configuration file for the settings a run may choose.
 
-Layout (JSON, all sections optional):
+Layout (JSON, all sections and keys optional):
 
     {
       "tolerance": 0.5,
-      "fit":       {"max_iterations": 7, "degrees": [2, 2], ...},
-      "deconflict": {"alpha": 0.05, "reference_level": 3, ...},
+      "fit":       {"tolerance": 0.5, "max_iterations": 7, "degrees": [2, 2],
+                    "initial_grid": [7, 7], "n_ls": 3,
+                    "min_width_fraction": 6.103515625e-05, "alpha1": 1e-06},
+      "deconflict": {"tolerance": 0.5, "reference_level": 3,
+                     "total_iterations": 7},
       "tiling":    {"overlap": 0.05}
     }
 
 A top-level ``tolerance`` sets both the fit and the deconfliction tolerance;
 the sections can still override it individually.  Unknown keys are rejected
-by name so a typo cannot silently fall back to a default.
+by name so a typo cannot silently fall back to a default.  The thresholds
+that are fixed choices of the method are module constants of ``adaptive``
+and ``deconflict`` (such as ``deconflict.MAX_DEPTH``), not settings, so a
+file that sets one is rejected the same way; the smoothing weights are
+always ``least_squares.SmoothingWeights()``.
 """
 from __future__ import annotations
 
@@ -20,7 +27,6 @@ from dataclasses import dataclass, field, fields
 
 from .adaptive import FitConfig
 from .deconflict import DeconflictConfig
-from .least_squares import SmoothingWeights
 
 __all__ = ["Settings", "load_settings"]
 
@@ -44,9 +50,6 @@ def _build(cls, section: str, data: dict):
     for key in ("degrees", "initial_grid"):
         if key in kwargs:
             kwargs[key] = tuple(int(v) for v in kwargs[key])
-    if "smoothing" in kwargs and isinstance(kwargs["smoothing"], dict):
-        kwargs["smoothing"] = _build(SmoothingWeights, section + ".smoothing",
-                                     kwargs["smoothing"])
     return cls(**kwargs)
 
 

@@ -3,14 +3,39 @@
 Overlapping surveys are compared pairwise per element of a rough reference
 surface, in descending priority order.  A candidate sample is judged
 against each already-accepted sample through residual statistics relative
-to the reference; failures remove the candidate's points at the finest
-sub-domain granularity the test reached, never whole surveys.
+to the reference; a rejected candidate loses its points inside the tested
+region and the accepted survey's footprint, at the finest sub-domain
+granularity the test reached, never whole surveys.
 
-The t-statistic and its confidence limit are computed and reported but do
-not decide on their own: with dense, low-noise samples the test statistic
-grows without bound even when the practical disagreement is millimeters,
-so threshold-relative criteria carry the verdict and the t-value serves as
-an advisory signal.
+The thresholds are fixed choices of the method, lengths in units of the
+tolerance tau (``DeconflictConfig.tolerance``):
+
+- Overlapping samples (``element_consistency``) are consistent when four
+  criteria hold: the means differ by at most ``MEAN_FACTOR`` tau; the
+  candidate's residual range lies inside the accepted one widened by
+  ``RANGE_FACTOR`` tau; at least ``WITHIN_FRACTION`` of the candidate's
+  residuals lie inside the accepted range widened by ``WITHIN_FACTOR`` tau;
+  the std of the union is at most ``STD_GROWTH`` times the larger std.
+  Either verdict becomes indeterminate when a sample's std has an upper
+  ``STD_CONFIDENCE`` bound above ``LARGE_STD_FACTOR`` tau; a failure also
+  does when the boxes overlap by less than ``SMALL_OVERLAP`` of the larger
+  box, or when a sample has fewer than ``MIN_DECIDE`` points.
+- Disjoint samples (``_disjoint_verdict``) are kept when their gap is at
+  least ``KEEP_GAP_FACTOR`` times the element diagonal; nearer ones must
+  agree within tau at their ``NEIGHBOR_PAIRS`` closest cross pairs, plus
+  the reference's slope times the pair distance, capped at ``SLOPE_CAP``
+  tau.
+- An indeterminate pair is tested again on sub-domains (``_sub_rects``),
+  at most ``MAX_DEPTH`` levels deep.
+- Surveys whose scores differ by at most ``EQUAL_SCORE_EPS`` and whose
+  boxes overlap by at most ``TINY_OVERLAP`` of the larger box are parts of
+  one split survey and are both kept (``deconflict``).
+
+The t-statistic and its two-sided confidence limit at significance
+``ALPHA`` are computed and reported but do not decide on their own: with
+dense, low-noise samples the test statistic grows without bound even when
+the practical disagreement is millimeters, so threshold-relative criteria
+carry the verdict and the t-value serves as an advisory signal.
 """
 from __future__ import annotations
 
@@ -43,10 +68,22 @@ CONSISTENT = "consistent"
 NOT_CONSISTENT = "not-consistent"
 INDETERMINATE = "indeterminate"
 
-# confidence of the upper bound that flags a sample's spread as large
-STD_CONFIDENCE = 0.95
-# point spacings within which a removal edge snaps out (``_removal_rect``)
-SNAP_SPACINGS = 5.0
+ALPHA = 0.05             # significance of the advisory t-test
+MEAN_FACTOR = 1.0        # criterion 1: |mean difference| <= tau * this
+RANGE_FACTOR = 0.5       # criterion 2: candidate range within hi range +- tau * this
+WITHIN_FACTOR = 0.25     # criterion 3: margin of the widened accepted range
+WITHIN_FRACTION = 0.9    # criterion 3: required fraction inside it
+STD_GROWTH = 1.25        # criterion 4: combined std <= max individual std * this
+STD_CONFIDENCE = 0.95    # confidence of the upper bound on a sample's std
+LARGE_STD_FACTOR = 0.5   # that bound above tau * this flags the sample
+SMALL_OVERLAP = 0.2      # overlap / larger box below this can't reject
+MIN_DECIDE = 10          # overlapping samples below this size can't reject
+KEEP_GAP_FACTOR = 0.5    # disjoint cluster gap (vs region diagonal) that keeps
+NEIGHBOR_PAIRS = 5       # nearest cross pairs compared when disjoint
+SLOPE_CAP = 1.0          # cap on the slope allowance, in tolerances
+MAX_DEPTH = 3            # sub-domain recursion levels
+EQUAL_SCORE_EPS = 1e-6   # split survey: scores this close ...
+TINY_OVERLAP = 0.05      # ... and boxes overlapping at most this share
 
 
 @dataclass
@@ -80,18 +117,14 @@ class SampleStats:
         r = np.asarray(residuals, dtype=float)
         if len(r) == 0:
             raise ValueError("empty sample")
-        xy = np.asarray(xy, dtype=float)
         std = float(np.std(r, ddof=1)) if len(r) >= 2 else None
-        return cls(
-            n=len(r), mean=float(r.mean()), std=std,
-            lo=float(r.min()), hi=float(r.max()),
-            bbox=(float(xy[:, 0].min()), float(xy[:, 0].max()),
-                  float(xy[:, 1].min()), float(xy[:, 1].max())),
-        )
+        return cls(n=len(r), mean=float(r.mean()), std=std,
+                   lo=float(r.min()), hi=float(r.max()),
+                   bbox=_bbox(np.asarray(xy, dtype=float)))
 
     @property
     def size(self) -> float:
-        return (self.bbox[1] - self.bbox[0]) * (self.bbox[3] - self.bbox[2])
+        return _area(self.bbox)
 
 
 def combined_std(a: SampleStats, b: SampleStats) -> float | None:
@@ -149,30 +182,34 @@ def two_sample_t(a: SampleStats, b: SampleStats) -> dict:
 
 @dataclass(frozen=True)
 class DeconflictConfig:
-    """Thresholds for the consistency criteria, all scaled by tolerance."""
+    """The tolerance every threshold is scaled by, and the iteration split
+    of ``deconflict_fit``: the reference surface stops at
+    ``reference_level``, the final one at ``total_iterations`` in all."""
 
     tolerance: float = 0.5
-    alpha: float = 0.05
-    mean_factor: float = 1.0        # |mean difference| <= tolerance * this
-    range_factor: float = 0.5       # candidate range within hi range +- tol * this
-    within_factor: float = 0.25     # margin for the residual-coverage criterion
-    within_fraction: float = 0.9    # required fraction inside the widened range
-    std_growth: float = 1.25        # combined std <= max individual std * this
-    large_std_factor: float = 0.5   # std above tol * this flags the sample
-    small_overlap: float = 0.2      # overlap / max sample size below this is "small"
-    equal_score_eps: float = 1e-6
-    tiny_overlap: float = 0.05      # equal-score split-survey special case
-    keep_gap_factor: float = 0.5    # cluster gap (vs region diagonal) that keeps
-    neighbor_pairs: int = 5         # nearest cross-pairs checked when disjoint
-    slope_cap: float = 1.0          # cap on the slope allowance, in tolerances
-    min_decide: int = 10            # overlapping samples below this can't reject
-    max_depth: int = 3
     reference_level: int = 3
     total_iterations: int = 7
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if self.reference_level < 0:
+            raise ValueError(f"reference_level must be >= 0; got {self.reference_level}")
+        if self.total_iterations < self.reference_level:
+            raise ValueError(
+                f"total_iterations must be >= reference_level; got "
+                f"total_iterations {self.total_iterations} < reference_level "
+                f"{self.reference_level}")
+
+
+def _bbox(xy: np.ndarray) -> tuple[float, float, float, float]:
+    """xmin, xmax, ymin, ymax of planform points."""
+    return (float(xy[:, 0].min()), float(xy[:, 0].max()),
+            float(xy[:, 1].min()), float(xy[:, 1].max()))
+
+
+def _area(rect) -> float:
+    return (rect[1] - rect[0]) * (rect[3] - rect[2])
 
 
 def _bbox_overlap(a: tuple, b: tuple) -> float:
@@ -193,29 +230,19 @@ def _std_upper(s: float, n: int) -> float:
     return s * math.sqrt((n - 1) / (2 * special.gammaincinv((n - 1) / 2, 1 - STD_CONFIDENCE)))
 
 
-def _nearest_cross_pairs(hi_xy, hi_r, cand_xy, cand_r, k: int):
-    """Up to k closest (distance, r_hi, r_cand, midpoint) cross pairs."""
+def _nearest_cross_pairs(hi_xy, hi_r, cand_xy, cand_r):
+    """The ``NEIGHBOR_PAIRS`` closest cross pairs, nearest first: each
+    candidate point with its nearest accepted point, as the arrays
+    (distance, r_hi, r_cand, midpoint)."""
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(hi_xy)
-    dist, idx = tree.query(cand_xy, k=1)
-    order = np.argsort(dist, kind="stable")[:k]
-    out = []
-    for j in order:
-        i = int(idx[j])
-        mid = 0.5 * (hi_xy[i] + cand_xy[j])
-        out.append((float(dist[j]), float(hi_r[i]), float(cand_r[j]), mid))
-    return out
+    dist, idx = cKDTree(hi_xy).query(cand_xy, k=1)
+    j = np.argsort(dist, kind="stable")[:NEIGHBOR_PAIRS]
+    i = idx[j]
+    return dist[j], hi_r[i], cand_r[j], 0.5 * (hi_xy[i] + cand_xy[j])
 
 
-def _cut_rect(hi_stats: SampleStats, rect, hi_cover):
-    """Where a rejected candidate's points are actually dropped."""
-    if hi_cover is not None:
-        return _rect_intersect(rect, hi_cover)
-    return _rect_intersect(rect, _removal_rect(hi_stats, rect))
-
-
-def _disjoint_verdict(hi, cand, cfg: DeconflictConfig, region_diag: float,
+def _disjoint_verdict(hi, cand, tau: float, region_diag: float,
                       data=None, reference=None) -> tuple[str, dict]:
     """Consistency of two samples whose planform domains do not overlap.
 
@@ -224,36 +251,23 @@ def _disjoint_verdict(hi, cand, cfg: DeconflictConfig, region_diag: float,
     data the closest cross-survey pairs are compared with a slope
     allowance, otherwise the mean difference decides.
     """
-    detail: dict = {"rule": "disjoint"}
-    tau = cfg.tolerance
-    if data is not None:
-        hi_xy, hi_r, cand_xy, cand_r = data
-        pairs = _nearest_cross_pairs(hi_xy, hi_r, cand_xy, cand_r,
-                                     cfg.neighbor_pairs)
-        gap = pairs[0][0]
-        detail["gap"] = gap
-        if gap >= cfg.keep_gap_factor * region_diag:
-            detail["rule"] = "disjoint-far"
-            return CONSISTENT, detail
-        bad = 0
-        for d, r1, r2, mid in pairs:
-            allow = tau
-            if reference is not None:
-                # slope allowance for steep terrain between the clusters,
-                # capped: a conflict-corrupted reference has artifact
-                # gradients that must not excuse arbitrary level gaps
-                g = evaluate(reference, [mid[0]], [mid[1]], order=1)
-                allow = tau + min(math.hypot(g[0, 1], g[0, 2]) * d,
-                                  cfg.slope_cap * tau)
-            if abs(r1 - r2) > allow:
-                bad += 1
-        detail["rule"] = "disjoint-near"
-        detail["bad_pairs"] = bad
-        return (CONSISTENT if bad == 0 else NOT_CONSISTENT), detail
-    # summary-only fallback
-    detail["rule"] = "disjoint-stats"
-    ok = abs(hi.mean - cand.mean) <= tau * cfg.mean_factor
-    return (CONSISTENT if ok else NOT_CONSISTENT), detail
+    if data is None:
+        ok = abs(hi.mean - cand.mean) <= tau * MEAN_FACTOR
+        return (CONSISTENT if ok else NOT_CONSISTENT), {"rule": "disjoint-stats"}
+    dist, r_hi, r_cand, mid = _nearest_cross_pairs(*data)
+    gap = float(dist[0])
+    if gap >= KEEP_GAP_FACTOR * region_diag:
+        return CONSISTENT, {"rule": "disjoint-far", "gap": gap}
+    allow = tau
+    if reference is not None:
+        # slope allowance for steep terrain between the clusters, capped:
+        # a conflict-corrupted reference has artifact gradients that must
+        # not excuse arbitrary level gaps
+        g = evaluate(reference, mid[:, 0], mid[:, 1], order=1)
+        allow = tau + np.minimum(np.hypot(g[:, 1], g[:, 2]) * dist, SLOPE_CAP * tau)
+    bad = int((np.abs(r_hi - r_cand) > allow).sum())
+    return ((CONSISTENT if bad == 0 else NOT_CONSISTENT),
+            {"rule": "disjoint-near", "gap": gap, "bad_pairs": bad})
 
 
 def element_consistency(hi: SampleStats, cand: SampleStats,
@@ -286,24 +300,24 @@ def element_consistency(hi: SampleStats, cand: SampleStats,
     if hi.std is not None and cand.std is not None:
         tt = two_sample_t(hi, cand)
         detail["t"] = tt["t"]
-        detail["t_limit"] = students_t_quantile(config.alpha, tt["df_welch"])
+        detail["t_limit"] = students_t_quantile(ALPHA, tt["df_welch"])
         detail["df_welch"] = tt["df_welch"]
         detail["df_pooled"] = tt["df_pooled"]
 
     disjoint = overlap_area <= 0.0
     if disjoint:
-        verdict, d2 = _disjoint_verdict(hi, cand, config, gap_scale,
+        verdict, d2 = _disjoint_verdict(hi, cand, tau, gap_scale,
                                         data=data, reference=reference)
         detail.update(d2)
         return verdict, detail
 
     # criterion 1: means close relative to the tolerance
-    c1 = abs(hi.mean - cand.mean) <= tau * config.mean_factor
+    c1 = abs(hi.mean - cand.mean) <= tau * MEAN_FACTOR
     # criterion 2: candidate range inside the accepted range, widened
-    m2 = tau * config.range_factor
+    m2 = tau * RANGE_FACTOR
     c2 = (cand.lo >= hi.lo - m2) and (cand.hi <= hi.hi + m2)
     # criterion 3: most candidate residuals inside the accepted range
-    m3 = tau * config.within_factor
+    m3 = tau * WITHIN_FACTOR
     if data is not None:
         _, _, _, cand_r = data
         frac = float(((cand_r >= hi.lo - m3) & (cand_r <= hi.hi + m3)).mean())
@@ -314,27 +328,27 @@ def element_consistency(hi: SampleStats, cand: SampleStats,
                      - special.ndtr((hi.lo - m3 - cand.mean) / cand.std))
     else:
         frac = 1.0 if (hi.lo - m3 <= cand.mean <= hi.hi + m3) else 0.0
-    c3 = frac >= config.within_fraction
+    c3 = frac >= WITHIN_FRACTION
     # criterion 4: pooling does not blow up the spread
     if combined is None:
         combined = combined_std(hi, cand)
     stds = [s for s in (hi.std, cand.std) if s is not None]
     c4 = True
     if combined is not None and stds:
-        c4 = combined <= config.std_growth * max(stds)
+        c4 = combined <= STD_GROWTH * max(stds)
     # spread flag on an upper confidence bound, so a lucky low estimate
     # from a small sample cannot unlock a rejection
     large_std = any(
-        _std_upper(s, n) > config.large_std_factor * tau
+        _std_upper(s, n) > LARGE_STD_FACTOR * tau
         for s, n in ((hi.std, hi.n), (cand.std, cand.n)) if s is not None)
     detail.update({"criteria": (c1, c2, c3, c4), "within_fraction": frac,
                    "combined_std": combined, "large_std": large_std})
 
     if c1 and c2 and c3 and c4:
         return (INDETERMINATE if large_std else CONSISTENT), detail
-    if large_std or overlap_ratio < config.small_overlap:
+    if large_std or overlap_ratio < SMALL_OVERLAP:
         return INDETERMINATE, detail
-    if min(hi.n, cand.n) < config.min_decide:
+    if min(hi.n, cand.n) < MIN_DECIDE:
         # too little evidence for an overlap rejection; range and spread
         # estimates at this sample size are mostly noise
         return INDETERMINATE, detail
@@ -358,57 +372,20 @@ def _rect_union(a, b):
     return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
 
 
-def _removal_rect(hi: SampleStats, rect):
-    """Region a rejected candidate is cleared from, local-evidence variant.
-
-    The accepted sample's bounding box, with each edge snapped out to the
-    enclosing region edge when the gap is small enough to be a sampling
-    artifact of the accepted survey's own density: at most ``SNAP_SPACINGS``
-    of its expected point spacings.  A gap much larger than the expected
-    spacing marks a genuine data boundary and the cut stays at the box, so
-    candidate points facing no accepted data survive.  Used when the
-    accepted survey's full footprint is unknown; the pipeline passes the
-    footprint instead, which is robust at low local counts.
-    """
-    x0, x1, y0, y1 = hi.bbox
-    w = x1 - x0
-    h = y1 - y0
-    ex0, ex1, ey0, ey1 = rect
-    # cross-extent of the boundary strip, clipped to the region
-    w_eff = max(min(x1, ex1) - max(x0, ex0), 0.1 * (ex1 - ex0), 1e-300)
-    h_eff = max(min(y1, ey1) - max(y0, ey0), 0.1 * (ey1 - ey0), 1e-300)
-    density = hi.n / max(w * h, 0.01 * w_eff * h_eff, 1e-300)
-    gx = SNAP_SPACINGS / (density * h_eff)
-    gy = SNAP_SPACINGS / (density * w_eff)
-    if x0 - ex0 <= gx:
-        x0 = ex0
-    if ex1 - x1 <= gx:
-        x1 = ex1
-    if y0 - ey0 <= gy:
-        y0 = ey0
-    if ey1 - y1 <= gy:
-        y1 = ey1
-    return (x0, x1, y0, y1)
-
-
 def _sub_rects(hi_stats: SampleStats, cand_stats: SampleStats,
-               cand_xy: np.ndarray, hi_xy: np.ndarray,
-               cfg: DeconflictConfig,
-               rect) -> list[tuple[float, float, float, float]]:
-    """Sub-domains for a closer look at an indeterminate pair."""
+               cand_xy: np.ndarray, hi_xy: np.ndarray, rect) -> list:
+    """Sub-domains (xmin, xmax, ymin, ymax) for a closer look at an
+    indeterminate pair."""
     R = _rect_intersect(hi_stats.bbox, cand_stats.bbox)
     if cand_stats.n <= 3:
         # neighborhood of each candidate point, sized by the local spacing
         # of the accepted survey
         from scipy.spatial import cKDTree
 
-        tree = cKDTree(hi_xy)
-        rects = []
-        for p in cand_xy:
-            d, _ = tree.query(p, k=min(4, len(hi_xy)))
-            h = 2.0 * float(np.max(np.atleast_1d(d)))
-            rects.append((p[0] - h, p[0] + h, p[1] - h, p[1] + h))
-        return rects
+        d, _ = cKDTree(hi_xy).query(cand_xy, k=min(4, len(hi_xy)))
+        h = 2.0 * d.reshape(len(cand_xy), -1).max(axis=1)
+        x, y = cand_xy[:, 0], cand_xy[:, 1]
+        return list(np.column_stack([x - h, x + h, y - h, y + h]))
     area_r = _bbox_overlap(hi_stats.bbox, cand_stats.bbox)
     if area_r <= 0:
         return []
@@ -416,7 +393,7 @@ def _sub_rects(hi_stats: SampleStats, cand_stats: SampleStats,
         # the true overlap is a minor part of either domain: test it alone,
         # everything outside faces no accepted points and is kept
         return [R]
-    if min(hi_stats.n, cand_stats.n) < 2 * cfg.min_decide:
+    if min(hi_stats.n, cand_stats.n) < 2 * MIN_DECIDE:
         # quartering would drop below the decidable sample size
         return []
     # quarter the full region under test, not the bbox intersection, so no
@@ -428,15 +405,14 @@ def _sub_rects(hi_stats: SampleStats, cand_stats: SampleStats,
 
 
 def pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r,
-                          cfg: DeconflictConfig, reference=None,
-                          depth: int = 0, rect=None, hi_cover=None,
-                          gap_scale=None):
+                          cfg: DeconflictConfig, rect, hi_cover,
+                          reference=None, depth: int = 0, gap_scale=None):
     """Full point-level test of one candidate sample against one accepted.
 
     ``rect`` is the region under test (the element at the top level, the
-    sub-domain inside the recursion); it bounds the removal region when the
-    verdict is negative.  ``hi_cover`` is the accepted survey's full
-    planform footprint when known; removal never reaches beyond it.
+    sub-domain inside the recursion) and ``hi_cover`` the accepted survey's
+    full planform footprint; a negative verdict removes the candidate's
+    points inside both, so removal never reaches beyond the accepted data.
 
     Returns (verdict, keep, pending, detail).  ``keep`` is False where the
     candidate is decidedly removed.  ``pending`` marks points in pockets
@@ -447,8 +423,6 @@ def pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r,
     """
     hi_stats = SampleStats.from_data(hi_xy, hi_r)
     cand_stats = SampleStats.from_data(cand_xy, cand_r)
-    if rect is None:
-        rect = _rect_union(hi_stats.bbox, cand_stats.bbox)
     if gap_scale is None:
         gap_scale = math.hypot(rect[1] - rect[0], rect[3] - rect[2])
     verdict, detail = element_consistency(
@@ -462,12 +436,10 @@ def pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r,
     if verdict == NOT_CONSISTENT:
         # clear the candidate from where the accepted survey has data;
         # beyond the accepted extent there is no conflict to act on
-        keep = ~_in_rect(cand_xy, _cut_rect(hi_stats, rect, hi_cover))
+        keep = ~_in_rect(cand_xy, _rect_intersect(rect, hi_cover))
         return verdict, keep, pending, detail
-    if depth < cfg.max_depth:
-        rects = _sub_rects(hi_stats, cand_stats, cand_xy, hi_xy, cfg, rect)
-    else:
-        rects = []
+    rects = (_sub_rects(hi_stats, cand_stats, cand_xy, hi_xy, rect)
+             if depth < MAX_DEPTH else [])
     if not rects:
         return INDETERMINATE, keep, np.ones(len(cand_xy), dtype=bool), detail
     examined = np.zeros(len(cand_xy), dtype=bool)
@@ -483,8 +455,8 @@ def pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r,
             continue
         _, sub_keep, sub_pend, _ = pairwise_element_test(
             hi_xy[hi_in], hi_r[hi_in], cand_xy[fresh], cand_r[fresh],
-            cfg, reference=reference, depth=depth + 1, rect=sub,
-            hi_cover=hi_cover, gap_scale=gap_scale)
+            cfg, sub, hi_cover, reference=reference, depth=depth + 1,
+            gap_scale=gap_scale)
         idx = np.nonzero(fresh)[0]
         keep[idx[~sub_keep]] = False
         pending[idx[sub_pend]] = True
@@ -575,9 +547,7 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
     cache = eval_cache(reference)
     tau = cfg.tolerance
     fields = [distance_field(reference, s.points, tau) for s in surveys]
-    covers = [(float(s.points[:, 0].min()), float(s.points[:, 0].max()),
-               float(s.points[:, 1].min()), float(s.points[:, 1].max()))
-              for s in surveys]
+    covers = [_bbox(s.points) for s in surveys]
     keep_masks = [np.ones(len(s.points), dtype=bool) for s in surveys]
     ne = len(cache.bounds)
     verdict_log: list[dict] = []
@@ -611,19 +581,17 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
                 hi_xy = surveys[sj].points[jdx][:, :2]
                 hi_r = fields[sj]["residual"][jdx]
                 # split-survey special case: same score, almost no overlap
-                if abs(scores[si] - scores[sj]) <= cfg.equal_score_eps:
-                    hs = SampleStats.from_data(hi_xy, hi_r)
-                    cs = SampleStats.from_data(cand_xy, cand_r)
-                    ov = _bbox_overlap(hs.bbox, cs.bbox)
-                    if ov <= cfg.tiny_overlap * max(hs.size, cs.size):
+                if abs(scores[si] - scores[sj]) <= EQUAL_SCORE_EPS:
+                    hb, cb = _bbox(hi_xy), _bbox(cand_xy)
+                    if _bbox_overlap(hb, cb) <= TINY_OVERLAP * max(_area(hb), _area(cb)):
                         verdict_log.append({"element": e, "hi": sj, "cand": si,
                                             "verdict": CONSISTENT,
                                             "rule": "split-survey"})
                         pair_decisions.setdefault((sj, si), []).append(CONSISTENT)
                         continue
                 v, mask, pend, detail = pairwise_element_test(
-                    hi_xy, hi_r, cand_xy, cand_r, cfg, reference=reference,
-                    rect=rect, hi_cover=covers[sj])
+                    hi_xy, hi_r, cand_xy, cand_r, cfg, rect, covers[sj],
+                    reference=reference)
                 verdict_log.append({"element": e, "hi": sj, "cand": si,
                                     "verdict": v,
                                     **{k: detail[k] for k in ("t", "t_limit")

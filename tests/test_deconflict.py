@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrterrain import evaluate, make_tensor_surface
 from lrterrain.adaptive import FitConfig
 from lrterrain.deconflict import (
     CONSISTENT,
     INDETERMINATE,
     NOT_CONSISTENT,
+    SLOPE_CAP,
     DeconflictConfig,
     SampleStats,
     Survey,
@@ -25,6 +27,8 @@ from lrterrain.deconflict import (
 )
 
 CFG = DeconflictConfig(tolerance=0.5)
+# footprint of the accepted survey in the point-level tests
+HI_COVER = (0.0, 1.0, 0.0, 1.0)
 
 
 # -- t distribution quantile against an independent oracle ---------------
@@ -263,7 +267,7 @@ def two_clouds(rng, offset, hi_x=(0.0, 1.0), cand_x=(0.0, 2.0), n=400):
 def test_pairwise_removal_stops_at_data_boundary(rng):
     hi_xy, hi_r, cand_xy, cand_r = two_clouds(rng, offset=2.0)
     v, keep, _, _ = pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r, CFG,
-                                       rect=(0, 2, 0, 1))
+                                       rect=(0, 2, 0, 1), hi_cover=HI_COVER)
     assert v == NOT_CONSISTENT
     # removal reaches the accepted survey's data edge near x = 1, not beyond
     inside = cand_xy[:, 0] <= hi_xy[:, 0].max()
@@ -275,7 +279,7 @@ def test_pairwise_removal_stops_at_data_boundary(rng):
 def test_pairwise_consistent_keeps_everything(rng):
     hi_xy, hi_r, cand_xy, cand_r = two_clouds(rng, offset=0.0)
     v, keep, _, _ = pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r, CFG,
-                                       rect=(0, 2, 0, 1))
+                                       rect=(0, 2, 0, 1), hi_cover=HI_COVER)
     assert v == CONSISTENT and keep.all()
 
 
@@ -285,7 +289,7 @@ def test_pairwise_interior_coverage_removes_all(rng):
     hi_xy, hi_r, cand_xy, cand_r = two_clouds(rng, offset=2.0,
                                               cand_x=(0.0, 1.0))
     v, keep, _, _ = pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r, CFG,
-                                       rect=(0, 1, 0, 1))
+                                       rect=(0, 1, 0, 1), hi_cover=HI_COVER)
     assert v == NOT_CONSISTENT
     assert not keep.any()
 
@@ -299,7 +303,7 @@ def test_pairwise_noisy_agreeing_pair_keeps_points(rng):
     hi_r = rng.normal(0, 0.3, n)
     cand_r = rng.normal(0.05, 0.3, n)
     _, keep, _, _ = pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r, CFG,
-                                       rect=(0, 1, 0, 1))
+                                       rect=(0, 1, 0, 1), hi_cover=HI_COVER)
     assert keep.mean() >= 0.99
 
 
@@ -315,7 +319,8 @@ def test_pairwise_structured_ambiguity_stays_indeterminate():
     hi_r = 0.4 * sign.ravel().astype(float)
     cand_r = -0.4 * sign.ravel().astype(float)
     v, keep, pending, _ = pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r,
-                                                CFG, rect=(0, 1, 0, 1))
+                                                CFG, rect=(0, 1, 0, 1),
+                                                hi_cover=HI_COVER)
     assert v == INDETERMINATE and keep.all() and pending.all()
 
 
@@ -326,7 +331,7 @@ def test_disjoint_far_clusters_kept_despite_level_gap(rng):
     hi_r = rng.normal(0, 0.02, n)
     cand_r = rng.normal(3.0, 0.02, n)    # way off, but far away too
     v, keep, _, _ = pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r, CFG,
-                                       rect=(0, 10, 0, 10))
+                                       rect=(0, 10, 0, 10), hi_cover=HI_COVER)
     assert v == CONSISTENT and keep.all()
 
 
@@ -338,11 +343,46 @@ def test_disjoint_near_clusters_need_residual_agreement(rng):
     good = rng.normal(0.1, 0.02, n)
     bad = rng.normal(2.0, 0.02, n)
     v1, k1, _, _ = pairwise_element_test(hi_xy, hi_r, cand_xy, good, CFG,
-                                      rect=(0, 2, 0, 1))
+                                      rect=(0, 2, 0, 1), hi_cover=HI_COVER)
     v2, k2, _, _ = pairwise_element_test(hi_xy, hi_r, cand_xy, bad, CFG,
-                                      rect=(0, 2, 0, 1))
+                                      rect=(0, 2, 0, 1), hi_cover=HI_COVER)
     assert v1 == CONSISTENT and k1.all()
     assert v2 == NOT_CONSISTENT
+
+
+def sloped_reference(slope):
+    """The plane z = slope * x on [0, 2.2] x [0, 1]: quadratic B-splines
+    reproduce it with their Greville abscissae as coefficients."""
+    s = make_tensor_surface((0.0, 2.2, 0.0, 1.0), (2, 2), (5, 3))
+    s.coeffs[:] = slope * s.axis_knots(0)[:, 1:-1].mean(axis=1)
+    return s
+
+
+@pytest.mark.parametrize("slope, gap, verdict", [
+    (None, 0.8, NOT_CONSISTENT),    # no reference: the level gap must stay within tau
+    (2.0, 0.8, CONSISTENT),         # slope 2 over the pair distance 0.2 adds 0.4
+    (2.0, 0.95, NOT_CONSISTENT),    # ... and no more
+    (50.0, 0.95, CONSISTENT),       # a steep slope adds at most SLOPE_CAP * tau
+    (50.0, 1.05, NOT_CONSISTENT),
+])
+def test_disjoint_near_clusters_slope_allowance(slope, gap, verdict):
+    # two 6 x 6 grids 0.2 apart across x = 1.1, the candidate a level gap above
+    g = np.linspace(0.0, 1.0, 6)
+    gx, gy = (a.ravel() for a in np.meshgrid(g, g))
+    hi_xy = np.column_stack([gx, gy])
+    cand_xy = np.column_stack([gx + 1.2, gy])
+    reference = None
+    if slope is not None:
+        reference = sloped_reference(slope)
+        assert evaluate(reference, 1.1, 0.5, order=1)[0, 1] == pytest.approx(slope)
+    assert SLOPE_CAP * CFG.tolerance == 0.5
+    v, keep, _, detail = pairwise_element_test(
+        hi_xy, np.zeros(36), cand_xy, np.full(36, gap), CFG, rect=(0, 2.2, 0, 1),
+        hi_cover=HI_COVER, reference=reference)
+    assert detail["rule"] == "disjoint-near" and detail["gap"] == pytest.approx(0.2)
+    assert v == verdict
+    # a rejection removes nothing outside the accepted survey's footprint
+    assert keep.all()
 
 
 # -- scores ----------------------------------------------------------------

@@ -519,14 +519,14 @@ def test_config_file_and_override(tmp_path):
     p.write_text(json.dumps({
         "tolerance": 0.2,
         "fit": {"max_iterations": 3, "degrees": [3, 2]},
-        "deconflict": {"alpha": 0.01},
+        "deconflict": {"reference_level": 2},
         "tiling": {"overlap": 0.1},
     }))
     s = load_settings(p)
     assert s.fit.tolerance == 0.2 and s.deconflict.tolerance == 0.2
     assert s.fit.max_iterations == 3
     assert s.fit.degrees == (3, 2)
-    assert s.deconflict.alpha == 0.01
+    assert s.deconflict.reference_level == 2
     assert s.overlap == 0.1
     # the CLI flag outranks the file, for both sections
     s = load_settings(p, tolerance=0.7)
@@ -547,6 +547,13 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_settings(p)
     p.write_text('{"tiling": {"overlaps": 1}}')
     with pytest.raises(ValueError, match="overlaps"):
+        load_settings(p)
+    # thresholds fixed as constants of the method are not settings
+    p.write_text('{"deconflict": {"max_depth": 2}}')
+    with pytest.raises(ValueError, match="max_depth"):
+        load_settings(p)
+    p.write_text('{"fit": {"aspect_threshold": 1.2}}')
+    with pytest.raises(ValueError, match="aspect_threshold"):
         load_settings(p)
     p.write_text("[1, 2]")
     with pytest.raises(ValueError, match="object"):
@@ -658,6 +665,20 @@ def test_cli_config_alpha1_out_of_range_exits_2(bench_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "alpha1 must be in [0, 1)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--level", "4", "--total", "2"],
+     "total_iterations must be >= reference_level; got total_iterations 2 < reference_level 4"),
+    (["--level", "-1"], "reference_level must be >= 0; got -1"),
+])
+def test_cli_deconflict_bad_iteration_split_exits_2(bench_file, tmp_path, capsys,
+                                                    flags, message):
+    out = tmp_path / "dec.lrs"
+    assert main(["deconflict", str(bench_file[0]), *flags, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_config_negative_degree_exits_2(bench_file, tmp_path, capsys):
