@@ -196,7 +196,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_deconflict(args) -> int:
-    settings = load_settings(args.config, args.tolerance)
+    # the iteration counts are the deconflict section's reference_level and
+    # total_iterations
+    settings = load_settings(args.config, args.tolerance, unused_fit=("max_iterations",))
     # one replace, so the pair is checked as given, not against a default
     given = {"reference_level": args.level, "total_iterations": args.total}
     dcfg = dataclasses.replace(settings.deconflict,

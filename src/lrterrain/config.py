@@ -53,11 +53,14 @@ def _build(cls, section: str, data: dict):
     return cls(**kwargs)
 
 
-def load_settings(path=None, tolerance: float | None = None) -> Settings:
+def load_settings(path=None, tolerance: float | None = None,
+                  unused_fit: tuple[str, ...] = ()) -> Settings:
     """Settings from an optional JSON file plus an optional tolerance override.
 
     Precedence: built-in defaults < file < ``tolerance`` argument (which is
     the CLI flag and wins for both the fit and the deconfliction sections).
+    ``unused_fit`` names fit keys the calling command sets itself; a file
+    that sets one is rejected by name rather than silently overridden.
     """
     raw: dict = {}
     if path is not None:
@@ -75,6 +78,10 @@ def load_settings(path=None, tolerance: float | None = None) -> Settings:
             "valid: tolerance, fit, deconflict, tiling")
 
     fit_d = dict(raw.get("fit", {}))
+    unused = set(fit_d) & set(unused_fit)
+    if unused:
+        raise ValueError(f"fit setting(s) {', '.join(sorted(unused))} "
+                         "not used by this command")
     dec_d = dict(raw.get("deconflict", {}))
     if "tolerance" in raw:
         fit_d.setdefault("tolerance", raw["tolerance"])

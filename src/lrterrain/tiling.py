@@ -4,6 +4,9 @@ Very large inputs are split over a regular grid of tiles with a small
 overlap.  Each tile is fitted independently on its overlap-expanded point
 subset, then the surface is restricted to the non-overlapping core, so
 adjacent surfaces meet along shared edges with very small discontinuities.
+The tile fits run in forked worker processes, one per CPU this process may
+use; each fit is deterministic and sees only its own points, so the
+surfaces are byte-identical to those of fitting the tiles one by one.
 Stitching then makes the meeting exact: the boundary curves of two adjacent
 surfaces are refined into one common spline space and their coefficients
 set equal (C0); optionally the first derivative across the boundary is
@@ -16,6 +19,9 @@ together at a corner are solved jointly as a small least-change system.
 from __future__ import annotations
 
 import json
+import os
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,26 +107,75 @@ def tile_index(bbox, counts, x, y):
             np.clip(iy, 0, ny - 1).astype(int))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_tile(tile: Tile, sub: np.ndarray, config: FitConfig):
+    """One tile's fit on its expanded subset, restricted to the core.
+
+    Returns the TileFit and the warnings the fit issued as (message,
+    category, filename, lineno) rows, for the caller to issue again.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        surface, reports, flags = fit(sub, config, domain=tile.expanded)
+    tile_fit = TileFit(tile, restrict(surface, tile.core), reports, int(len(sub)), flags)
+    return tile_fit, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
 def fit_tiles(points: np.ndarray, tiles: list[Tile],
               config: FitConfig = FitConfig()) -> list[TileFit]:
     """Independent adaptive fit per tile, restricted to the core afterwards.
 
     A tile whose expanded rectangle contains no points becomes a hole
-    (surface None); its neighbors are unaffected.
+    (surface None); its neighbors are unaffected.  The non-empty tiles are
+    fitted in forked worker processes, one per CPU this process may use
+    and at most one per tile; with one worker, where ``fork`` is not
+    available, or while other threads run, they are fitted in this
+    process.  Either way the results are the same, the fits' warnings are
+    issued here in tile order, and an error in one tile is raised here
+    after the tiles not yet started are cancelled.
     """
     pts = check_points(points)
-    out = []
-    for t in tiles:
+    out = [TileFit(t, None) for t in tiles]
+    jobs = []
+    for k, t in enumerate(tiles):
         e = t.expanded
         sel = ((pts[:, 0] >= e[0]) & (pts[:, 0] <= e[1])
                & (pts[:, 1] >= e[2]) & (pts[:, 1] <= e[3]))
-        sub = pts[sel]
-        if len(sub) == 0:
-            out.append(TileFit(t, None))
-            continue
-        surface, reports, flags = fit(sub, config, domain=e)
-        out.append(TileFit(t, restrict(surface, t.core), reports,
-                           int(len(sub)), flags))
+        if sel.any():
+            jobs.append((k, t, pts[sel]))
+    # imported here, so that importing the package does not load it
+    import multiprocessing
+
+    # fork, not spawn: a spawned worker imports numpy and scipy afresh, which
+    # takes longer than the fits.  A fork copies only the calling thread, and
+    # a lock another thread holds would stay held in the worker, so a process
+    # running other threads fits its tiles itself.
+    workers = min(len(jobs), _usable_cpus())
+    pool = None
+    if (workers > 1 and threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods()):
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    try:
+        if pool is None:
+            results = (_fit_tile(t, sub, config) for _, t, sub in jobs)
+        else:
+            futures = [pool.submit(_fit_tile, t, sub, config) for _, t, sub in jobs]
+            results = (f.result() for f in futures)
+        for (k, _, _), (tile_fit, caught) in zip(jobs, results):
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            out[k] = tile_fit
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return out
 
 

@@ -681,6 +681,18 @@ def test_cli_deconflict_bad_iteration_split_exits_2(bench_file, tmp_path, capsys
     assert not out.exists()
 
 
+def test_cli_deconflict_rejects_fit_max_iterations(bench_file, tmp_path, capsys):
+    # deconflict sets the fit's iteration cap from --level and --total
+    cfg = tmp_path / "iterations.json"
+    cfg.write_text('{"fit": {"max_iterations": 1}}')
+    out = tmp_path / "dec.lrs"
+    assert main(["deconflict", str(bench_file[0]), "--config", str(cfg),
+                 "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: fit setting(s) max_iterations not used by this command\n"
+    assert not out.exists()
+
+
 def test_cli_config_negative_degree_exits_2(bench_file, tmp_path, capsys):
     cfg = tmp_path / "degrees.json"
     cfg.write_text('{"fit": {"degrees": [-1, 2]}}')

@@ -1,12 +1,15 @@
 import json
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
-from lrterrain import evaluate, make_tensor_surface, restrict
+from lrterrain import evaluate, make_tensor_surface, restrict, tiling
 from lrterrain.adaptive import FitConfig, fit
 from lrterrain.benchmark import benchmark_points
 from lrterrain.evaluate import distance_field
+from lrterrain.formats import write_surface_binary
 from lrterrain.tiling import (
     Tile,
     TileFit,
@@ -133,6 +136,93 @@ def test_plane_tiles_nearly_agree_before_stitching(rng):
     a, b = fits[0].surface, fits[1].surface
     assert a.domain[1] == b.domain[0]
     assert edge_gap(a, b) < 1e-6
+
+
+def fits_here(monkeypatch) -> list:
+    """Patch ``tiling.fit`` to list the tile fits run in this process; a
+    forked worker appends to its own copy of the list."""
+    here = []
+
+    def recording_fit(points, config, domain):
+        here.append(domain)
+        return fit(points, config, domain=domain)
+
+    monkeypatch.setattr(tiling, "fit", recording_fit)
+    return here
+
+
+def test_parallel_tile_fits_match_in_process_fits(monkeypatch, tmp_path):
+    # a 3x3 grid whose middle tile is empty, fitted in worker processes
+    # and then in this process alone
+    pts, tau = benchmark_points(6000, seed=3)
+    middle = ((pts[:, 0] > 31) & (pts[:, 0] < 69) & (pts[:, 1] > 31) & (pts[:, 1] < 69))
+    pts = pts[~middle]
+    tiles = make_tiles((0, 100, 0, 100), (3, 3))
+    cfg = FitConfig(tolerance=tau, max_iterations=2)
+    here = fits_here(monkeypatch)
+    runs = []
+    for cpus, fitted_here in ((2, 0), (1, 8)):
+        monkeypatch.setattr(tiling, "_usable_cpus", lambda: cpus)
+        here.clear()
+        runs.append(fit_tiles(pts, tiles, cfg))
+        assert len(here) == fitted_here
+        assert multiprocessing.active_children() == []
+    parallel, alone = runs
+    assert [f.surface is None for f in parallel] == [k == 4 for k in range(9)]
+    for a, b in zip(parallel, alone):
+        assert a.tile == b.tile
+        assert (a.n_points, a.flags, a.reports) == (b.n_points, b.flags, b.reports)
+        assert (a.surface is None) == (b.surface is None)
+        if a.surface is not None:
+            write_surface_binary(a.surface, tmp_path / "a.lrs")
+            write_surface_binary(b.surface, tmp_path / "b.lrs")
+            assert (tmp_path / "a.lrs").read_bytes() == (tmp_path / "b.lrs").read_bytes()
+
+
+def test_fit_tiles_runs_in_process_while_other_threads_run(rng, monkeypatch):
+    monkeypatch.setattr(tiling, "_usable_cpus", lambda: 2)
+    here = fits_here(monkeypatch)
+    pts = plane_points(rng, (0, 10, 0, 10), n=3000)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, args=(30,))
+    waiter.start()
+    try:
+        fit_tiles(pts, make_tiles((0, 10, 0, 10), (2, 1)),
+                  FitConfig(tolerance=1e-3, max_iterations=1))
+    finally:
+        stop.set()
+        waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert len(here) == 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fit_tiles_warns_for_a_tile_with_too_few_points(rng, monkeypatch, cpus):
+    monkeypatch.setattr(tiling, "_usable_cpus", lambda: cpus)
+    few = np.column_stack([rng.uniform(7, 9, 5), rng.uniform(2, 8, 5), np.ones(5)])
+    pts = np.vstack([plane_points(rng, (0, 4.5, 0, 10), n=2000), few])
+    tiles = make_tiles((0, 10, 0, 10), (2, 1), overlap=0.0)
+    with pytest.warns(UserWarning, match="fewer points than one patch's coefficients"):
+        fits = fit_tiles(pts, tiles, FitConfig(tolerance=1e-3, max_iterations=1))
+    assert fits[1].n_points == 5 and fits[1].surface is not None
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fit_tiles_raises_a_tile_error_and_leaves_no_worker(rng, monkeypatch, cpus):
+    monkeypatch.setattr(tiling, "_usable_cpus", lambda: cpus)
+
+    def failing_fit(points, config, domain):
+        if domain[0] > 0:
+            raise ValueError("tile fit failed")
+        return fit(points, config, domain=domain)
+
+    monkeypatch.setattr(tiling, "fit", failing_fit)
+    pts = plane_points(rng, (0, 10, 0, 10), n=3000)
+    tiles = make_tiles((0, 10, 0, 10), (2, 2), overlap=0.0)
+    with pytest.raises(ValueError, match="^tile fit failed$") as caught:
+        fit_tiles(pts, tiles, FitConfig(tolerance=1e-3, max_iterations=1))
+    assert caught.type is ValueError
+    assert multiprocessing.active_children() == []
 
 
 # -- pairwise stitching ---------------------------------------------------
