@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import _evaluate_at, _gather, check_points, eval_cache, evaluate
+from .evaluate import _evaluate_at, _gather, bbox, check_points, eval_cache, evaluate, in_rect
 from .formats import binary_size
 from .least_squares import fit_least_squares, idw_prior
 from .mba import mba_update
@@ -182,17 +182,13 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
     pts = check_points(points)
     if start is not None:
         domain = start.mesh.domain
-    xmin, xmax = pts[:, 0].min(), pts[:, 0].max()
-    ymin, ymax = pts[:, 1].min(), pts[:, 1].max()
     if domain is None:
-        if xmax - xmin <= 0 or ymax - ymin <= 0:
+        domain = bbox(pts)
+        if domain[1] - domain[0] <= 0 or domain[3] - domain[2] <= 0:
             raise ValueError("points are collinear in the xy-plane; "
                              "surface domain is degenerate")
-        domain = (xmin, xmax, ymin, ymax)
     else:
-        inside = ((pts[:, 0] >= domain[0]) & (pts[:, 0] <= domain[1])
-                  & (pts[:, 1] >= domain[2]) & (pts[:, 1] <= domain[3]))
-        pts = pts[inside]
+        pts = pts[in_rect(pts, domain)]
         if len(pts) == 0:
             raise ValueError("no points inside the given domain")
     du, dv = config.degrees

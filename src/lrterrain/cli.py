@@ -28,15 +28,13 @@ import numpy as np
 from .adaptive import IterationReport, fit
 from .config import load_settings
 from .deconflict import Survey, deconflict_fit
-from .evaluate import distance_field
+from .evaluate import bbox, distance_field
 from .formats import (
     binary_size,
     is_binary_surface,
     is_binary_survey,
-    read_surface_binary,
-    read_surface_text,
-    read_survey_binary,
-    read_survey_text,
+    read_surface,
+    read_survey,
     write_distance_field,
     write_surface_binary,
     write_surface_text,
@@ -89,22 +87,13 @@ def _write_json(path, payload) -> None:
         f.write("\n")
 
 
-def _load_surface(path) -> tuple[LRSurface, bool]:
-    """The surface in ``path`` and whether the file is binary, from one
-    sniff of its magic."""
-    binary = is_binary_surface(path)
-    return (read_surface_binary if binary else read_surface_text)(path), binary
-
-
-def _load_survey(path) -> tuple[np.ndarray, dict, bool]:
-    """The points and header of the survey in ``path`` and whether the
-    file is binary, from one sniff of its magic.  No points is an input
-    error, raised before a command prints anything."""
-    binary = is_binary_survey(path)
-    pts, meta = (read_survey_binary if binary else read_survey_text)(path)
+def _load_survey(path) -> tuple[np.ndarray, dict]:
+    """The points and header of the survey in ``path``.  No points is an
+    input error, raised before a command prints anything."""
+    pts, meta = read_survey(path)
     if len(pts) == 0:
         raise ValueError(f"{path}: survey has no points")
-    return pts, meta, binary
+    return pts, meta
 
 
 def _write_surface(surface: LRSurface, path, text: bool) -> None:
@@ -150,7 +139,7 @@ def cmd_fit(args) -> int:
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, initial_grid=_pair(args.grid, "--grid"))
 
-    pts, _, _ = _load_survey(args.points)
+    pts, _ = _load_survey(args.points)
     out = args.output or _stem(args.points) + (".lrs.txt" if args.text else ".lrs")
 
     if args.tile is None:
@@ -163,9 +152,7 @@ def cmd_fit(args) -> int:
 
     counts = _pair(args.tile, "--tile")
     overlap = settings.overlap if args.overlap is None else args.overlap
-    x, y = pts[:, :2].T
-    bbox = (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
-    tiles = make_tiles(bbox, counts, overlap)
+    tiles = make_tiles(bbox(pts), counts, overlap)
     fits = fit_tiles(pts, tiles, cfg)
     stem = _stem(out) if out.endswith(".json") else _stem(args.points)
     ext = ".lrs.txt" if args.text else ".lrs"
@@ -208,7 +195,7 @@ def cmd_deconflict(args) -> int:
     surveys = []
     binary_in = []
     for path in args.surveys:
-        pts, meta, binary = _load_survey(path)
+        pts, meta = _load_survey(path)
         name = meta.pop("id", None) or os.path.basename(_stem(path))
         score = None
         if "score" in meta:
@@ -217,7 +204,7 @@ def cmd_deconflict(args) -> int:
             except ValueError:
                 raise ValueError(f"{path}: score header is not a number") from None
         surveys.append(Survey(points=pts, name=name, score=score, meta=meta))
-        binary_in.append(binary)
+        binary_in.append(is_binary_survey(path))
     surface, cleaned, report = deconflict_fit(surveys, fit_cfg, dcfg)
 
     out = args.output or "deconflicted" + (".lrs.txt" if args.text else ".lrs")
@@ -263,8 +250,8 @@ def _survey_field(surface: LRSurface, pts: np.ndarray, tau: float, path):
 
 def cmd_eval(args) -> int:
     settings = load_settings(args.config, args.tolerance)
-    surface, _ = _load_surface(args.surface)
-    pts, _, _ = _load_survey(args.points)
+    surface = read_surface(args.surface)
+    pts, _ = _load_survey(args.points)
     field, inside = _survey_field(surface, pts, settings.fit.tolerance, args.points)
     if args.output:
         write_distance_field(args.output, pts, field)
@@ -280,10 +267,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    surface, _ = _load_surface(args.surface)
+    surface = read_surface(args.surface)
     lines = ["survey\tpoints\tmax_below\tmax_above\tavg_dist\tz_range"]
     for path in args.surveys:
-        pts, meta, _ = _load_survey(path)
+        pts, meta = _load_survey(path)
         name = meta.get("id") or os.path.basename(_stem(path))
         field, inside = _survey_field(surface, pts, 1.0, path)
         res = field["residual"][inside]
@@ -308,11 +295,13 @@ def cmd_stitch(args) -> int:
     fits, texts = [], []
     for e in entries:
         tile = Tile(e["ix"], e["iy"], tuple(e["core"]), tuple(e["expanded"]))
-        surface, binary = (None, True) if e["surface"] is None else \
-            _load_surface(os.path.join(base_dir, e["surface"]))
+        surface, text = None, False
+        if e["surface"] is not None:
+            path = os.path.join(base_dir, e["surface"])
+            surface, text = read_surface(path), not is_binary_surface(path)
         fits.append(TileFit(tile, surface, [], int(e.get("n_points", 0)),
                             dict(e.get("flags", {}))))
-        texts.append(not binary)
+        texts.append(text)
     try:
         stitched = stitch_grid(fits, counts, c1=args.c1)
     except RuntimeError as e:  # the tiles' spline spaces cannot be joined

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adaptive import FitConfig, fit
-from .evaluate import check_points, distance_field, eval_cache, evaluate
+from .evaluate import bbox, check_points, distance_field, eval_cache, evaluate, in_rect
 from .mesh import LRSurface
 
 __all__ = [
@@ -120,7 +120,7 @@ class SampleStats:
         std = float(np.std(r, ddof=1)) if len(r) >= 2 else None
         return cls(n=len(r), mean=float(r.mean()), std=std,
                    lo=float(r.min()), hi=float(r.max()),
-                   bbox=_bbox(np.asarray(xy, dtype=float)))
+                   bbox=bbox(np.asarray(xy, dtype=float)))
 
     @property
     def size(self) -> float:
@@ -202,12 +202,6 @@ class DeconflictConfig:
                 f"{self.reference_level}")
 
 
-def _bbox(xy: np.ndarray) -> tuple[float, float, float, float]:
-    """xmin, xmax, ymin, ymax of planform points."""
-    return (float(xy[:, 0].min()), float(xy[:, 0].max()),
-            float(xy[:, 1].min()), float(xy[:, 1].max()))
-
-
 def _area(rect) -> float:
     return (rect[1] - rect[0]) * (rect[3] - rect[2])
 
@@ -282,19 +276,18 @@ def element_consistency(hi: SampleStats, cand: SampleStats,
     the inputs when omitted.  ``data`` optionally carries the underlying
     (hi_xy, hi_residuals, cand_xy, cand_residuals) arrays, enabling the
     exact residual-coverage count and the nearest-point rules; without it
-    normal-model fallbacks are used.  ``gap_scale`` is the length against
-    which a between-clusters gap counts as room for the surface to follow
-    both levels; it defaults to the samples' joint extent and must stay at
-    the element scale when testing sub-domains.
+    normal-model fallbacks are used.  ``gap_scale``, which a call with
+    ``data`` must give, is the length against which a between-clusters gap
+    counts as room for the surface to follow both levels; it stays at the
+    element scale when testing sub-domains.
     """
+    if data is not None and gap_scale is None:
+        raise ValueError("element_consistency with point data needs gap_scale")
     tau = config.tolerance
     if overlap_area is None:
         overlap_area = _bbox_overlap(hi.bbox, cand.bbox)
     big = max(hi.size, cand.size)
     overlap_ratio = overlap_area / big if big > 0 else 0.0
-    if gap_scale is None:
-        u = _rect_union(hi.bbox, cand.bbox)
-        gap_scale = math.hypot(u[1] - u[0], u[3] - u[2])
 
     detail: dict = {"overlap_area": overlap_area, "overlap_ratio": overlap_ratio}
     if hi.std is not None and cand.std is not None:
@@ -358,18 +351,8 @@ def element_consistency(hi: SampleStats, cand: SampleStats,
 # -- sub-domain recursion on point data ---------------------------------
 
 
-def _in_rect(xy: np.ndarray, rect) -> np.ndarray:
-    return ((xy[:, 0] >= rect[0]) & (xy[:, 0] <= rect[1])
-            & (xy[:, 1] >= rect[2]) & (xy[:, 1] <= rect[3]))
-
-
 def _rect_intersect(a, b):
     return (max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3]))
-
-
-def _rect_union(a, b):
-    """The bounding box of two rectangles."""
-    return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
 
 
 def _sub_rects(hi_stats: SampleStats, cand_stats: SampleStats,
@@ -436,7 +419,7 @@ def pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r,
     if verdict == NOT_CONSISTENT:
         # clear the candidate from where the accepted survey has data;
         # beyond the accepted extent there is no conflict to act on
-        keep = ~_in_rect(cand_xy, _rect_intersect(rect, hi_cover))
+        keep = ~in_rect(cand_xy, _rect_intersect(rect, hi_cover))
         return verdict, keep, pending, detail
     rects = (_sub_rects(hi_stats, cand_stats, cand_xy, hi_xy, rect)
              if depth < MAX_DEPTH else [])
@@ -444,12 +427,12 @@ def pairwise_element_test(hi_xy, hi_r, cand_xy, cand_r,
         return INDETERMINATE, keep, np.ones(len(cand_xy), dtype=bool), detail
     examined = np.zeros(len(cand_xy), dtype=bool)
     for sub in rects:
-        ci = _in_rect(cand_xy, sub)
+        ci = in_rect(cand_xy, sub)
         fresh = ci & ~examined
         if not fresh.any():
             continue
         examined |= fresh
-        hi_in = _in_rect(hi_xy, sub)
+        hi_in = in_rect(hi_xy, sub)
         if not hi_in.any():
             # no accepted data here: acceptance by absence of conflict
             continue
@@ -547,7 +530,7 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
     cache = eval_cache(reference)
     tau = cfg.tolerance
     fields = [distance_field(reference, s.points, tau) for s in surveys]
-    covers = [_bbox(s.points) for s in surveys]
+    covers = [bbox(s.points) for s in surveys]
     keep_masks = [np.ones(len(s.points), dtype=bool) for s in surveys]
     ne = len(cache.bounds)
     verdict_log: list[dict] = []
@@ -582,7 +565,7 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
                 hi_r = fields[sj]["residual"][jdx]
                 # split-survey special case: same score, almost no overlap
                 if abs(scores[si] - scores[sj]) <= EQUAL_SCORE_EPS:
-                    hb, cb = _bbox(hi_xy), _bbox(cand_xy)
+                    hb, cb = bbox(hi_xy), bbox(cand_xy)
                     if _bbox_overlap(hb, cb) <= TINY_OVERLAP * max(_area(hb), _area(cb)):
                         verdict_log.append({"element": e, "hi": sj, "cand": si,
                                             "verdict": CONSISTENT,
@@ -598,7 +581,7 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
                                        if k in detail}})
                 cand_keep &= mask
                 if v == INDETERMINATE:
-                    cut = pend & _in_rect(cand_xy, _rect_intersect(rect, covers[sj]))
+                    cut = pend & in_rect(cand_xy, _rect_intersect(rect, covers[sj]))
                     pending.setdefault((sj, si), []).append((e, idx, cut))
                 else:
                     pair_decisions.setdefault((sj, si), []).append(v)

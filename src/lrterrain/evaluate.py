@@ -427,6 +427,20 @@ def check_points(points, what: str = "input") -> np.ndarray:
     return pts
 
 
+def bbox(xy: np.ndarray) -> tuple[float, float, float, float]:
+    """xmin, xmax, ymin, ymax of points whose x and y are their first two
+    columns."""
+    return (float(xy[:, 0].min()), float(xy[:, 0].max()),
+            float(xy[:, 1].min()), float(xy[:, 1].max()))
+
+
+def in_rect(xy: np.ndarray, rect) -> np.ndarray:
+    """Per point, whether it lies in the closed rectangle (xmin, xmax, ymin,
+    ymax)."""
+    return ((xy[:, 0] >= rect[0]) & (xy[:, 0] <= rect[1])
+            & (xy[:, 1] >= rect[2]) & (xy[:, 1] <= rect[3]))
+
+
 def distance_field(surface: LRSurface, points: np.ndarray, tau: float) -> dict:
     """Signed vertical residuals of points against the surface.
 

@@ -78,13 +78,22 @@ _SEGMENT_RECORD = np.dtype([("axis_mult", "u1", (2,)), ("reserved", "<u2"),
                             ("idx", "<u4", (3,))])
 
 
-def binary_size(surface: LRSurface) -> int:
-    """Exact byte count of the ``LRSURF02`` serialization: the 44-byte
-    header, then six blocks of a u32 count and their records."""
+def _blocks(surface: LRSurface) -> list[np.ndarray]:
+    """The six blocks of ``LRSURF02`` after its 44-byte header, each written
+    as a u32 count and its records: the two units, the two knot tables,
+    the segments and the coefficients."""
     mesh = surface.mesh
-    return (44 + 6 * 4 + sum(len(unit.encode()) for unit in surface.units)
-            + 8 * (len(mesh.coords(0)) + len(mesh.coords(1)))
-            + _SEGMENT_RECORD.itemsize * len(mesh.segment_rows()) + 8 * len(surface))
+    segs = mesh.segment_rows()
+    seg = np.zeros(len(segs), dtype=_SEGMENT_RECORD)
+    seg["axis_mult"], seg["idx"] = segs[:, :2], segs[:, 2:]
+    return ([np.frombuffer(unit.encode(), "u1") for unit in surface.units]
+            + [mesh.coords(axis).astype("<f8") for axis in (0, 1)]
+            + [seg, surface.coeffs.astype("<f8")])
+
+
+def binary_size(surface: LRSurface) -> int:
+    """Exact byte count of the ``LRSURF02`` serialization."""
+    return 44 + sum(4 + block.nbytes for block in _blocks(surface))
 
 
 def _check_replay(surface: LRSurface) -> None:
@@ -108,16 +117,8 @@ def write_surface_binary(surface: LRSurface, path) -> None:
     Before the file is opened, raises ValueError when the surface's knot
     rows are not the replay of its mesh (``mesh.replay``)."""
     _check_replay(surface)
-    mesh, (du, dv) = surface.mesh, surface.degrees
-    segs = mesh.segment_rows()
-    seg = np.zeros(len(segs), dtype=_SEGMENT_RECORD)
-    seg["axis_mult"], seg["idx"] = segs[:, :2], segs[:, 2:]
-    # after the header, blocks of a u32 count and that many records
-    blocks = ([np.frombuffer(unit.encode(), "u1") for unit in surface.units]
-              + [mesh.coords(axis).astype("<f8") for axis in (0, 1)]
-              + [seg, surface.coeffs.astype("<f8")])
-    data = b"".join([_MAGIC_SURF, struct.pack("<BBH4d", du, dv, 0, *mesh.domain)]
-                    + [struct.pack("<I", len(b)) + b.tobytes() for b in blocks])
+    data = b"".join([_MAGIC_SURF, struct.pack("<BBH4d", *surface.degrees, 0, *surface.domain)]
+                    + [struct.pack("<I", len(b)) + b.tobytes() for b in _blocks(surface)])
     with open(path, "wb") as f:
         f.write(data)
 

@@ -284,14 +284,13 @@ def _splu_solve(A, b: np.ndarray) -> np.ndarray:
 
 
 def fit_least_squares(surface: LRSurface, points: np.ndarray,
-                      alpha1: float = 1e-6,
-                      weights: SmoothingWeights = SmoothingWeights(),
-                      prior=None, located=None) -> dict:
+                      alpha1: float = 1e-6, prior=None, located=None) -> dict:
     """Solve the penalized normal equations and update the coefficients.
 
     The normal equations are assembled per element from the points'
     power moments (``_moments``, ``_element_system``); no collocation
-    matrix is built.  Direct sparse LU up to ``CG_THRESHOLD`` unknowns,
+    matrix is built; the smoothing term has the default
+    ``SmoothingWeights()``.  Direct sparse LU up to ``CG_THRESHOLD`` unknowns,
     Jacobi-preconditioned CG beyond (LU when CG does not converge).
     Ghost anchors at weight ``GHOST_WEIGHT`` keep the system nonsingular
     on elements the data does not reach.  ``located`` is
@@ -302,7 +301,7 @@ def fit_least_squares(surface: LRSurface, points: np.ndarray,
     if located is None:
         located = _gather(eval_cache(surface), pts[:, 0], pts[:, 1])
     ghosts = _ghosts(surface, pts, located[0], prior)
-    A, b = _element_system(surface, weights, alpha1,
+    A, b = _element_system(surface, SmoothingWeights(), alpha1,
                            _moments(surface, located, pts[:, 2], ghosts))
     L = A.shape[0]
     info = {"n_ghosts": int(len(ghosts)), "n_unknowns": L}

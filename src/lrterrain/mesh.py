@@ -28,8 +28,6 @@ element e is row e of an (n, 4) bounds array, with no object of its own.
 from __future__ import annotations
 
 import bisect
-import functools
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -143,7 +141,7 @@ class BoxMesh:
             return float(value)
 
         try:
-            return list(itertools.starmap(functools.cache(find), queries))
+            return [find(axis, value) for axis, value in queries]
         finally:
             # a zero row on its axis, a copy of the split cell on the other
             # (zero outside the table); ``at``: where the old table gets it
@@ -491,6 +489,14 @@ def _lacking_lines(rows: np.ndarray, cols, tables, deg) -> list:
     return out
 
 
+def _split_inputs(surface: LRSurface):
+    """What ``_lacking_lines`` reads besides the knot rows: the u- and
+    v-knot columns of a row, the run table of each axis, the degrees."""
+    deg = surface.degrees
+    return ((slice(0, deg[0] + 2), slice(deg[0] + 2, None)),
+            [_run_table(surface.mesh._mult[ax], deg[ax]) for ax in (0, 1)], deg)
+
+
 def _insert_knots(kn: np.ndarray, coords: np.ndarray, d: int, row, line, count):
     """Boehm insertion of several knots into each row's degree-``d`` B-spline.
 
@@ -546,11 +552,8 @@ def _split_worklist(surface: LRSurface) -> None:
     parent.  The live B-splines are kept as sorted row keys, so the result
     comes out in canonical order; it replaces the surface's arrays.
     """
-    mesh = surface.mesh
-    deg = surface.degrees
-    cols = (slice(0, deg[0] + 2), slice(deg[0] + 2, None))
-    coords = (mesh.coords(0), mesh.coords(1))
-    tables = [_run_table(mesh._mult[ax], deg[ax]) for ax in (0, 1)]
+    cols, tables, deg = _split_inputs(surface)
+    coords = (surface.mesh.coords(0), surface.mesh.coords(1))
     queue = _knot_rows(surface)
     chunks = [queue]
     n0 = len(queue)
@@ -643,29 +646,17 @@ def insert_segment(surface: LRSurface, seg: Segment) -> None:
     ``seg`` is one (axis, pos, lo, hi, mult) row, such as a ``Segment``.
     Raises ValueError for a row ``insert_segments`` rejects, and for a
     segment that traverses no B-spline support at a multiplicity its knots
-    lack, unless the mesh already holds it (a no-op).  A rejected segment
-    leaves the surface unchanged.  Geometry is preserved exactly up to
-    floating point.
+    lack, unless the mesh already holds it (a no-op).  Both are decided on
+    a copy of the mesh by the split engine's own rules, so a rejected
+    segment leaves the surface unchanged.  Geometry is preserved exactly up
+    to floating point.
     """
-    mesh = surface.mesh
-    rows = _check_segments(mesh, [seg], surface.degrees)
-    axis, pos, lo, hi, mult = rows[0].tolist()
-    axis, mult = int(axis), int(mult)
-    near = _snap(mesh.coords(axis), rows[:1, 1], SNAP_REL * mesh.extent(axis))[0]
-    pos = pos if np.isnan(near) else float(near)
-    # legality: after merging, the segment must traverse some support at a
-    # multiplicity its knot vector does not yet carry, unless it is a no-op
-    if mesh.cover_mult(axis, pos, lo, hi) >= mult:
+    rows = _check_segments(surface.mesh, [seg], surface.degrees)
+    trial = surface.copy()
+    rows[:, 1] = trial.mesh.snap_many([(int(rows[0, 0]), rows[0, 1])])
+    if not trial.mesh._merge(rows):
         return
-    own, other = mesh._coords[axis], mesh._coords[1 - axis]
-    at = functools.partial(np.searchsorted, other)
-    row = (mesh._mult[axis][own.index(pos)].copy() if pos in own
-           else np.zeros(len(other) - 1, dtype=np.uint8))
-    row[at(lo):at(hi)] = np.maximum(row[at(lo):at(hi)], mult)
-    kn, across = surface.axis_knots(axis), surface.axis_knots(1 - axis)
-    table = _run_table(row[None], surface.degrees[axis])
-    if not ((kn[:, 0] < pos) & (pos < kn[:, -1]) & _traverses(
-            table, (kn == pos).sum(axis=1), 0, at(across[:, 0]), at(across[:, -1]))).any():
+    if not any(len(row) for row, _, _ in _lacking_lines(_knot_rows(trial), *_split_inputs(trial))):
         raise ValueError("segment does not traverse any B-spline support")
     insert_segments(surface, rows)
 
@@ -752,10 +743,12 @@ def validate_surface(surface: LRSurface) -> None:
 
     Checks that every line multiplicity is at most degree + 1, that every
     B-spline knot is a mesh coordinate (the file formats index the
-    coordinate tables) on a line traversing its support, that scaling
-    factors are positive, that the element partition is consistent with
-    the mesh lines, and partition of unity at random sample points.  A
-    faulty B-spline is named by its index; the lowest one is.
+    coordinate tables) on a line traversing its support, that no mesh line
+    traverses a support at a multiplicity its knots lack (the set is
+    complete: the split engine would split nothing), that scaling factors
+    are positive, that the element partition is consistent with the mesh
+    lines, and partition of unity at random sample points.  A faulty
+    B-spline is named by its index; the lowest one is.
     """
     mesh = surface.mesh
     for axis, d in enumerate(surface.degrees):
@@ -764,7 +757,8 @@ def validate_surface(surface: LRSurface) -> None:
     assert surface.knots.shape == (len(surface), sum(surface.degrees) + 4), (
         f"B-spline knot rows have wrong knot count: {surface.knots.shape} at {surface.degrees}")
     faults = [(~(surface.scaling > 0), lambda i: f"B-spline {i} has non-positive scaling")]
-    for axis, d in enumerate(surface.degrees):
+    cols, tables, deg = _split_inputs(surface)
+    for axis in (0, 1):
         own, other = mesh.coords(axis), mesh.coords(1 - axis)
         kn, across = surface.axis_knots(axis), surface.axis_knots(1 - axis)
         # cover_mult's cells j0..j1 - 1 of the support, none outside the
@@ -772,8 +766,7 @@ def validate_surface(surface: LRSurface) -> None:
         j0 = np.searchsorted(other, across[:, :1], side="right") - 1
         j1 = np.maximum(np.searchsorted(other, across[:, -1:]), j0 + 1)
         have = (kn[:, :, None] == kn[:, None, :]).sum(axis=2)
-        covered = _traverses(_run_table(mesh._mult[axis], d), have - 1,
-                             np.searchsorted(own, kn), j0, j1)
+        covered = _traverses(tables[axis], have - 1, np.searchsorted(own, kn), j0, j1)
         faults += [
             ((np.diff(kn, axis=1) < 0).any(axis=1) | (kn[:, 0] >= kn[:, -1]),
              lambda i, axis=axis: f"B-spline {i} axis {axis} knots are not nondecreasing "
@@ -787,6 +780,9 @@ def validate_surface(surface: LRSurface) -> None:
         ]
     fault = _first_fault(faults)
     assert fault is None, fault
+    for axis, (row, line, _) in enumerate(_lacking_lines(_knot_rows(surface), cols, tables, deg)):
+        assert not len(row), (f"B-spline {row[0]} lacks the line {'uv'[axis]} = "
+                              f"{mesh._coords[axis][line[0]]!r}, which traverses its support")
     _, cell_map, uc, vc = mesh.elements()
     assert (cell_map >= 0).all(), "unassigned fine cells"
     # covered edges must separate elements, uncovered edges must not

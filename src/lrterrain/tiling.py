@@ -12,9 +12,11 @@ surfaces are refined into one common spline space and their coefficients
 set equal (C0); optionally the first derivative across the boundary is
 equalized as well through a local two-row tensor-product strip (C1).
 
-Grid stitching handles the four-tile corners: corner values are pinned
-first, and the cross-derivative conditions that tie perpendicular edges
-together at a corner are solved jointly as a small least-change system.
+Grid stitching handles the corners of three or four tiles: corner values
+are pinned first, and the cross-derivative conditions that tie
+perpendicular edges together at such a corner are solved jointly as a
+small least-change system.  A corner of two tiles that share an edge is
+left to that edge, so a hole in the grid leaves no derivative gap.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptive import FitConfig, IterationReport, fit
-from .evaluate import check_points
+from .evaluate import check_points, in_rect
 from .formats import _names_path
 from .mesh import SNAP_REL, LRSurface, _row_keys, insert_segments, restrict
 
@@ -144,9 +146,7 @@ def fit_tiles(points: np.ndarray, tiles: list[Tile],
     out = [TileFit(t, None) for t in tiles]
     jobs = []
     for k, t in enumerate(tiles):
-        e = t.expanded
-        sel = ((pts[:, 0] >= e[0]) & (pts[:, 0] <= e[1])
-               & (pts[:, 1] >= e[2]) & (pts[:, 1] <= e[3]))
+        sel = in_rect(pts, t.expanded)
         if sel.any():
             jobs.append((k, t, pts[sel]))
     # imported here, so that importing the package does not load it
@@ -372,6 +372,8 @@ def _c1_edge(a: LRSurface, b: LRSurface, ax: int, weights,
 # D upper-right, with the (u, v) side of the corner each one lies on.
 
 _CORNER_SIDES = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}
+# the tile across the line of constant u, and across that of constant v
+_ACROSS = {"A": ("B", "C"), "B": ("A", "D"), "C": ("D", "A"), "D": ("C", "B")}
 
 
 def _corner_block(surface: LRSurface, uside: int, vside: int) -> dict:
@@ -414,44 +416,53 @@ def _corner_g(surface: LRSurface, uside: int, vside: int) -> int:
 
 
 def _solve_corner(tiles: dict[str, LRSurface]) -> None:
-    """Joint cross-derivative conditions of the four tiles meeting at a corner.
+    """Joint cross-derivative conditions of the three or four tiles at a corner.
 
-    Corner values g are assumed already equal; the remaining eight corner
-    coefficients get the smallest change that makes both derivative
-    directions continuous through the corner.  The system is consistent
-    (constants solve it), so the residual is numerically zero.
+    Corner values g are assumed already equal.  The unknowns are V_b (of A
+    and B), V_t (C, D), H_l (A, C), H_r (B, D) and the Q of each tile; they
+    get the smallest change that makes the derivative across every present
+    edge continuous at its two windows nearest the corner.  The rows are
+    the value-row condition of the first u-edge and of the first v-edge
+    (the other of a pair repeats it), then the near-corner row of each
+    u-edge and of each v-edge.  The system is consistent (constants solve
+    it), so the residual is numerically zero.
     """
-    blk = {t: _corner_block(tiles[t], *_CORNER_SIDES[t]) for t in tiles}
+    blk = {t: _corner_block(s, *_CORNER_SIDES[t]) for t, s in tiles.items()}
+    var = {"V": {"A": 0, "B": 0, "C": 1, "D": 1}, "H": {"A": 2, "C": 2, "B": 3, "D": 3},
+           "Q": {"A": 4, "B": 5, "C": 6, "D": 7}}
 
-    def slot(t, name):
-        return [blk[t]["slots"][name]]
+    def gamma(t, name):
+        return _gamma(tiles[t], [blk[t]["slots"][name]])[0]
 
-    g = np.mean([_gamma(tiles[t], slot(t, "g"))[0] for t in tiles])
-    # variables: V_b, V_t, H_l, H_r, Q_A, Q_B, Q_C, Q_D
-    cur = np.array([_gamma(tiles[t], slot(t, name))[0] for t, name in (
-        ("A", "V"), ("C", "V"), ("A", "H"), ("B", "H"),
-        ("A", "Q"), ("B", "Q"), ("C", "Q"), ("D", "Q"))])
-    A, B, C, D = (blk[t] for t in "ABCD")
-    M = np.zeros((6, 8))
-    r = np.zeros(6)
-    # d/du match at the corner value row and both near-corner rows
-    M[0, 2], M[0, 3] = A["fu1"], -B["fu1"]
-    r[0] = (B["fu0"] - A["fu0"]) * g
-    M[1, 0], M[1, 1] = A["fv1"], -C["fv1"]
-    r[1] = (C["fv0"] - A["fv0"]) * g
-    M[2, 0], M[2, 4], M[2, 5] = A["fu0"] - B["fu0"], A["fu1"], -B["fu1"]
-    M[3, 1], M[3, 6], M[3, 7] = C["fu0"] - D["fu0"], C["fu1"], -D["fu1"]
-    M[4, 2], M[4, 4], M[4, 6] = A["fv0"] - C["fv0"], A["fv1"], -C["fv1"]
-    M[5, 3], M[5, 5], M[5, 7] = B["fv0"] - D["fv0"], B["fv1"], -D["fv1"]
-    delta = np.linalg.lstsq(M, r - M @ cur, rcond=None)[0]
-    x = cur + delta
+    g = np.mean([gamma(t, "g") for t in tiles])
+    # a shared unknown starts at the value of its first tile
+    cur = np.zeros(8)
+    for t in reversed(list(tiles)):
+        for name in var:
+            cur[var[name][t]] = gamma(t, name)
 
-    writes = (("A", "V", x[0]), ("B", "V", x[0]), ("C", "V", x[1]),
-              ("D", "V", x[1]), ("A", "H", x[2]), ("C", "H", x[2]),
-              ("B", "H", x[3]), ("D", "H", x[3]), ("A", "Q", x[4]),
-              ("B", "Q", x[5]), ("C", "Q", x[6]), ("D", "Q", x[7]))
-    for t, name, val in writes:
-        _set_gamma(tiles[t], slot(t, name), [val])
+    def condition(a, b, d, value_row):
+        """d/d``d`` equal across the edge of tiles a and b at one window."""
+        f0, f1 = blk[a][f"f{d}0"], blk[a][f"f{d}1"]
+        h0, h1 = blk[b][f"f{d}0"], blk[b][f"f{d}1"]
+        row1, row0 = ("H", "V") if d == "u" else ("V", "H")
+        m = np.zeros(8)
+        if value_row:
+            m[var[row1][a]], m[var[row1][b]] = f1, -h1
+            return m, (h0 - f0) * g
+        m[var[row0][a]], m[var["Q"][a]], m[var["Q"][b]] = f0 - h0, f1, -h1
+        return m, 0.0
+
+    u_edges = [(a, b) for a, b in (("A", "B"), ("C", "D")) if a in tiles and b in tiles]
+    v_edges = [(a, b) for a, b in (("A", "C"), ("B", "D")) if a in tiles and b in tiles]
+    M, r = map(np.array, zip(
+        condition(*u_edges[0], "u", True), condition(*v_edges[0], "v", True),
+        *(condition(a, b, "u", False) for a, b in u_edges),
+        *(condition(a, b, "v", False) for a, b in v_edges)))
+    x = cur + np.linalg.lstsq(M, r - M @ cur, rcond=None)[0]
+    for t in tiles:
+        for name in var:
+            _set_gamma(tiles[t], [blk[t]["slots"][name]], [x[var[name][t]]])
 
 
 # -- stitching -----------------------------------------------------------
@@ -464,52 +475,62 @@ def _stitch(surfaces, weights, nx: int, ny: int, c1: bool) -> list:
     jointly, since perpendicular edges interact at corners), then corner
     values, then boundary curves, then derivatives with per-corner joint
     systems.  ``weights`` are the per-surface averaging weights.
+
+    Which corners get a joint system is decided once, from the tiles
+    present: an interior corner of three or four tiles does, and it owns
+    the two windows nearest it of every edge there.  At a corner of two
+    tiles that share an edge, that edge's own derivative step matches
+    them.
     """
     S = [s.copy() if s is not None else None for s in surfaces]
 
     def at(ix, iy):
         return iy * nx + ix
 
+    # the tiles present around each interior corner (cx, cy)
+    quads = {(cx, cy): {t: i for t, i in (("A", at(cx - 1, cy - 1)), ("B", at(cx, cy - 1)),
+                                          ("C", at(cx - 1, cy)), ("D", at(cx, cy)))
+                        if S[i] is not None}
+             for cy in range(1, ny) for cx in range(1, nx)}
+    joint = {c for c, quad in quads.items() if len(quad) >= 3}
     # (lower index, upper index, axis, skip_lo, skip_hi); the skip flags
-    # mark edge ends at an interior corner
-    edges = [(at(ix, iy), at(ix + 1, iy), 0, iy > 0, iy < ny - 1)
+    # mark edge ends at a corner with a joint system
+    edges = [(at(ix, iy), at(ix + 1, iy), 0, (ix + 1, iy) in joint, (ix + 1, iy + 1) in joint)
              for iy in range(ny) for ix in range(nx - 1)]
-    edges += [(at(ix, iy), at(ix, iy + 1), 1, ix > 0, ix < nx - 1)
+    edges += [(at(ix, iy), at(ix, iy + 1), 1, (ix, iy + 1) in joint, (ix + 1, iy + 1) in joint)
               for iy in range(ny - 1) for ix in range(nx)]
     edges = [e for e in edges if S[e[0]] is not None and S[e[1]] is not None]
     for i, j, ax, _, _ in edges:
         _check_pair(S[i], S[j], ax)
+    # (index, axis, side) of each side that faces the hole at a three-tile
+    # corner: it needs the two-row strip of an edge for the corner block
+    open_sides = dict.fromkeys(
+        (i, ax, _CORNER_SIDES[t][ax]) for quad in quads.values() if c1 and len(quad) == 3
+        for t, i in quad.items() for ax in (0, 1) if _ACROSS[t][ax] not in quad)
 
     # phase 1: settle all edge spline spaces to a joint fixpoint
     for _ in range(64):
         changed = False
         for i, j, ax, _, _ in edges:
             changed |= _unify_edge(S[i], S[j], ax, c1)
+        for i, ax, side in open_sides:
+            changed |= _complete_edge(S[i], ax, side, _trace_knots(S[i], ax, side), True)
         if not changed:
             break
     else:
         raise RuntimeError("edge spline spaces failed to settle")
 
     # phase 2: pin corner values across the tiles that meet there.  Later
-    # edge averaging only preserves an already-agreed corner, so this must
-    # cover partial corners at holes too; the joint derivative solve still
-    # needs all four tiles.
-    corners = []
-    for cy in range(1, ny):
-        for cx in range(1, nx):
-            quad = {"A": at(cx - 1, cy - 1), "B": at(cx, cy - 1),
-                    "C": at(cx - 1, cy), "D": at(cx, cy)}
-            present = {t: i for t, i in quad.items() if S[i] is not None}
-            if len(present) < 2:
-                continue
-            idx = {t: [_corner_g(S[i], *_CORNER_SIDES[t])] for t, i in present.items()}
-            wsum = sum(weights[i] for i in present.values())
-            g = sum(weights[i] * _gamma(S[i], idx[t])[0]
-                    for t, i in present.items()) / wsum
-            for t, i in present.items():
-                _set_gamma(S[i], idx[t], [g])
-            if len(present) == 4:
-                corners.append(quad)
+    # edge averaging only preserves an already-agreed corner, so this
+    # covers corners of two tiles too.
+    for quad in quads.values():
+        if len(quad) < 2:
+            continue
+        idx = {t: [_corner_g(S[i], *_CORNER_SIDES[t])] for t, i in quad.items()}
+        wsum = sum(weights[i] for i in quad.values())
+        g = sum(weights[i] * _gamma(S[i], idx[t])[0] for t, i in quad.items()) / wsum
+        for t, i in quad.items():
+            _set_gamma(S[i], idx[t], [g])
 
     # phase 3: boundary curves
     for i, j, ax, _, _ in edges:
@@ -518,8 +539,9 @@ def _stitch(surfaces, weights, nx: int, ny: int, c1: bool) -> list:
         # phase 4: derivatives; corner windows are owned by the joint systems
         for i, j, ax, skip_lo, skip_hi in edges:
             _c1_edge(S[i], S[j], ax, (weights[i], weights[j]), skip_lo, skip_hi)
-        for quad in corners:
-            _solve_corner({t: S[i] for t, i in quad.items()})
+        for quad in quads.values():
+            if len(quad) >= 3:
+                _solve_corner({t: S[i] for t, i in quad.items()})
     return S
 
 
@@ -555,8 +577,10 @@ def stitch_grid(fits: list[TileFit], counts, c1: bool = False):
     Edges are stitched as in ``stitch_c1`` (or ``stitch_c0``), corner values
     are pinned first across the tiles that meet there, and the
     cross-derivative conditions that tie perpendicular edges together at a
-    corner are solved jointly.  Averaging weights are the per-tile fit point
-    counts.  Holes are skipped; their edges stay unstitched.
+    corner of three or four tiles are solved jointly.  Averaging weights
+    are the per-tile fit point counts.  Holes are skipped: an edge next to
+    one stays unstitched, and every edge between two present tiles closes
+    up to its corners.
     """
     nx, ny = int(counts[0]), int(counts[1])
     if len(fits) != nx * ny:

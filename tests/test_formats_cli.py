@@ -296,6 +296,12 @@ def _stitched():
     return stitch_grid(grid_fits(7, counts=(3, 3)), (3, 3), c1=True)
 
 
+def _multibyte_units():
+    s = random_refined_surface(8, n_inserts=30)
+    s.units = ("UTM 32N", "m²")  # the size counts UTF-8 bytes, not characters
+    return [s]
+
+
 @pytest.mark.parametrize("build", [
     lambda: [random_refined_surface(4, n_inserts=60)],
     lambda: [random_refined_surface(5, n_inserts=60, degrees=(3, 2))],
@@ -303,7 +309,8 @@ def _stitched():
     lambda: [restrict(random_refined_surface(15, domain=(0, 2, 0, 1), grid=(9, 5)),
                       (0.3, 1.1, 0.0, 0.7))],
     _stitched,
-], ids=["d22", "d32", "d33", "restricted", "c1-grid"])
+    _multibyte_units,
+], ids=["d22", "d32", "d33", "restricted", "c1-grid", "multibyte-units"])
 def test_lrsurf02_round_trip(build, tmp_path):
     p, p2 = tmp_path / "s.lrs", tmp_path / "s2.lrs"
     for s in build():

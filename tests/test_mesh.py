@@ -196,6 +196,63 @@ def test_validate_catches_multiplicity_above_degree():
         validate_surface(s)
 
 
+def test_validate_catches_a_mesh_line_the_bsplines_lack():
+    # a full line merged into the mesh without the split: the B-splines
+    # whose supports it crosses lack it, and the lowest one is named
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))
+    validate_surface(s)
+    s.mesh._merge([(0, s.mesh.snap_many([(0, 0.5)])[0], 0.0, 1.0, 1)])
+    ku = s.axis_knots(0)
+    first = int(np.flatnonzero((ku[:, 0] < 0.5) & (0.5 < ku[:, -1]))[0])
+    with pytest.raises(AssertionError, match=f"B-spline {first} lacks the line u = 0.5,"):
+        validate_surface(s)
+
+
+def _surface_state(s):
+    return (s.knots.copy(), s.scaling.copy(), s.coeffs.copy(), s.version,
+            s.mesh.coords(0).copy(), s.mesh.coords(1).copy(), s.mesh.segment_rows())
+
+
+def _assert_same_state(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 10_000), degrees=st.sampled_from([(2, 2), (3, 2), (3, 3)]))
+def test_insert_segment_follows_the_split_engine(seed, degrees):
+    # insert_segment against insert_segments on a copy: a no-op exactly when
+    # the copy's mesh did not change, the copy's result exactly when its
+    # knot rows changed, and otherwise a rejection that changes nothing
+    s = random_refined_surface(seed, n_inserts=15, degrees=degrees)
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        axis = int(rng.integers(2))
+        own, other = s.mesh.coords(axis), s.mesh.coords(1 - axis)
+        k = int(rng.integers(len(own) - 1))
+        pos = own[k] if rng.random() < 0.5 else 0.5 * (own[k] + own[k + 1])
+        lo, hi = np.sort(rng.choice(other, 2, replace=False))
+        seg = Segment(axis, float(pos), float(lo), float(hi),
+                      int(rng.integers(1, degrees[axis] + 2)))
+        ref = s.copy()
+        insert_segments(ref, [seg])
+        before = _surface_state(s)
+        noop = np.array_equal(ref.mesh.segment_rows(), before[-1])
+        split = not np.array_equal(ref.knots, s.knots)
+        if noop or split:
+            insert_segment(s, seg)
+        else:
+            with pytest.raises(ValueError, match="does not traverse"):
+                insert_segment(s, seg)
+        if split:
+            np.testing.assert_array_equal(s.knots, ref.knots)
+            np.testing.assert_array_equal(s.coeffs, ref.coeffs)
+            np.testing.assert_array_equal(s.mesh.segment_rows(), ref.mesh.segment_rows())
+        else:
+            _assert_same_state(_surface_state(s), before)
+
+
 @pytest.mark.parametrize("mult", [0, -1, 4, 9, 200])
 def test_insert_rejects_multiplicity_outside_one_to_degree_plus_one(mult):
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (7, 7))

@@ -378,24 +378,32 @@ def test_grid_c1_closes_derivatives_through_corner():
         assert np.max(np.abs(ga - gb)) < 1e-7 * scale
 
 
-@pytest.mark.parametrize("degrees", [(2, 2), (3, 2), (2, 3)])
-@pytest.mark.parametrize("counts", [(3, 2), (2, 3), (1, 3), (3, 1)])
-def test_grid_c1_closes_every_edge_of_uneven_grids(counts, degrees):
-    # unequal counts and degrees catch an edge helper that reads the wrong
-    # axis: every u-edge and every v-edge must close
+def assert_c1_closes(S, counts):
+    """Every edge between two present tiles closes in value (1e-10) and
+    in first derivatives (1e-7 of the slope scale of the present tiles)."""
     nx, ny = counts
-    S = stitch_grid(grid_fits(7, counts=counts, degrees=degrees), counts, c1=True)
     scale = max(np.max(np.abs(evaluate(s, np.linspace(*s.domain[:2], 40),
                                        np.linspace(*s.domain[2:], 40),
-                                       order=1)[:, 1:])) for s in S)
+                                       order=1)[:, 1:])) for s in S if s is not None)
     edges = [(S[iy * nx + ix], S[iy * nx + ix + 1], 0)
              for iy in range(ny) for ix in range(nx - 1)]
     edges += [(S[iy * nx + ix], S[(iy + 1) * nx + ix], 1)
               for iy in range(ny - 1) for ix in range(nx)]
     for a, b, axis in edges:
+        if a is None or b is None:
+            continue
         gaps = edge_gap(a, b, axis=axis, order=1)
         assert gaps[0] <= 1e-10
         assert max(gaps[1:]) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("counts", [(3, 2), (2, 3), (1, 3), (3, 1)])
+def test_grid_c1_closes_every_edge_of_uneven_grids(counts, degrees):
+    # unequal counts and degrees catch an edge helper that reads the wrong
+    # axis: every u-edge and every v-edge must close
+    S = stitch_grid(grid_fits(7, counts=counts, degrees=degrees), counts, c1=True)
+    assert_c1_closes(S, counts)
 
 
 def test_grid_stitch_is_deterministic():
@@ -406,12 +414,18 @@ def test_grid_stitch_is_deterministic():
 
 
 def test_grid_with_hole_stitches_remaining_edges():
-    fits = grid_fits(17)
-    fits[3] = TileFit(fits[3].tile, None)
-    S = stitch_grid(fits, (2, 2), c1=True)
-    assert S[3] is None
-    assert edge_gap(S[0], S[1]) < 1e-10
-    assert edge_gap(S[0], S[2], axis=1) < 1e-10
+    # the windows next to a corner with a hole belong to the corner's joint
+    # system or, at a corner of two tiles, to their shared edge
+    layouts = [((2, 2), [k]) for k in range(4)]  # each single hole: three-tile corners
+    layouts += [((2, 2), [2, 3]),  # an empty top row: two-tile corners
+                ((3, 3), [4])]     # an empty middle: four three-tile corners
+    for counts, holes in layouts:
+        fits = grid_fits(17, counts=counts)
+        for k in holes:
+            fits[k] = TileFit(fits[k].tile, None)
+        S = stitch_grid(fits, counts, c1=True)
+        assert [k for k, s in enumerate(S) if s is None] == holes
+        assert_c1_closes(S, counts)
 
 
 def test_grid_count_mismatch_raises():
