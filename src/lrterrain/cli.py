@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -30,6 +29,7 @@ from .config import load_settings
 from .deconflict import Survey, deconflict_fit
 from .evaluate import bbox, distance_field
 from .formats import (
+    _write_json,
     binary_size,
     is_binary_surface,
     is_binary_survey,
@@ -65,35 +65,15 @@ def _pair(text: str, flag: str) -> tuple[int, int]:
     return n[0], n[1]
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w") as f:
-        json.dump(_jsonable(payload), f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
-def _load_survey(path) -> tuple[np.ndarray, dict]:
-    """The points and header of the survey in ``path``.  No points is an
-    input error, raised before a command prints anything."""
+def _load_survey(path) -> Survey:
+    """The survey in ``path``, named by its ``id`` header or else the file
+    stem; the rest of the header is its meta.  No points is an input
+    error, raised before a command prints anything."""
     pts, meta = read_survey(path)
     if len(pts) == 0:
         raise ValueError(f"{path}: survey has no points")
-    return pts, meta
+    name = meta.pop("id", None) or os.path.splitext(os.path.basename(path))[0]
+    return Survey(points=pts, name=str(name), meta=meta)
 
 
 def _write_surface(surface: LRSurface, path, text: bool) -> None:
@@ -103,9 +83,15 @@ def _write_surface(surface: LRSurface, path, text: bool) -> None:
         write_surface_binary(surface, path)
 
 
-def _stem(path: str) -> str:
-    base, _ = os.path.splitext(path)
-    return base
+_SURFACE_EXT = {False: ".lrs", True: ".lrs.txt"}  # by --text
+
+
+def _split_name(path: str) -> tuple[str, str]:
+    """``path`` as (stem, extension), where the text surface's ``.lrs.txt``
+    is one extension."""
+    if path.endswith(_SURFACE_EXT[True]):
+        return path[:-len(_SURFACE_EXT[True])], _SURFACE_EXT[True]
+    return os.path.splitext(path)
 
 
 def _report_lines(reports: list[IterationReport]) -> list[str]:
@@ -139,10 +125,15 @@ def cmd_fit(args) -> int:
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, initial_grid=_pair(args.grid, "--grid"))
 
-    pts, _ = _load_survey(args.points)
-    out = args.output or _stem(args.points) + (".lrs.txt" if args.text else ".lrs")
+    if args.tile is None and args.overlap is not None:
+        raise ValueError("--overlap applies only with --tile")
+
+    pts = _load_survey(args.points).points
+    stem = _split_name(args.output or args.points)[0]
+    ext = _SURFACE_EXT[args.text]
 
     if args.tile is None:
+        out = args.output or stem + ext
         surface, reports, flags = fit(pts, cfg)
         _write_surface(surface, out, args.text)
         lines = _report_lines(reports)
@@ -154,8 +145,6 @@ def cmd_fit(args) -> int:
     overlap = settings.overlap if args.overlap is None else args.overlap
     tiles = make_tiles(bbox(pts), counts, overlap)
     fits = fit_tiles(pts, tiles, cfg)
-    stem = _stem(out) if out.endswith(".json") else _stem(args.points)
-    ext = ".lrs.txt" if args.text else ".lrs"
     paths: list[str | None] = []
     lines = []
     for t, f in zip(tiles, fits):
@@ -168,24 +157,20 @@ def cmd_fit(args) -> int:
         paths.append(os.path.basename(p))
         lines.append(f"tile {t.ix},{t.iy}\t{f.n_points} points")
         lines.extend(_report_lines(f.reports))
-    manifest = out if out.endswith(".json") else stem + ".tiles.json"
+    manifest = args.output if (args.output or "").endswith(".json") else stem + ".tiles.json"
     write_manifest(manifest, tiles, counts, overlap, paths, fits)
     lines.append(f"manifest\t{manifest}")
     _emit(lines, args.report)
-    worst = 0
-    for f in fits:
-        if f.surface is not None:
-            worst = max(worst, _flags_exit(f.flags))
-    return worst
+    return max((_flags_exit(f.flags) for f in fits if f.surface is not None), default=0)
 
 
 # -- deconflict ------------------------------------------------------------
 
 
 def cmd_deconflict(args) -> int:
-    # the iteration counts are the deconflict section's reference_level and
-    # total_iterations
-    settings = load_settings(args.config, args.tolerance, unused_fit=("max_iterations",))
+    # the iteration counts and the tolerance are the deconflict section's
+    settings = load_settings(args.config, args.tolerance,
+                             unused_fit=("max_iterations", "tolerance"))
     # one replace, so the pair is checked as given, not against a default
     given = {"reference_level": args.level, "total_iterations": args.total}
     dcfg = dataclasses.replace(settings.deconflict,
@@ -195,26 +180,24 @@ def cmd_deconflict(args) -> int:
     surveys = []
     binary_in = []
     for path in args.surveys:
-        pts, meta = _load_survey(path)
-        name = meta.pop("id", None) or os.path.basename(_stem(path))
-        score = None
-        if "score" in meta:
+        s = _load_survey(path)
+        if "score" in s.meta:
             try:
-                score = float(meta.pop("score"))
+                s.score = float(s.meta.pop("score"))
             except ValueError:
                 raise ValueError(f"{path}: score header is not a number") from None
-        surveys.append(Survey(points=pts, name=name, score=score, meta=meta))
+        surveys.append(s)
         binary_in.append(is_binary_survey(path))
     surface, cleaned, report = deconflict_fit(surveys, fit_cfg, dcfg)
 
-    out = args.output or "deconflicted" + (".lrs.txt" if args.text else ".lrs")
+    out = args.output or "deconflicted" + _SURFACE_EXT[args.text]
     _write_surface(surface, out, args.text)
     outdir = args.outdir
     if outdir:
         os.makedirs(outdir, exist_ok=True)
     for path, s, was_bin in zip(args.surveys, cleaned, binary_in):
-        base = os.path.basename(_stem(path)) + ".clean" + os.path.splitext(path)[1]
-        target = os.path.join(outdir or os.path.dirname(path) or ".", base)
+        stem, ext = os.path.splitext(os.path.basename(path))
+        target = os.path.join(outdir or os.path.dirname(path) or ".", stem + ".clean" + ext)
         meta = {"id": s.name, **({"score": s.score} if s.score is not None else {}),
                 **s.meta}
         if was_bin:
@@ -251,7 +234,7 @@ def _survey_field(surface: LRSurface, pts: np.ndarray, tau: float, path):
 def cmd_eval(args) -> int:
     settings = load_settings(args.config, args.tolerance)
     surface = read_surface(args.surface)
-    pts, _ = _load_survey(args.points)
+    pts = _load_survey(args.points).points
     field, inside = _survey_field(surface, pts, settings.fit.tolerance, args.points)
     if args.output:
         write_distance_field(args.output, pts, field)
@@ -270,14 +253,13 @@ def cmd_report(args) -> int:
     surface = read_surface(args.surface)
     lines = ["survey\tpoints\tmax_below\tmax_above\tavg_dist\tz_range"]
     for path in args.surveys:
-        pts, meta = _load_survey(path)
-        name = meta.get("id") or os.path.basename(_stem(path))
-        field, inside = _survey_field(surface, pts, 1.0, path)
+        s = _load_survey(path)
+        field, inside = _survey_field(surface, s.points, 1.0, path)
         res = field["residual"][inside]
         below = max(0.0, float(-res.min()))
         above = max(0.0, float(res.max()))
-        z = pts[:, 2]
-        lines.append(f"{name}\t{len(pts)}\t{below:.6g}\t{above:.6g}"
+        z = s.points[:, 2]
+        lines.append(f"{s.name}\t{len(s.points)}\t{below:.6g}\t{above:.6g}"
                      f"\t{np.abs(res).mean():.6g}\t{float(z.max() - z.min()):.6g}")
     _emit(lines, args.output)
     return 0
@@ -289,44 +271,33 @@ def cmd_report(args) -> int:
 def cmd_stitch(args) -> int:
     manifest = read_manifest(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
-    counts = tuple(manifest["counts"])
     entries = manifest["tiles"]
 
     fits, texts = [], []
     for e in entries:
-        tile = Tile(e["ix"], e["iy"], tuple(e["core"]), tuple(e["expanded"]))
         surface, text = None, False
         if e["surface"] is not None:
             path = os.path.join(base_dir, e["surface"])
             surface, text = read_surface(path), not is_binary_surface(path)
-        fits.append(TileFit(tile, surface, [], int(e.get("n_points", 0)),
-                            dict(e.get("flags", {}))))
+        tile = Tile(e["ix"], e["iy"], tuple(e["core"]), tuple(e["expanded"]))
+        fits.append(TileFit(tile, surface, [], int(e.get("n_points", 0))))
         texts.append(text)
     try:
-        stitched = stitch_grid(fits, counts, c1=args.c1)
+        stitched = stitch_grid(fits, manifest["counts"], c1=args.c1)
     except RuntimeError as e:  # the tiles' spline spaces cannot be joined
         raise ValueError(str(e)) from e
 
-    suffix = "" if args.in_place else ".stitched"
-    new_paths: list[str | None] = []
     for e, s, text in zip(entries, stitched, texts):
         if s is None:
-            new_paths.append(None)
             continue
-        rel = e["surface"]
-        if suffix:
-            stem, ext = os.path.splitext(rel)
-            if ext == ".txt":  # keep .lrs.txt in one piece
-                stem2, ext2 = os.path.splitext(stem)
-                stem, ext = stem2, ext2 + ext
-            rel = stem + suffix + ext
-        _write_surface(s, os.path.join(base_dir, rel), text)
-        new_paths.append(rel)
-        print(f"tile {e['ix']},{e['iy']}\t{rel}")
+        if not args.in_place:
+            stem, ext = _split_name(e["surface"])
+            e["surface"] = stem + ".stitched" + ext
+        _write_surface(s, os.path.join(base_dir, e["surface"]), text)
+        print(f"tile {e['ix']},{e['iy']}\t{e['surface']}")
     out_manifest = args.manifest if args.in_place else \
-        _stem(args.manifest) + ".stitched.json"
-    write_manifest(out_manifest, [f.tile for f in fits], counts, float(manifest["overlap"]),
-                   new_paths)
+        _split_name(args.manifest)[0] + ".stitched.json"
+    _write_json(out_manifest, manifest)
     print(f"manifest\t{out_manifest}")
     return 0
 

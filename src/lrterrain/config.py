@@ -14,7 +14,10 @@ Layout (JSON, all sections and keys optional):
 
 A top-level ``tolerance`` sets both the fit and the deconfliction tolerance;
 the sections can still override it individually.  Unknown keys are rejected
-by name so a typo cannot silently fall back to a default.  The thresholds
+by name so a typo cannot silently fall back to a default, and so are the fit
+keys a command sets itself: ``deconflict`` fits at the deconfliction
+tolerance with its section's iteration counts, so it rejects
+``fit.tolerance`` and ``fit.max_iterations``.  The thresholds
 that are fixed choices of the method are module constants of ``adaptive``
 and ``deconflict`` (such as ``deconflict.MAX_DEPTH``), not settings, so a
 file that sets one is rejected the same way; the smoothing weights are

@@ -40,6 +40,7 @@ carry the verdict and the t-value serves as an advisory signal.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -535,8 +536,6 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
     ne = len(cache.bounds)
     verdict_log: list[dict] = []
     pending: dict[tuple[int, int], list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    pair_decisions: dict[tuple[int, int], list[str]] = {}
-    any_overlap = False
 
     # per-element survey membership: each survey's point indices grouped by
     # element, in increasing order within a group
@@ -552,7 +551,6 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
         present = members[e]
         if len(present) < 2:
             continue
-        any_overlap = True
         rect = tuple(cache.bounds[e].tolist())
         order = sorted(present, key=lambda t: (-scores[t[0]], t[0]))
         accepted: list[tuple[int, np.ndarray]] = [order[0]]
@@ -570,7 +568,6 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
                         verdict_log.append({"element": e, "hi": sj, "cand": si,
                                             "verdict": CONSISTENT,
                                             "rule": "split-survey"})
-                        pair_decisions.setdefault((sj, si), []).append(CONSISTENT)
                         continue
                 v, mask, pend, detail = pairwise_element_test(
                     hi_xy, hi_r, cand_xy, cand_r, cfg, rect, covers[sj],
@@ -583,8 +580,6 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
                 if v == INDETERMINATE:
                     cut = pend & in_rect(cand_xy, _rect_intersect(rect, covers[sj]))
                     pending.setdefault((sj, si), []).append((e, idx, cut))
-                else:
-                    pair_decisions.setdefault((sj, si), []).append(v)
             kept_idx = idx[cand_keep]
             keep_masks[si][idx[~cand_keep]] = False
             if len(kept_idx):
@@ -592,11 +587,9 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
 
     # resolve elements that stayed indeterminate: majority of the decided
     # elements for the same survey pair, removal on a tie
+    decided = Counter((d["hi"], d["cand"], d["verdict"]) for d in verdict_log)
     for (sj, si), items in pending.items():
-        decided = pair_decisions.get((sj, si), [])
-        n_cons = sum(1 for v in decided if v == CONSISTENT)
-        n_not = sum(1 for v in decided if v == NOT_CONSISTENT)
-        treat_consistent = n_cons > n_not
+        treat_consistent = decided[sj, si, CONSISTENT] > decided[sj, si, NOT_CONSISTENT]
         for e, idx, cut in items:
             if not treat_consistent:
                 keep_masks[si][idx[cut]] = False
@@ -616,7 +609,7 @@ def deconflict(surveys: list[Survey], reference: LRSurface,
         "kept": {s.name or str(i): int(m.sum())
                  for i, (s, m) in enumerate(zip(surveys, keep_masks))},
         "verdicts": verdict_log,
-        "note": "" if any_overlap else
+        "note": "" if verdict_log else
                 "no overlapping surveys in any element; all points kept",
     }
     return cleaned, report

@@ -41,9 +41,13 @@ by its position in the file, and the CLI exits 2.
 Survey text format: optional ``# key value`` header lines, then one
 ``x y z`` row per point.  Binary survey: magic ``LRSURV01``, u32 JSON
 header length, JSON header, then f64 triples.
+
+JSON documents (the deconfliction report, the tile manifest) have one
+writer, ``_write_json``: sorted keys, indent 1, a final newline.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -459,3 +463,23 @@ def write_distance_field(path, points: np.ndarray, field: dict) -> None:
                                 field["status"]):
             f.write(f"{float(row[0])!r} {float(row[1])!r} {float(row[2])!r} "
                     f"{float(r)!r} {int(e)} {int(s)}\n")
+
+
+# -- JSON documents ------------------------------------------------------
+
+
+def _plain(obj):
+    """The plain value json writes for a dataclass or a numpy value."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _write_json(path, doc) -> None:
+    """``doc`` as JSON with sorted keys, indent 1 and a final newline.  json
+    sorts the keys before it writes them, so every key must be a string."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, sort_keys=True, indent=1, default=_plain)
+        f.write("\n")

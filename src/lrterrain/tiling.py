@@ -30,7 +30,7 @@ import numpy as np
 
 from .adaptive import FitConfig, IterationReport, fit
 from .evaluate import check_points, in_rect
-from .formats import _names_path
+from .formats import _names_path, _write_json
 from .mesh import SNAP_REL, LRSurface, _row_keys, insert_segments, restrict
 
 __all__ = [
@@ -593,29 +593,19 @@ def stitch_grid(fits: list[TileFit], counts, c1: bool = False):
 
 
 def write_manifest(path, tiles: list[Tile], counts, overlap: float,
-                   surface_paths: list[str | None],
-                   fits: list[TileFit] | None = None) -> None:
+                   surface_paths: list[str | None], fits: list[TileFit]) -> None:
     """Tile grid description with per-tile surface paths and fit reports."""
-    entries = []
-    for k, t in enumerate(tiles):
-        e = {"ix": t.ix, "iy": t.iy, "core": list(t.core),
-             "expanded": list(t.expanded), "surface": surface_paths[k]}
-        if fits is not None:
-            f = fits[k]
-            e["n_points"] = f.n_points
-            e["flags"] = dict(f.flags)
-            e["report"] = [{"iteration": r.iteration,
+    entries = [{"ix": t.ix, "iy": t.iy, "core": t.core, "expanded": t.expanded,
+                "surface": p, "n_points": f.n_points, "flags": f.flags,
+                "report": [{"iteration": r.iteration,
                             "coefficients": r.n_coefficients,
                             "size_bytes": r.size_bytes, "max_dist": r.max_dist,
                             "avg_dist": r.avg_dist, "n_out": r.n_out}
-                           for r in f.reports]
-        entries.append(e)
+                           for r in f.reports]}
+               for t, p, f in zip(tiles, surface_paths, fits)]
     bbox = [tiles[0].core[0], tiles[-1].core[1], tiles[0].core[2], tiles[-1].core[3]]
-    doc = {"bbox": bbox, "counts": [int(counts[0]), int(counts[1])],
-           "overlap": overlap, "tiles": entries}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(path, {"bbox": bbox, "counts": [int(counts[0]), int(counts[1])],
+                       "overlap": overlap, "tiles": entries})
 
 
 @_names_path

@@ -483,6 +483,27 @@ def test_equal_score_split_survey_accepted():
     assert len(cleaned[1].points) >= 0.99 * len(B)
 
 
+def test_split_survey_rule_keeps_equal_score_halves():
+    # one element holds both surveys; equal scores and boxes that overlap at
+    # most TINY_OVERLAP decide before any residual test, so the offset half
+    # stays, while equal-score boxes that overlap more are tested
+    rng = np.random.default_rng(8)
+    reference = make_tensor_surface((0.0, 10.0, 0.0, 10.0), (2, 2), (3, 3))
+    A = plane_cloud(rng, 0.0, 4.9, 500)
+    B = plane_cloud(rng, 5.1, 10.0, 500, offset=1.5)
+    C = plane_cloud(rng, 3.0, 10.0, 500, offset=1.5)
+    _, report = deconflict([Survey(A, name="A", score=0.7),
+                            Survey(B, name="B", score=0.7)], reference, CFG)
+    assert report["verdicts"] == [{"element": 0, "hi": 0, "cand": 1,
+                                   "verdict": CONSISTENT, "rule": "split-survey"}]
+    assert report["removed"] == {"A": 0, "B": 0}
+    _, report = deconflict([Survey(A, name="A", score=0.7),
+                            Survey(C, name="C", score=0.7)], reference, CFG)
+    assert [v["verdict"] for v in report["verdicts"]] == [NOT_CONSISTENT]
+    assert "rule" not in report["verdicts"][0]
+    assert report["removed"]["A"] == 0 and report["removed"]["C"] > 0
+
+
 def test_deconflict_fit_iteration_accounting():
     rng = np.random.default_rng(7)
     A = plane_cloud(rng, 0.0, 6.5, 2000)

@@ -642,8 +642,9 @@ def test_cli_exit_codes(bench_file, tmp_path, capsys):
     ["fit", "{empty}", "--tile", "2x2"],
     ["fit", "{one}", "--tile", "2x2"],
     ["eval", "{outside}", "{one}"],
+    ["fit", "{bench}", "--overlap", "0.1"],
 ], ids=["max-iter", "overlap", "overlap-nan", "tile-empty", "tile-one-point",
-        "eval-knot-outside-domain"])
+        "eval-knot-outside-domain", "overlap-without-tile"])
 def test_cli_input_errors_exit_2(argv, bench_file, tmp_path, capsys):
     files = {"bench": bench_file[0], "empty": tmp_path / "empty.xyz",
              "one": tmp_path / "one.xyz", "outside": tmp_path / "outside.lrs.txt"}
@@ -700,6 +701,36 @@ def test_cli_deconflict_rejects_fit_max_iterations(bench_file, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_cli_deconflict_rejects_fit_tolerance(bench_file, tmp_path, capsys):
+    # deconflict fits at the deconfliction tolerance, which a top-level
+    # tolerance and --tolerance still set for both
+    cfg = tmp_path / "tolerance.json"
+    cfg.write_text('{"fit": {"tolerance": 0.05}}')
+    out = tmp_path / "dec.lrs"
+    assert main(["deconflict", str(bench_file[0]), "--config", str(cfg),
+                 "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: fit setting(s) tolerance not used by this command\n"
+    assert not out.exists()
+    cfg.write_text('{"tolerance": 0.05}')
+    for path, flag in [(cfg, None), (None, 0.05)]:
+        s = load_settings(path, flag, unused_fit=("max_iterations", "tolerance"))
+        assert s.fit.tolerance == s.deconflict.tolerance == 0.05
+
+
+def test_cli_fit_degree_and_grid_set_the_start_space(bench_file, tmp_path, capsys):
+    p, tau = bench_file
+    out, want = tmp_path / "s.lrs", tmp_path / "want.lrs"
+    assert main(["fit", str(p), "--tolerance", str(4 * tau), "--max-iter", "1",
+                 "--degree", "3x2", "--grid", "6x5", "-o", str(out)]) == 0
+    capsys.readouterr()
+    cfg = FitConfig(tolerance=4 * tau, max_iterations=1, degrees=(3, 2),
+                    initial_grid=(6, 5))
+    write_surface_binary(fit(read_survey(p)[0], cfg)[0], want)
+    assert out.read_bytes() == want.read_bytes()
+    assert read_surface(out).degrees == (3, 2)
+
+
 def test_cli_config_negative_degree_exits_2(bench_file, tmp_path, capsys):
     cfg = tmp_path / "degrees.json"
     cfg.write_text('{"fit": {"degrees": [-1, 2]}}')
@@ -734,6 +765,122 @@ def test_cli_tile_and_stitch(bench_file, tmp_path, capsys):
     gap = np.abs(evaluate(S[0], np.full(500, xs), t)
                  - evaluate(S[1], np.full(500, xs), t))
     assert gap.max() < 1e-9
+
+
+def _fit_tiles(bench_file, tmp_path, capsys, *flags):
+    """``fit --tile`` of the bench survey; the manifest document."""
+    p, tau = bench_file
+    assert main(["fit", str(p), "--tolerance", str(4 * tau), "--max-iter", "1",
+                 "-o", str(tmp_path / "grid.json"), *flags]) == 0
+    capsys.readouterr()
+    return json.loads((tmp_path / "grid.json").read_text())
+
+
+def _c0_gap(a, b) -> float:
+    """Largest value gap along the shared x = const edge of two surfaces."""
+    xs = a.domain[1]
+    t = np.linspace(a.domain[2], a.domain[3], 500)
+    return float(np.abs(evaluate(a, np.full(500, xs), t)
+                        - evaluate(b, np.full(500, xs), t)).max())
+
+
+@pytest.mark.parametrize("output, flags, ext", [
+    ("run.lrs", [], ".lrs"),
+    ("run.lrs.txt", ["--text"], ".lrs.txt"),
+])
+def test_cli_tile_names_its_files_after_o(output, flags, ext, bench_file, tmp_path,
+                                          capsys):
+    p, tau = bench_file
+    assert main(["fit", str(p), "--tolerance", str(4 * tau), "--max-iter", "1",
+                 "--tile", "2x1", "-o", str(tmp_path / output), *flags]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"manifest\t{tmp_path / 'run.tiles.json'}"
+    tiles = [f"run_tile0_0{ext}", f"run_tile1_0{ext}"]
+    assert sorted(os.listdir(tmp_path)) == sorted(["bench.xyz", "run.tiles.json", *tiles])
+    m = json.loads((tmp_path / "run.tiles.json").read_text())
+    assert [e["surface"] for e in m["tiles"]] == tiles
+
+
+def test_cli_stitch_keeps_each_entrys_fields(bench_file, tmp_path, capsys):
+    m = _fit_tiles(bench_file, tmp_path, capsys, "--tile", "2x2")
+    assert main(["stitch", str(tmp_path / "grid.json"), "--c1"]) == 0
+    capsys.readouterr()
+    m2 = json.loads((tmp_path / "grid.stitched.json").read_text())
+    for e in m["tiles"]:
+        e["surface"] = e["surface"].replace(".lrs", ".stitched.lrs")
+    assert m2 == m
+    assert all(e["n_points"] > 0 and e["report"] for e in m2["tiles"])
+
+
+def test_cli_stitch_text_tiles_keep_their_extension(bench_file, tmp_path, capsys):
+    _fit_tiles(bench_file, tmp_path, capsys, "--tile", "2x1", "--text")
+    assert main(["stitch", str(tmp_path / "grid.json")]) == 0
+    capsys.readouterr()
+    m2 = json.loads((tmp_path / "grid.stitched.json").read_text())
+    names = ["grid_tile0_0.stitched.lrs.txt", "grid_tile1_0.stitched.lrs.txt"]
+    assert [e["surface"] for e in m2["tiles"]] == names
+    S = [read_surface_text(tmp_path / n) for n in names]
+    assert _c0_gap(*S) < 1e-9
+
+
+def test_cli_stitch_in_place(bench_file, tmp_path, capsys):
+    m = _fit_tiles(bench_file, tmp_path, capsys, "--tile", "2x1")
+    files = sorted(os.listdir(tmp_path))
+    before = [(tmp_path / e["surface"]).read_bytes() for e in m["tiles"]]
+    assert main(["stitch", str(tmp_path / "grid.json"), "--in-place"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"manifest\t{tmp_path / 'grid.json'}"
+    assert sorted(os.listdir(tmp_path)) == files
+    assert json.loads((tmp_path / "grid.json").read_text()) == m
+    after = [(tmp_path / e["surface"]).read_bytes() for e in m["tiles"]]
+    assert all(a != b for a, b in zip(after, before))
+    S = [read_surface_binary(tmp_path / e["surface"]) for e in m["tiles"]]
+    assert _c0_gap(*S) < 1e-9
+
+
+def test_cli_tile_and_stitch_leave_an_empty_tile_a_hole(tmp_path, capsys):
+    pts, tau = benchmark_points(6000, seed=3)
+    lo, hi = pts[:, :2].min(0), pts[:, :2].max(0)
+    cut = (lo + hi) / 2 + 0.1 * (hi - lo)  # past tile 0's overlap
+    p = tmp_path / "bench.xyz"
+    write_survey_text(p, pts[~((pts[:, 0] < cut[0]) & (pts[:, 1] < cut[1]))])
+    m = _fit_tiles((p, tau), tmp_path, capsys, "--tile", "2x2", "--report",
+                   str(tmp_path / "tiles.tsv"))
+    assert (tmp_path / "tiles.tsv").read_text().startswith("tile 0,0\tempty\n")
+    assert [e["surface"] is None for e in m["tiles"]] == [True, False, False, False]
+    assert main(["stitch", str(tmp_path / "grid.json"), "--c1"]) == 0
+    assert "tile 0,0" not in capsys.readouterr().out
+    m2 = json.loads((tmp_path / "grid.stitched.json").read_text())
+    assert m2["tiles"][0]["surface"] is None
+    assert not any(n.startswith("grid_tile0_0") for n in os.listdir(tmp_path))
+    S = [read_surface(tmp_path / e["surface"]) for e in m2["tiles"][2:]]
+    assert _c0_gap(*S) < 1e-9
+
+
+def test_cli_deconflict_writes_a_binary_survey_back_binary(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+
+    def survey(n, lo, hi, bias=0.0):
+        x, y = rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+        return np.column_stack([x, y, benchmark_terrain(x, y) + bias
+                                + rng.normal(0, 0.02, n)])
+
+    new, old = tmp_path / "new.xyz", tmp_path / "old.survey"
+    write_survey_text(new, survey(2000, 0, 100), {"score": "8"})
+    old_pts = survey(1200, 30, 70, bias=1.5)
+    write_survey_binary(old, old_pts, {"score": 3, "method": "singlebeam"})
+    rep = tmp_path / "dec.json"
+    assert main(["deconflict", str(new), str(old), "--tolerance", "0.35",
+                 "--level", "1", "--total", "1", "-o", str(tmp_path / "final.lrs"),
+                 "--report", str(rep)]) == 0
+    capsys.readouterr()
+    d = json.loads(rep.read_text())
+    clean = tmp_path / "old.clean.survey"
+    assert clean.read_bytes()[:8] == b"LRSURV01"
+    kept, meta = read_survey_binary(clean)
+    assert meta == {"id": "old", "score": 3.0, "method": "singlebeam"}
+    assert len(kept) == d["kept"]["old"] and d["removed"]["old"] > 0
+    assert {tuple(r) for r in kept} <= {tuple(r) for r in old_pts}
+    assert read_survey_text(tmp_path / "new.clean.xyz")[1] == {"id": "new", "score": "8.0"}
 
 
 def test_cli_deconflict(tmp_path, capsys):
