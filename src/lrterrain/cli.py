@@ -158,7 +158,7 @@ def cmd_fit(args) -> int:
         lines.append(f"tile {t.ix},{t.iy}\t{f.n_points} points")
         lines.extend(_report_lines(f.reports))
     manifest = args.output if (args.output or "").endswith(".json") else stem + ".tiles.json"
-    write_manifest(manifest, tiles, counts, overlap, paths, fits)
+    write_manifest(manifest, counts, overlap, paths, fits)
     lines.append(f"manifest\t{manifest}")
     _emit(lines, args.report)
     return max((_flags_exit(f.flags) for f in fits if f.surface is not None), default=0)

@@ -87,7 +87,8 @@ def _runs(grid: np.ndarray):
     Returns (row, start, end, value) arrays, by row, then by start; a run
     covers columns start..end - 1.
     """
-    pad = np.pad(grid, ((0, 0), (1, 1)))
+    pad = np.zeros((grid.shape[0], grid.shape[1] + 2), dtype=grid.dtype)
+    pad[:, 1:-1] = grid
     row, j = np.nonzero(pad[:, 1:] != pad[:, :-1])
     value = pad[row, j + 1]
     k = np.flatnonzero(value)
@@ -402,16 +403,17 @@ def replay(mesh: BoxMesh, degrees: tuple[int, int]) -> LRSurface:
 def _split_weights(t: np.ndarray, d: int, c: np.ndarray):
     """Weights (a1, a2) of degree-``d`` knot vectors split at ``c``.
 
-    ``t`` is (n, d + 2) and ``c`` is (n,), with t[:, 0] < c < t[:, -1].  With
+    ``t`` is (..., d + 2), knot vectors along its last axis, and ``c``
+    broadcasts against t[..., 0], with t[..., 0] < c < t[..., -1].  With
     t1 and t2 the first and the last d + 2 knots of t with c inserted,
     N_t = a1 * N_t1 + a2 * N_t2.  Where c is not strictly inside the
     support and t holds fewer than d + 1 copies of c, the weights clipped
-    to [0, 1] keep N_t whole: a1 = 1, a2 = 0 when c >= t[:, -1], and
-    a1 = 0, a2 = 1 when c <= t[:, 0].
+    to [0, 1] keep N_t whole: a1 = 1, a2 = 0 when c >= t[..., -1], and
+    a1 = 0, a2 = 1 when c <= t[..., 0].
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        a1 = np.where(c >= t[:, d], 1.0, (c - t[:, 0]) / (t[:, d] - t[:, 0]))
-        a2 = np.where(c <= t[:, 1], 1.0, (t[:, d + 1] - c) / (t[:, d + 1] - t[:, 1]))
+        a1 = np.where(c >= t[..., d], 1.0, (c - t[..., 0]) / (t[..., d] - t[..., 0]))
+        a2 = np.where(c <= t[..., 1], 1.0, (t[..., d + 1] - c) / (t[..., d + 1] - t[..., 1]))
     return a1, a2
 
 
@@ -520,20 +522,27 @@ def _insert_knots(kn: np.ndarray, coords: np.ndarray, d: int, row, line, count):
     knots[:, :d + 2], knots[:, d + 2:] = kn, kn[:, -1:]
     alpha = np.zeros((n, 1 + m))
     alpha[:, 0] = 1.0
+    # window j of a knot row is its columns j..j + d + 1
+    win = np.arange(m)[:, None] + np.arange(d + 2)
     for s in range(m):
         # rows with more than s insertions hold s + 1 B-splines on d + 2 + s
-        # knots; one more knot splits each at most once
+        # knots; one more knot splits each at most once.  The new knot goes
+        # into the row's padding slot, which no window reads yet.
         r = np.flatnonzero(per > s)
-        t = coords[knots[r, :d + 2 + s]]
-        win = np.lib.stride_tricks.sliding_window_view(t, d + 2, axis=1).reshape(-1, d + 2)
-        a1, a2 = (np.clip(a, 0.0, 1.0).reshape(len(r), s + 1) for a in
-                  _split_weights(win, d, np.repeat(coords[x[r, s]], s + 1)))
-        c = alpha[r, :s + 1]
-        new = np.zeros((len(r), s + 2))
-        new[:, :-1] = a1 * c
-        new[:, 1:] += a2 * c
-        alpha[r, :s + 2] = new
-        knots[r, :d + 3 + s] = np.sort(np.column_stack([knots[r, :d + 2 + s], x[r, s]]), axis=1)
+        k = knots[r, :d + 3 + s]
+        k[:, -1] = x[r, s]
+        a1, a2 = _split_weights(coords[k[:, win[:s + 1]]], d, coords[k[:, -1:]])
+        np.clip(a1, 0.0, 1.0, out=a1)
+        np.clip(a2, 0.0, 1.0, out=a2)
+        # B-spline j of the row passes a1[j] of itself to child j and
+        # a2[j] to child j + 1; the row's column s + 1 is still 0
+        c = alpha[r, :s + 2]
+        a2 *= c[:, :-1]
+        c[:, :-1] *= a1
+        c[:, 1:] += a2
+        alpha[r, :s + 2] = c
+        k.sort(axis=1)
+        knots[r, :d + 3 + s] = k
     return knots, alpha, per
 
 
@@ -568,7 +577,9 @@ def _split_worklist(surface: LRSurface) -> None:
     base = 0  # storage slot of queue[0]
     while len(queue):
         lines = _lacking_lines(queue, cols, tables, deg)
-        hit = np.unique(np.concatenate([lines[0][0], lines[1][0]]))
+        hit = np.zeros(len(queue), dtype=bool)
+        hit[lines[0][0]] = hit[lines[1][0]] = True
+        hit = np.flatnonzero(hit)
         if not len(hit):
             break
         keys, slot = np.delete(keys, at[hit]), np.delete(slot, at[hit])

@@ -140,7 +140,9 @@ def fit_tiles(points: np.ndarray, tiles: list[Tile],
     available, or while other threads run, they are fitted in this
     process.  Either way the results are the same, the fits' warnings are
     issued here in tile order, and an error in one tile is raised here
-    after the tiles not yet started are cancelled.
+    after the tiles not yet started are cancelled.  Before it forks, this
+    process imports what a tile fit would otherwise load lazily in each
+    worker (``scipy.spatial``), so the workers start with it loaded.
     """
     pts = check_points(points)
     out = [TileFit(t, None) for t in tiles]
@@ -161,6 +163,11 @@ def fit_tiles(points: np.ndarray, tiles: list[Tile],
     if (workers > 1 and threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods()):
         from concurrent.futures import ProcessPoolExecutor
+
+        # the tile fit imports scipy.spatial lazily (least_squares.idw_prior);
+        # imported once here, before the fork, every worker inherits it
+        # instead of importing it again on its first tile
+        import scipy.spatial  # noqa: F401
 
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
@@ -592,18 +599,21 @@ def stitch_grid(fits: list[TileFit], counts, c1: bool = False):
 # -- manifest ------------------------------------------------------------
 
 
-def write_manifest(path, tiles: list[Tile], counts, overlap: float,
+def write_manifest(path, counts, overlap: float,
                    surface_paths: list[str | None], fits: list[TileFit]) -> None:
-    """Tile grid description with per-tile surface paths and fit reports."""
-    entries = [{"ix": t.ix, "iy": t.iy, "core": t.core, "expanded": t.expanded,
-                "surface": p, "n_points": f.n_points, "flags": f.flags,
+    """Tile grid description with per-tile surface paths and fit reports;
+    the tiles are those of ``fits``."""
+    entries = [{"ix": f.tile.ix, "iy": f.tile.iy, "core": f.tile.core,
+                "expanded": f.tile.expanded, "surface": p,
+                "n_points": f.n_points, "flags": f.flags,
                 "report": [{"iteration": r.iteration,
                             "coefficients": r.n_coefficients,
                             "size_bytes": r.size_bytes, "max_dist": r.max_dist,
                             "avg_dist": r.avg_dist, "n_out": r.n_out}
                            for r in f.reports]}
-               for t, p, f in zip(tiles, surface_paths, fits)]
-    bbox = [tiles[0].core[0], tiles[-1].core[1], tiles[0].core[2], tiles[-1].core[3]]
+               for f, p in zip(fits, surface_paths)]
+    first, last = fits[0].tile.core, fits[-1].tile.core
+    bbox = [first[0], last[1], first[2], last[3]]
     _write_json(path, {"bbox": bbox, "counts": [int(counts[0]), int(counts[1])],
                        "overlap": overlap, "tiles": entries})
 

@@ -470,17 +470,23 @@ def test_pipeline_no_overlap_reports_note():
 
 
 def test_equal_score_split_survey_accepted():
+    # a reference fitted without refinement keeps the elements of its first
+    # grid; those of the middle column hold both halves, so the split-survey
+    # rule decides them and keeps the offset half
     rng = np.random.default_rng(6)
     A = plane_cloud(rng, 0.0, 4.9, 2000)
     B = plane_cloud(rng, 5.1, 10.0, 2000, offset=1.5)
     from lrterrain.adaptive import fit
 
-    reference, _, _ = fit(np.concatenate([A, B]), small_fit_config())
-    cleaned, _ = deconflict(
+    reference, _, _ = fit(np.concatenate([A, B]),
+                          FitConfig(tolerance=0.5, initial_grid=(5, 5), max_iterations=0))
+    cleaned, report = deconflict(
         [Survey(A, name="A", score=0.7), Survey(B, name="B", score=0.7)],
         reference, DeconflictConfig(tolerance=0.5))
+    assert report["verdicts"]
+    assert [v.get("rule") for v in report["verdicts"]] == ["split-survey"] * len(report["verdicts"])
     assert len(cleaned[0].points) == len(A)
-    assert len(cleaned[1].points) >= 0.99 * len(B)
+    assert len(cleaned[1].points) == len(B)
 
 
 def test_split_survey_rule_keeps_equal_score_halves():

@@ -1,10 +1,15 @@
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lrterrain
 from lrterrain import evaluate, make_tensor_surface, restrict, tiling
 from lrterrain.adaptive import FitConfig, fit
 from lrterrain.benchmark import benchmark_points
@@ -225,6 +230,49 @@ def test_fit_tiles_raises_a_tile_error_and_leaves_no_worker(rng, monkeypatch, cp
     assert multiprocessing.active_children() == []
 
 
+# A fresh interpreter: the package import loads no scipy.spatial, and the
+# tile fits, in two forked workers, log per call whether the worker had it
+# loaded when the fit started.
+WARM_WORKERS = """
+import os, sys
+import numpy as np
+import lrterrain
+from lrterrain import tiling
+print(int("scipy.spatial" in sys.modules), os.getpid())
+plain_fit, log = tiling.fit, sys.argv[1]
+
+def logging_fit(points, config, domain):
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {int('scipy.spatial' in sys.modules)}\\n")
+    return plain_fit(points, config, domain=domain)
+
+tiling.fit = logging_fit
+tiling._usable_cpus = lambda: 2
+x, y = np.random.default_rng(0).uniform(0, 10, (2, 3000))
+tiling.fit_tiles(np.column_stack([x, y, 0.3 * x - 0.2 * y]),
+                 tiling.make_tiles((0, 10, 0, 10), (2, 2)),
+                 lrterrain.FitConfig(tolerance=1e-3, max_iterations=1))
+"""
+
+
+def test_tile_workers_start_with_the_lazy_imports_loaded(tmp_path):
+    log = tmp_path / "fits.log"
+    src = str(Path(lrterrain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", WARM_WORKERS, str(log)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded_at_import, parent = map(int, done.stdout.split())
+    assert not loaded_at_import
+    first: dict[int, int] = {}
+    for line in log.read_text().splitlines():
+        pid, loaded = map(int, line.split())
+        first.setdefault(pid, loaded)
+    assert first and parent not in first
+    assert all(first.values()), f"first tile of each worker pid: loaded {first}"
+
+
 # -- pairwise stitching ---------------------------------------------------
 
 
@@ -442,7 +490,7 @@ def test_manifest_round_trip(tmp_path, rng):
     pts = plane_points(rng, bbox)
     fits = fit_tiles(pts, tiles, FitConfig(tolerance=1e-6, max_iterations=1))
     path = tmp_path / "tiles.json"
-    write_manifest(path, tiles, (2, 1), 0.05, ["a.lrs", "b.lrs"], fits)
+    write_manifest(path, (2, 1), 0.05, ["a.lrs", "b.lrs"], fits)
     m = read_manifest(path)
     assert m["counts"] == [2, 1]
     assert m["overlap"] == 0.05
@@ -452,7 +500,7 @@ def test_manifest_round_trip(tmp_path, rng):
     assert m["tiles"][0]["report"][-1]["coefficients"] > 0
     # stable serialization: a rewrite is byte-identical
     first = path.read_bytes()
-    write_manifest(path, tiles, (2, 1), 0.05, ["a.lrs", "b.lrs"], fits)
+    write_manifest(path, (2, 1), 0.05, ["a.lrs", "b.lrs"], fits)
     assert path.read_bytes() == first
 
 
