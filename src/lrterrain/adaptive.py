@@ -11,6 +11,7 @@ cap is reached, or refinement is frozen by the minimal element width.
 from __future__ import annotations
 
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,15 @@ __all__ = ["FitConfig", "IterationReport", "fit", "refine_step"]
 
 MBA_SWITCH_RATIO = 16.0  # element area max/min that forces the local sweep
 ASPECT_THRESHOLD = 1.5   # support aspect below which both axes split
+
+# The relay of ``deconflict_fit``: a dict it sets around the ``fit`` and
+# ``deconflict`` calls it makes, so that each field is computed once while
+# those calls keep their signatures (and a traced run still sees each of
+# them as one call).  Under it ``fit`` takes its first pass's residuals
+# from "residuals" (z - F of its points against ``start``) and leaves the
+# field it ends with as "field"; ``deconflict`` reads its fields from that
+# field and leaves the residuals of the points it keeps as "residuals".
+_RELAY: ContextVar[dict | None] = ContextVar("_RELAY", default=None)
 
 
 @dataclass(frozen=True)
@@ -179,6 +189,25 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
     ``points``, and iteration counting begins at ``first_iteration`` (so the
     cap stays ``max_iterations`` in total across both runs).
     """
+    relay = _RELAY.get()
+    if relay is None:
+        return _fit(points, config, domain, start, first_iteration)[:3]
+    surface, reports, flags, relay["field"] = _fit(
+        points, config, domain, start, first_iteration, relay.pop("residuals", None))
+    return surface, reports, flags
+
+
+def _fit(points: np.ndarray, config: FitConfig,
+         domain: tuple[float, float, float, float] | None = None,
+         start: LRSurface | None = None, first_iteration: int = 0,
+         residuals: np.ndarray | None = None):
+    """``fit``, returning also the field the loop ends with: residual
+    z - F, element id and count out of tolerance of the points it fitted,
+    which are ``points`` (inside ``domain``, when given) in their order.
+
+    ``residuals``, with ``start``, are z - F of ``points`` against
+    ``start``; the first pass uses them where it would compute them.
+    """
     pts = check_points(points)
     if start is not None:
         domain = start.mesh.domain
@@ -188,7 +217,10 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
             raise ValueError("points are collinear in the xy-plane; "
                              "surface domain is degenerate")
     else:
-        pts = pts[in_rect(pts, domain)]
+        inside = in_rect(pts, domain)
+        pts = pts[inside]
+        if residuals is not None:
+            residuals = residuals[inside]
         if len(pts) == 0:
             raise ValueError("no points inside the given domain")
     du, dv = config.degrees
@@ -200,7 +232,7 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
         fld = _approximate(surface, pts, config, first_iteration, prior=idw_prior(pts))
     else:
         surface = start.copy()
-        fld = _approximate(surface, pts, config, first_iteration)
+        fld = _approximate(surface, pts, config, first_iteration, residuals)
     reports = [_report(surface, fld, first_iteration)]
     flags = {"converged": fld["n_out"] == 0, "frozen": False,
              "iterations": first_iteration}
@@ -216,4 +248,4 @@ def fit(points: np.ndarray, config: FitConfig = FitConfig(),
         reports.append(_report(surface, fld, it))
         flags["iterations"] = it
         flags["converged"] = fld["n_out"] == 0
-    return surface, reports, flags
+    return surface, reports, flags, fld

@@ -260,10 +260,9 @@ def _gather(cache: _EvalCache, x: np.ndarray, y: np.ndarray):
     """Point -> element gather: (element id, tu, tv, wu, wv) per point, with
     local coordinates tu, tv in [0, 1] and element widths wu, wv."""
     eid = _locate(cache, x, y)
-    b = cache.bounds
-    lu, lv = b[:, 0].take(eid), b[:, 2].take(eid)
-    wu, wv = (b[:, 1] - b[:, 0]).take(eid), (b[:, 3] - b[:, 2]).take(eid)
-    return eid, (x - lu) / wu, (y - lv) / wv, wu, wv
+    b = cache.bounds.take(eid, axis=0)
+    wu, wv = b[:, 1] - b[:, 0], b[:, 3] - b[:, 2]
+    return eid, (x - b[:, 0]) / wu, (y - b[:, 2]) / wv, wu, wv
 
 
 def _dpowers(t: np.ndarray, d: int, order: int, scale) -> np.ndarray:
@@ -299,20 +298,22 @@ def _evaluate_at(cache: _EvalCache, coeffs: np.ndarray, eid, tu, tv, wu, wv,
     if len(eid) == 0:
         return np.zeros((0, len(cols)))
     offsets = cache.offsets
-    # the hit elements in increasing order; the rows of P of the others
-    # stay zero and are never touched
+    # the hit elements in increasing order, and each one's row of P: the
+    # position map is written at the hit elements only
     mark = np.zeros(len(offsets) - 1, dtype=bool)
     mark[eid] = True
     hit = np.flatnonzero(mark)
+    row = np.empty(len(mark), dtype=np.intp)
+    row[hit] = np.arange(len(hit))
+    row = row.take(eid)
     counts = offsets[hit + 1] - offsets[hit]
     pair = _ranges(offsets[hit], counts)
-    P = np.zeros((len(mark), du + 1, dv + 1))
-    P[hit] = np.add.reduceat(coeffs[cache.res[pair], None, None] * cache.tensors[pair],
-                             np.cumsum(counts) - counts, axis=0)
+    P = np.add.reduceat(coeffs[cache.res[pair], None, None] * cache.tensors[pair],
+                        np.cumsum(counts) - counts, axis=0)
     out = np.empty((len(eid), len(cols)))
     for start in range(0, len(eid), _BLOCK):
         k = slice(start, start + _BLOCK)
-        Pe = P.take(eid[k], axis=0)
+        Pe = P.take(row[k], axis=0)
         su, sv = (1.0 / wu[k], 1.0 / wv[k]) if order else (1.0, 1.0)
         U = [_dpowers(tu[k], du, a, su) for a in range(order + 1)]
         PV = [np.einsum("njk,nk->nj", Pe, _dpowers(tv[k], dv, b, sv))

@@ -81,6 +81,17 @@ def _snap(coords: np.ndarray, values: np.ndarray, tol: float) -> np.ndarray:
                     np.where(np.abs(hi - values) <= tol, hi, np.nan))
 
 
+def _split_columns(grid: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Column ``at - 1`` of ``grid`` for each entry of ``at``, zeros where
+    that is outside the grid: the cells a coordinate inserted at ``at``
+    splits."""
+    j = at - 1
+    inside = (j >= 0) & (j < grid.shape[1])
+    out = np.zeros((grid.shape[0], len(at)), dtype=grid.dtype)
+    out[:, inside] = grid[:, j[inside]]
+    return out
+
+
 def _runs(grid: np.ndarray):
     """Maximal runs of equal nonzero values along the rows of ``grid``.
 
@@ -151,8 +162,7 @@ class BoxMesh:
                 at = np.searchsorted(self._coords[axis], new) - np.arange(len(new))
                 self._mult[axis] = np.insert(self._mult[axis], at, 0, axis=0)
                 other = self._mult[1 - axis]
-                split = np.pad(other, ((0, 0), (1, 1)))[:, at]
-                self._mult[1 - axis] = np.insert(other, at, split, axis=1)
+                self._mult[1 - axis] = np.insert(other, at, _split_columns(other, at), axis=1)
 
     def coords(self, axis: int) -> np.ndarray:
         return np.asarray(self._coords[axis])

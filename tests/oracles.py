@@ -40,23 +40,36 @@ matrices ``basis_matrix`` of the points and ghosts (B^T B, G^T G), and the
 correction sweep from the CSR entries of B.  The tests compare the
 library's per-element moment assembly and blocked sweep against them.
 
+``pair_test_per_pair`` is the point-level deconfliction test of one
+candidate sample against one accepted sample as it was first built: scalar
+statistics (``np.mean``, ``np.std``), the criteria in Python floats and a
+recursive call per sub-domain.  It takes the thresholds from
+``lrterrain.deconflict`` and nothing else; the tests compare the library's
+pair tests in arrays (``_decide``, ``_test_pairs``) against it.
+
 ``write_lrsurf01`` and ``lrsurf01_size`` are the binary surface writer and
 its size as they were before ``LRSURF02``: every B-spline's knot indices,
 scaling and coefficient.  The library only reads that format; the tests
 write their ``LRSURF01`` fixtures with them.
 """
 import bisect
+import math
 import struct
+import sys
 from collections import deque
 
 import numpy as np
 
 from scipy import sparse
 
-from lrterrain.evaluate import _CHUNK, _COLUMNS, _monomials, basis_matrix, eval_cache
+import lrterrain.deconflict
+from lrterrain.evaluate import _CHUNK, _COLUMNS, _monomials, basis_matrix, eval_cache, evaluate
 from lrterrain.least_squares import GHOST_WEIGHT, _smoothing_terms
 from lrterrain.formats import _SEGMENT_RECORD, _bspline_record
 from lrterrain.mesh import ScaledBSpline, Segment, _knot_rows, residents_of
+
+# the package attribute ``lrterrain.deconflict`` is the function
+dc = sys.modules["lrterrain.deconflict"]
 
 
 def segments(mesh):
@@ -463,3 +476,123 @@ def write_lrsurf01(surface, path) -> None:
                     + [struct.pack("<I", len(b)) + b.tobytes() for b in blocks])
     with open(path, "wb") as f:
         f.write(data)
+
+
+def _stats(xy, r):
+    return {"n": len(r), "mean": float(r.mean()),
+            "std": float(np.std(r, ddof=1)) if len(r) >= 2 else None,
+            "lo": float(r.min()), "hi": float(r.max()),
+            "bbox": (float(xy[:, 0].min()), float(xy[:, 0].max()),
+                     float(xy[:, 1].min()), float(xy[:, 1].max()))}
+
+
+def _box_area(b):
+    return (b[1] - b[0]) * (b[3] - b[2])
+
+
+def _box_cut(a, b):
+    return (max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3]))
+
+
+def _box_overlap(a, b):
+    r = _box_cut(a, b)
+    return max(r[1] - r[0], 0.0) * max(r[3] - r[2], 0.0)
+
+
+def _inside(xy, r):
+    return (xy[:, 0] >= r[0]) & (xy[:, 0] <= r[1]) & (xy[:, 1] >= r[2]) & (xy[:, 1] <= r[3])
+
+
+def _pair_verdict(hi, cand, tau, data, reference, gap_scale):
+    """(verdict, t) of two samples with point data, in scalars."""
+    from scipy import special
+    from scipy.spatial import cKDTree
+
+    t = None
+    if hi["std"] is not None and cand["std"] is not None:
+        va, vb = hi["std"] ** 2 / hi["n"], cand["std"] ** 2 / cand["n"]
+        t = (hi["mean"] - cand["mean"]) / math.sqrt(va + vb) if va + vb > 0 else math.inf
+    overlap = _box_overlap(hi["bbox"], cand["bbox"])
+    big = max(_box_area(hi["bbox"]), _box_area(cand["bbox"]))
+    hi_xy, hi_r, cand_xy, cand_r = data
+    if overlap <= 0.0:
+        dist, idx = cKDTree(hi_xy).query(cand_xy, k=1)
+        j = np.argsort(dist, kind="stable")[:dc.NEIGHBOR_PAIRS]
+        dist, i = dist[j], idx[j]
+        if dist[0] >= dc.KEEP_GAP_FACTOR * gap_scale:
+            return dc.CONSISTENT, t
+        allow = tau
+        if reference is not None:
+            mid = 0.5 * (hi_xy[i] + cand_xy[j])
+            g = evaluate(reference, mid[:, 0], mid[:, 1], order=1)
+            allow = tau + np.minimum(np.hypot(g[:, 1], g[:, 2]) * dist, dc.SLOPE_CAP * tau)
+        bad = (np.abs(hi_r[i] - cand_r[j]) > allow).any()
+        return (dc.NOT_CONSISTENT if bad else dc.CONSISTENT), t
+    c1 = abs(hi["mean"] - cand["mean"]) <= tau * dc.MEAN_FACTOR
+    m2, m3 = tau * dc.RANGE_FACTOR, tau * dc.WITHIN_FACTOR
+    c2 = cand["lo"] >= hi["lo"] - m2 and cand["hi"] <= hi["hi"] + m2
+    c3 = ((cand_r >= hi["lo"] - m3) & (cand_r <= hi["hi"] + m3)).mean() >= dc.WITHIN_FRACTION
+    n = hi["n"] + cand["n"]
+    mean = (hi["n"] * hi["mean"] + cand["n"] * cand["mean"]) / n
+    m2sum = sum((s["n"] - 1) * s["std"] ** 2 for s in (hi, cand) if s["std"] is not None)
+    m2sum += sum(s["n"] * (s["mean"] - mean) ** 2 for s in (hi, cand))
+    stds = [s["std"] for s in (hi, cand) if s["std"] is not None]
+    c4 = not stds or math.sqrt(m2sum / (n - 1)) <= dc.STD_GROWTH * max(stds)
+    p = 1 - dc.STD_CONFIDENCE
+    large = any(s["std"] * math.sqrt((s["n"] - 1) / (2 * special.gammaincinv((s["n"] - 1) / 2, p)))
+                > dc.LARGE_STD_FACTOR * tau for s in (hi, cand) if s["std"] is not None)
+    if c1 and c2 and c3 and c4:
+        return (dc.INDETERMINATE if large else dc.CONSISTENT), t
+    if large or (overlap / big if big > 0 else 0.0) < dc.SMALL_OVERLAP:
+        return dc.INDETERMINATE, t
+    if min(hi["n"], cand["n"]) < dc.MIN_DECIDE:
+        return dc.INDETERMINATE, t
+    return dc.NOT_CONSISTENT, t
+
+
+def pair_test_per_pair(hi_xy, hi_r, cand_xy, cand_r, tau, rect, cover, reference=None,
+                       depth=0, gap_scale=None):
+    """(verdict, keep, pending, t) of ``pairwise_element_test``, one
+    sub-domain call at a time."""
+    from scipy.spatial import cKDTree
+
+    if gap_scale is None:
+        gap_scale = math.hypot(rect[1] - rect[0], rect[3] - rect[2])
+    hi, cand = _stats(hi_xy, hi_r), _stats(cand_xy, cand_r)
+    verdict, t = _pair_verdict(hi, cand, tau, (hi_xy, hi_r, cand_xy, cand_r), reference,
+                               gap_scale)
+    keep = np.ones(len(cand_r), dtype=bool)
+    pending = np.zeros(len(cand_r), dtype=bool)
+    if verdict == dc.CONSISTENT:
+        return verdict, keep, pending, t
+    if verdict == dc.NOT_CONSISTENT:
+        return verdict, ~_inside(cand_xy, _box_cut(rect, cover)), pending, t
+    rects = []
+    if depth < dc.MAX_DEPTH:
+        if cand["n"] <= 3:
+            d, _ = cKDTree(hi_xy).query(cand_xy, k=min(4, len(hi_xy)))
+            h = 2.0 * d.reshape(len(cand_xy), -1).max(axis=1)
+            rects = [(x - w, x + w, y - w, y + w) for (x, y), w in zip(cand_xy, h)]
+        elif (_box_overlap(hi["bbox"], cand["bbox"])
+              < 0.8 * min(_box_area(hi["bbox"]), _box_area(cand["bbox"]))):
+            rects = [_box_cut(hi["bbox"], cand["bbox"])]
+        elif min(hi["n"], cand["n"]) >= 2 * dc.MIN_DECIDE:
+            xm, ym = 0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3])
+            rects = [(rect[0], xm, rect[2], ym), (xm, rect[1], rect[2], ym),
+                     (rect[0], xm, ym, rect[3]), (xm, rect[1], ym, rect[3])]
+    if not rects:
+        return dc.INDETERMINATE, keep, ~pending, t
+    examined = np.zeros(len(cand_r), dtype=bool)
+    for sub in rects:
+        fresh = _inside(cand_xy, sub) & ~examined
+        examined |= fresh
+        hi_in = _inside(hi_xy, sub)
+        if fresh.any() and hi_in.any():
+            _, k, p, _ = pair_test_per_pair(hi_xy[hi_in], hi_r[hi_in], cand_xy[fresh],
+                                            cand_r[fresh], tau, sub, cover, reference,
+                                            depth + 1, gap_scale)
+            keep[np.flatnonzero(fresh)[~k]] = False
+            pending[np.flatnonzero(fresh)[p]] = True
+    verdict = (dc.INDETERMINATE if pending.any() else
+               dc.NOT_CONSISTENT if not keep.all() else dc.CONSISTENT)
+    return verdict, keep, pending, t

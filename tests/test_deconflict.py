@@ -1,13 +1,17 @@
 """Consistency statistics, pairwise verdicts, and the removal pipeline."""
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from lrterrain import evaluate, make_tensor_surface
-from lrterrain.adaptive import FitConfig
+from lrterrain.adaptive import FitConfig, fit
+from lrterrain.formats import write_surface_binary
 from lrterrain.deconflict import (
     CONSISTENT,
     INDETERMINATE,
@@ -25,6 +29,7 @@ from lrterrain.deconflict import (
     students_t_quantile,
     two_sample_t,
 )
+from oracles import pair_test_per_pair
 
 CFG = DeconflictConfig(tolerance=0.5)
 # footprint of the accepted survey in the point-level tests
@@ -458,8 +463,6 @@ def test_pipeline_no_overlap_reports_note():
     A = plane_cloud(rng, 0.0, 4.0, 1500)
     B = plane_cloud(rng, 6.0, 10.0, 1500, offset=3.0)
     ref_pts = np.concatenate([A, B])
-    from lrterrain.adaptive import fit
-
     reference, _, _ = fit(ref_pts, small_fit_config())
     cleaned, report = deconflict(
         [Survey(A, name="A", score=1.0), Survey(B, name="B", score=0.4)],
@@ -476,8 +479,6 @@ def test_equal_score_split_survey_accepted():
     rng = np.random.default_rng(6)
     A = plane_cloud(rng, 0.0, 4.9, 2000)
     B = plane_cloud(rng, 5.1, 10.0, 2000, offset=1.5)
-    from lrterrain.adaptive import fit
-
     reference, _, _ = fit(np.concatenate([A, B]),
                           FitConfig(tolerance=0.5, initial_grid=(5, 5), max_iterations=0))
     cleaned, report = deconflict(
@@ -554,3 +555,162 @@ def test_deconflict_fit_names_missing_input():
     with pytest.raises(ValueError, match="survey 'B' has no points"):
         deconflict_fit([Survey(A, name="A"), Survey(np.empty((0, 3)), name="B")],
                        small_fit_config(), cfg)
+
+
+# -- pairs in arrays -------------------------------------------------------
+
+
+@st.composite
+def summary_pair(draw):
+    """Two samples' statistics: single points (no std), samples below
+    MIN_DECIDE, large and zero spreads, boxes that overlap a little or not
+    at all, and candidates equal to the accepted sample."""
+    def sample():
+        n = draw(st.sampled_from([1, 2, 3, 9, 10, 11, 40, 500]))
+        mean = draw(st.floats(-1.0, 1.0))
+        std = None if n == 1 else draw(st.sampled_from([0.0, 0.004, 0.05, 0.2, 0.6]))
+        lo = mean - draw(st.floats(0.0, 1.5))
+        x0, y0 = draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 10.0))
+        w = draw(st.sampled_from([0.0, 0.5, 3.0, 10.0]))
+        return SampleStats(n, mean, std, lo, mean + draw(st.floats(0.0, 1.5)),
+                           (x0, x0 + w, y0, y0 + w))
+
+    hi = sample()
+    return hi, (hi if draw(st.booleans()) and draw(st.booleans()) else sample())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(summary_pair(), min_size=1, max_size=12))
+def test_deciding_pairs_in_one_call_matches_one_pair_calls(pairs):
+    from lrterrain.deconflict import _decide, _detail, _stats_of, _VERDICTS
+
+    his, cands = [h for h, _ in pairs], [c for _, c in pairs]
+    cols = _decide(_stats_of(his), _stats_of(cands), CFG.tolerance)
+    for k, (hi, cand) in enumerate(pairs):
+        verdict, detail = element_consistency(hi, cand, CFG)
+        assert _VERDICTS[cols["verdict"][k]] == verdict
+        assert _detail(cols, k) == detail
+
+
+def point_pair(rng):
+    """One accepted and one candidate sample in the unit square: few or many
+    points, boxes that overlap fully, partly or not at all, and candidate
+    levels from agreeing to far off."""
+    def cloud(n, box, level, noise):
+        x = rng.uniform(box[0], box[1], n)
+        y = rng.uniform(box[2], box[3], n)
+        return np.column_stack([x, y]), level + 0.3 * x + rng.normal(0, noise, n)
+
+    boxes = [(0.0, 1.0, 0.0, 1.0), (0.0, 0.55, 0.0, 1.0), (0.45, 1.0, 0.2, 0.9),
+             (0.7, 1.0, 0.0, 0.3), (0.1, 0.4, 0.6, 0.9)]
+    hi = cloud(int(rng.choice([1, 3, 12, 30, 80])), boxes[rng.integers(len(boxes))],
+               0.0, rng.choice([0.005, 0.02, 0.3]))
+    cand = cloud(int(rng.choice([1, 2, 3, 5, 15, 45, 120])), boxes[rng.integers(len(boxes))],
+                 rng.choice([0.0, 0.05, 0.3, 1.2]), rng.choice([0.005, 0.02, 0.3]))
+    return hi, cand
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_tests_in_arrays_match_one_pair_calls(seed):
+    # N pairs through one batched test give each pair the verdict, keep,
+    # pending and detail of a one-pair call, and the verdict, keep and
+    # pending of the per-pair oracle (t within 1e-12 relative)
+    from lrterrain.deconflict import _detail, _test_pairs, _VERDICTS
+
+    rng = np.random.default_rng(seed)
+    pairs = [point_pair(rng) for _ in range(25)]
+    reference = sloped_reference(1.0)
+    rect, cover = (0.0, 1.0, 0.0, 1.0), (0.0, 0.8, 0.0, 1.0)
+    xy = np.concatenate([a for (h, c) in pairs for a in (h[0], c[0])])
+    r = np.concatenate([a for (h, c) in pairs for a in (h[1], c[1])])
+    sizes = [len(a[1]) for p in pairs for a in p]
+    at = np.cumsum(sizes) - sizes
+    hi = np.concatenate([np.arange(at[2 * k], at[2 * k] + sizes[2 * k]) for k in range(len(pairs))])
+    cand = np.concatenate([np.arange(at[2 * k + 1], at[2 * k + 1] + sizes[2 * k + 1])
+                           for k in range(len(pairs))])
+    verdict, keep, pending, cols, disjoint, subdivided = _test_pairs(
+        xy, r, hi, np.array(sizes[::2]), cand, np.array(sizes[1::2]),
+        np.tile(rect, (len(pairs), 1)), np.tile(cover, (len(pairs), 1)),
+        [math.hypot(1.0, 1.0)] * len(pairs), CFG.tolerance, reference, 0)
+    cut = np.cumsum(sizes[1::2])[:-1]
+    rules = set()
+    for k, ((h_xy, h_r), (c_xy, c_r)), k_keep, k_pend in zip(
+            range(len(pairs)), pairs, np.split(keep, cut), np.split(pending, cut)):
+        v, one_keep, one_pend, detail = pairwise_element_test(
+            h_xy, h_r, c_xy, c_r, CFG, rect, cover, reference=reference)
+        assert _VERDICTS[verdict[k]] == v
+        assert np.array_equal(k_keep, one_keep) and np.array_equal(k_pend, one_pend)
+        want = {**_detail(cols, k), **disjoint.get(k, {})}
+        if subdivided[k]:
+            want["subdivided"] = True
+        assert want == detail
+        rules.add(detail.get("rule", "subdivided" if subdivided[k] else v))
+        o_v, o_keep, o_pend, o_t = pair_test_per_pair(h_xy, h_r, c_xy, c_r, CFG.tolerance,
+                                                      rect, cover, reference)
+        assert (o_v, o_keep.tolist(), o_pend.tolist()) == (v, one_keep.tolist(),
+                                                           one_pend.tolist())
+        assert (o_t is None) == ("t" not in detail)
+        if o_t is not None:
+            assert detail["t"] == pytest.approx(o_t, rel=1e-12)
+    # the pairs reach the sub-domain and the disjoint rules
+    assert "subdivided" in rules and rules & {"disjoint-far", "disjoint-near"}
+
+
+def two_surveys(seed, n=1500):
+    rng = np.random.default_rng(seed)
+    return [Survey(plane_cloud(rng, 0.0, 6.5, n), name="A", score=1.0),
+            Survey(plane_cloud(rng, 3.5, 10.0, n, offset=2.0), name="B", score=0.4)]
+
+
+@pytest.mark.parametrize("fit_config, cfg, stop", [
+    # refines to its cap; the final fit's first pass is a correction sweep
+    (FitConfig(tolerance=0.5, initial_grid=(5, 5), n_ls=0),
+     DeconflictConfig(tolerance=0.5, reference_level=2, total_iterations=4), None),
+    (FitConfig(tolerance=0.5, initial_grid=(5, 5)),
+     DeconflictConfig(tolerance=0.5, reference_level=1, total_iterations=3), None),
+    # the reference converges before its cap
+    (FitConfig(tolerance=5.0, initial_grid=(5, 5), n_ls=0),
+     DeconflictConfig(tolerance=5.0, reference_level=3, total_iterations=5), "converged"),
+    # the reference freezes at the width floor before its cap
+    (FitConfig(tolerance=0.5, initial_grid=(5, 5), n_ls=0, min_width_fraction=0.2),
+     DeconflictConfig(tolerance=0.5, reference_level=4, total_iterations=6), "frozen"),
+])
+def test_deconflict_fit_is_fit_deconflict_fit(tmp_path, fit_config, cfg, stop):
+    surveys = two_surveys(11)
+    surface, cleaned, report = deconflict_fit(surveys, fit_config, cfg)
+    all_pts = np.concatenate([s.points for s in surveys])
+    reference, ref_reports, ref_flags = fit(
+        all_pts, replace(fit_config, max_iterations=cfg.reference_level))
+    if stop is not None:
+        assert ref_flags[stop] and ref_flags["iterations"] < cfg.reference_level
+    want_cleaned, want_report = deconflict(surveys, reference, cfg)
+    want, fin_reports, flags = fit(
+        np.concatenate([s.points for s in want_cleaned]),
+        replace(fit_config, max_iterations=cfg.total_iterations),
+        start=reference, first_iteration=cfg.reference_level)
+    write_surface_binary(surface, tmp_path / "got.lrs")
+    write_surface_binary(want, tmp_path / "want.lrs")
+    assert (tmp_path / "got.lrs").read_bytes() == (tmp_path / "want.lrs").read_bytes()
+    assert [c.points.tobytes() for c in cleaned] == [c.points.tobytes() for c in want_cleaned]
+    assert report == {**want_report, "reference_iterations": ref_reports,
+                      "final_iterations": fin_reports, "flags": flags}
+
+
+def test_deconflict_fit_computes_no_distance_field(monkeypatch):
+    from lrterrain.evaluate import distance_field
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return distance_field(*args, **kwargs)
+
+    # the package attribute ``lrterrain.deconflict`` is the function
+    monkeypatch.setattr(sys.modules["lrterrain.deconflict"], "distance_field", counted)
+    surveys = two_surveys(12)
+    deconflict_fit(surveys, small_fit_config(), DeconflictConfig(tolerance=0.5))
+    assert calls == []
+    # the public deconflict computes its own fields, one per survey
+    reference, _, _ = fit(np.concatenate([s.points for s in surveys]), small_fit_config())
+    deconflict(surveys, reference, DeconflictConfig(tolerance=0.5))
+    assert calls == [1, 1]

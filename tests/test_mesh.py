@@ -14,6 +14,7 @@ from lrterrain import (
 )
 from lrterrain.formats import binary_size
 from lrterrain.mesh import (
+    _split_columns,
     _split_weights,
     residents_of,
     transpose,
@@ -419,3 +420,15 @@ def test_split_engine_matches_oracle_on_multiple_and_child_only_lines(monkeypatc
         below = new.axis_knots(1)[:, -1] <= 0.5
         copies = (new.axis_knots(0) == 0.75).sum(axis=1)
         assert copies[below].max() == 2 and copies[~below].max() == 1
+
+
+def test_split_columns_match_the_padded_gather():
+    # the columns a new coordinate splits, zero outside the grid, as the
+    # gather from the grid padded by a zero column on each side gives them
+    rng = np.random.default_rng(3)
+    for rows, cols in [(1, 1), (2, 1), (5, 3), (40, 160), (200, 800)]:
+        grid = rng.integers(0, 4, (rows, cols)).astype(np.uint8)
+        at = np.sort(np.concatenate([[0, cols + 1], rng.integers(0, cols + 2, 6)]))
+        want = np.pad(grid, ((0, 0), (1, 1)))[:, at]
+        got = _split_columns(grid, at)
+        assert got.dtype == grid.dtype and np.array_equal(got, want)
