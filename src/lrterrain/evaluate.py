@@ -111,7 +111,9 @@ class _EvalCache:
     Element e spans ``bounds[e]`` = (u_lo, u_hi, v_lo, v_hi) and holds the
     pairs k in ``offsets[e]:offsets[e + 1]``: B-spline ``res[k]``, whose
     scaled restriction to the element is sum_jl tensors[k, j, l] t^j s^l in
-    local coordinates t, s in [0, 1].  ``pair_element[k]`` is e.
+    local coordinates t, s in [0, 1].  ``pair_element[k]`` is e.  The rows
+    of ``frame`` hold every element's u_lo, v_lo, u width and v width, each
+    row contiguous, so that a gather reads only the located elements.
     ``tensors[k]`` is scaling[res[k]] * pu[:, None] * pv[None, :] for the
     pair's univariate pieces pu and pv (see ``_pieces``); the pieces
     themselves are not kept.  ``tables`` holds the cell table of the u
@@ -124,6 +126,7 @@ class _EvalCache:
     vc: np.ndarray
     tables: tuple[_CellTable, _CellTable]
     bounds: np.ndarray
+    frame: np.ndarray
     offsets: np.ndarray
     res: np.ndarray
     pair_element: np.ndarray
@@ -216,6 +219,8 @@ def eval_cache(surface: LRSurface) -> _EvalCache:
             np.multiply(su[:, j, None], sv, out=tensors[k, j])
     cache = _EvalCache(surface.version, cell_map, uc, vc,
                        (_cell_table(uc), _cell_table(vc)), bounds,
+                       np.stack([bounds[:, 0], bounds[:, 2], bounds[:, 1] - bounds[:, 0],
+                                 bounds[:, 3] - bounds[:, 2]]),
                        offsets, res, pair_element, tensors)
     surface._eval_cache = cache
     return cache
@@ -260,9 +265,8 @@ def _gather(cache: _EvalCache, x: np.ndarray, y: np.ndarray):
     """Point -> element gather: (element id, tu, tv, wu, wv) per point, with
     local coordinates tu, tv in [0, 1] and element widths wu, wv."""
     eid = _locate(cache, x, y)
-    b = cache.bounds.take(eid, axis=0)
-    wu, wv = b[:, 1] - b[:, 0], b[:, 3] - b[:, 2]
-    return eid, (x - b[:, 0]) / wu, (y - b[:, 2]) / wv, wu, wv
+    lu, lv, wu, wv = (row.take(eid) for row in cache.frame)
+    return eid, (x - lu) / wu, (y - lv) / wv, wu, wv
 
 
 def _dpowers(t: np.ndarray, d: int, order: int, scale) -> np.ndarray:
@@ -298,14 +302,16 @@ def _evaluate_at(cache: _EvalCache, coeffs: np.ndarray, eid, tu, tv, wu, wv,
     if len(eid) == 0:
         return np.zeros((0, len(cols)))
     offsets = cache.offsets
-    # the hit elements in increasing order, and each one's row of P: the
-    # position map is written at the hit elements only
+    # the hit elements in increasing order, and each point's row of P: a
+    # position map written at the hit elements only, unless all are hit
     mark = np.zeros(len(offsets) - 1, dtype=bool)
     mark[eid] = True
     hit = np.flatnonzero(mark)
-    row = np.empty(len(mark), dtype=np.intp)
-    row[hit] = np.arange(len(hit))
-    row = row.take(eid)
+    row = eid
+    if len(hit) < len(mark):
+        row = np.empty(len(mark), dtype=np.intp)
+        row[hit] = np.arange(len(hit))
+        row = row.take(eid)
     counts = offsets[hit + 1] - offsets[hit]
     pair = _ranges(offsets[hit], counts)
     P = np.add.reduceat(coeffs[cache.res[pair], None, None] * cache.tensors[pair],
