@@ -44,8 +44,9 @@ library's per-element moment assembly and blocked sweep against them.
 candidate sample against one accepted sample as it was first built: scalar
 statistics (``np.mean``, ``np.std``), the criteria in Python floats and a
 recursive call per sub-domain.  It takes the thresholds from
-``lrterrain.deconflict`` and nothing else; the tests compare the library's
-pair tests in arrays (``_decide``, ``_test_pairs``) against it.
+``lrterrain.deconflict`` and the reference's slopes from ``evaluate``, and
+nothing else; the tests compare the library's pair tests in arrays
+(``_test_pairs`` and its one-pair case) against it.
 
 ``write_lrsurf01`` and ``lrsurf01_size`` are the binary surface writer and
 its size as they were before ``LRSURF02``: every B-spline's knot indices,

@@ -1,13 +1,12 @@
 """Consistency statistics, pairwise verdicts, and the removal pipeline."""
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from dataclasses import replace
 
 from lrterrain import evaluate, make_tensor_surface
 from lrterrain.adaptive import FitConfig, fit
