@@ -13,30 +13,27 @@ Binary surface (magic ``LRSURF02``, little-endian throughout):
                      (pos indexes the axis table, lo/hi the other table)
     coefficients     u32 count + f64[count], in canonical B-spline order
 
-The file holds the LR mesh and no B-spline: the B-splines are the replay
-of the mesh (``mesh.replay``), which fixes them, and the reader rebuilds
-them so; a coefficient count other than the replay's is an error.  The
-writer raises ``ValueError`` naming the first B-spline that differs, before
-it opens the file, when the surface's knot rows are not its mesh's replay;
-the text format keeps such a surface.  ``LRSURF01``, read only, has the
-same sections and then, in place of the coefficients, a u32 count and per
-B-spline its u32 u- and v-knot indices, f64 scaling and f64 coefficient.
+The file holds the LR mesh and no B-spline.  The text format holds the
+same sections line-oriented, with full-precision ``repr`` floats and each
+unit as one whitespace-free word (the text writer rejects others), and
+then, in place of the coefficients, per B-spline its u- and v-knot indices,
+scaling and coefficient.
+
+One rule, ``_lr_surface``, holds for every surface file: the B-splines are
+the replay of the mesh (``mesh.replay``), which fixes them.  Both writers
+and both readers apply it.
 
 The knot tables are the mesh's coordinate tables: every knot, line
 position and segment endpoint is a mesh coordinate, stored once; segments
 and B-splines refer to them by index, which makes shared knots exact by
-construction and the round trip bit-identical.  The text format carries
-the sections of ``LRSURF01`` line-oriented with full-precision ``repr``
-floats, and each unit as one whitespace-free word (the text writer rejects
-others).  A table that is not strictly increasing or holds a value outside
-the domain, an index outside its table, a segment record that
-``insert_segments`` would reject, a domain side below multiplicity
-degree + 1, a non-finite coefficient, or a file that ends early is
-malformed; so is, in a file that lists its B-splines, a knot-index list
-that decreases or spans an empty support, a row that does not follow the
-one before it in canonical order, or a scaling that is not finite and
-above 0.  The readers raise ``ValueError`` naming the file, and the record
-by its position in the file, and the CLI exits 2.
+construction and the round trip bit-identical.  A table that is not
+strictly increasing or holds a value outside the domain, an index outside
+its table, a segment record that ``insert_segments`` would reject, a
+domain side below multiplicity degree + 1, or a file that ends early is
+malformed, and so is a surface that breaks the rule.  The readers raise
+``ValueError`` naming the file, and the record by its position in the
+file, and the CLI exits 2.  A file of the retired binary version, which
+listed the B-splines, is rejected by name.
 
 Survey text format: optional ``# key value`` header lines, then one
 ``x y z`` row per point.  Binary survey: magic ``LRSURV01``, u32 JSON
@@ -75,7 +72,6 @@ __all__ = [
 ]
 
 _MAGIC_SURF = b"LRSURF02"
-_MAGIC_SURF01 = b"LRSURF01"  # read only
 _MAGIC_SURV = b"LRSURV01"
 # one binary segment record: axis and multiplicity, then pos, lo and hi indices
 _SEGMENT_RECORD = np.dtype([("axis_mult", "u1", (2,)), ("reserved", "<u2"),
@@ -100,27 +96,52 @@ def binary_size(surface: LRSurface) -> int:
     return 44 + sum(4 + block.nbytes for block in _blocks(surface))
 
 
-def _check_replay(surface: LRSurface) -> None:
-    """Raise ValueError, naming the first B-spline that differs, unless the
-    surface's knot rows are those of its mesh's replay."""
-    hint = "LRSURF02 stores only the mesh; write_surface_text keeps every B-spline"
-    try:
-        want = replay(surface.mesh, surface.degrees).knots
-    except ValueError as e:
-        raise ValueError(f"{e}; {hint}") from None
-    n = min(len(want), len(surface))
-    differ = np.flatnonzero((surface.knots[:n] != want[:n]).any(axis=1))
-    i = int(differ[0]) if len(differ) else n  # past the shorter: a count differs
-    if i < max(len(want), len(surface)):
-        raise ValueError(f"B-spline {i} differs from the replay of the surface's mesh "
-                         f"({len(surface)} B-splines, the replay has {len(want)}); {hint}")
+SCALING_RTOL = 1e-12
+
+
+def _lr_surface(mesh: BoxMesh, degrees: tuple[int, int], coeffs, units, knots=None,
+                scaling=None) -> LRSurface:
+    """The surface of ``mesh`` at ``degrees``: the mesh's replay
+    (``mesh.replay``) with ``coeffs`` and ``units``, under the one rule of
+    every surface file.
+
+    The LR mesh fixes the B-spline set, so a surface holds the B-splines of
+    its mesh's replay, in canonical order.  Where the caller lists them,
+    each B-spline's ``knots`` must be the replay's and its ``scaling``
+    within ``SCALING_RTOL`` of the replay's, relative; the result keeps
+    those scalings.  Every coefficient must be finite.  Raises ValueError
+    naming the first B-spline that breaks the rule.
+    """
+    out = replay(mesh, degrees)
+    knots = out.knots if knots is None else np.asarray(knots, dtype=float)
+    scaling = out.scaling if scaling is None else np.array(scaling, dtype=float)
+    coeffs = np.array(coeffs, dtype=float)
+    k = min(len(coeffs), len(out))
+    differs = "differs from the replay of the mesh"
+    fault = _first_fault([
+        (~(knots[:k] == out.knots[:k]).all(axis=1),
+         lambda i: f"B-spline {i} {differs}: knots {knots[i].tolist()}, the replay's "
+                   f"{out.knots[i].tolist()}"),
+        (~(np.abs(scaling[:k] - out.scaling[:k]) <= SCALING_RTOL * out.scaling[:k]),
+         lambda i: f"B-spline {i} {differs}: scaling {float(scaling[i])!r}, the replay's "
+                   f"{float(out.scaling[i])!r} (relative tolerance {SCALING_RTOL})"),
+        (~np.isfinite(coeffs[:k]),
+         lambda i: f"B-spline {i}: coefficient {float(coeffs[i])!r} is not finite"),
+    ])
+    if fault is None and len(coeffs) != len(out):
+        fault = f"{len(coeffs)} coefficients, but the replay of the mesh has {len(out)} B-splines"
+    if fault is not None:
+        raise ValueError(fault)
+    out.scaling, out.coeffs, out.units = scaling, coeffs, units
+    return out
 
 
 def write_surface_binary(surface: LRSurface, path) -> None:
     """Write ``surface`` as ``LRSURF02``: its mesh, then its coefficients.
-    Before the file is opened, raises ValueError when the surface's knot
-    rows are not the replay of its mesh (``mesh.replay``)."""
-    _check_replay(surface)
+    Before the file is opened, raises ValueError when the surface breaks
+    the rule of ``_lr_surface``."""
+    _lr_surface(surface.mesh, surface.degrees, surface.coeffs, surface.units, surface.knots,
+                surface.scaling)
     data = b"".join([_MAGIC_SURF, struct.pack("<BBH4d", *surface.degrees, 0, *surface.domain)]
                     + [struct.pack("<I", len(b)) + b.tobytes() for b in _blocks(surface)])
     with open(path, "wb") as f:
@@ -148,12 +169,6 @@ class _Reader:
         return np.frombuffer(self.take(n * np.dtype(dtype).itemsize), dtype)
 
 
-def _bspline_record(du: int, dv: int) -> np.dtype:
-    """One ``LRSURF01`` B-spline record: its knot indices, scaling and
-    coefficient."""
-    return np.dtype([("knots", "<u4", (du + dv + 4,)), ("scaling", "<f8"), ("coeff", "<f8")])
-
-
 def _seed_table(mesh: BoxMesh, axis: int, table) -> list[float]:
     """Add a knot table to the mesh coordinates; returns the snapped table.
     The table must be strictly increasing and inside the domain."""
@@ -179,51 +194,12 @@ def _names_path(reader):
     return read
 
 
-def _lookup(tables, table, idx, record: str) -> np.ndarray:
+def _lookup(tables, table, idx) -> np.ndarray:
     """Values of the knot indices ``idx``, ``table`` the table (0: u, 1: v)
-    of each; an index outside its table is named by its record's position."""
+    of each; NaN for an index outside its table."""
     size = np.array([len(t) for t in tables])[table]
-    bad = ((idx < 0) | (idx >= size)).any(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"{record} {i}: knot index out of range: {idx[i].tolist()}, the u "
-                         f"and v tables hold {len(tables[0])} and {len(tables[1])} knots")
-    return np.concatenate(tables)[idx + table * len(tables[0])]
-
-
-def _bspline_surface(mesh: BoxMesh, tables, degrees: tuple[int, int], idx, scaling, coeffs,
-                     units) -> LRSurface:
-    """The surface of a file's B-spline records: rows of u- and v-knot
-    indices, scalings and coefficients.
-
-    Per axis, a B-spline's indices must be nondecreasing over a non-empty
-    support and lie inside the table; the rows must increase strictly in
-    canonical order (no B-spline twice); a scaling must be finite and
-    above 0 and a coefficient finite.  The first B-spline that breaks a
-    rule is named.
-    """
-    du, dv = degrees
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1, du + dv + 4)
-    scaling, coeffs = np.array(scaling, dtype=float), np.array(coeffs, dtype=float)
-    # each row against the one before it: its first differing index is higher
-    step = np.diff(idx, axis=0, prepend=idx[:1] - 1)
-    rising = step[np.arange(len(idx)), np.argmax(step != 0, axis=1)] > 0
-    fault = _first_fault([
-        *(((np.diff(c, axis=1) < 0).any(axis=1) | (c[:, 0] >= c[:, -1]),
-           lambda i, axis=axis, c=c: f"B-spline {i}: {'uv'[axis]}-knot indices "
-           f"{c[i].tolist()} are not nondecreasing over a non-empty support")
-          for axis, c in enumerate((idx[:, :du + 2], idx[:, du + 2:]))),
-        (~rising, lambda i: f"B-spline {i}: its knot indices {idx[i].tolist()} do not follow "
-                            f"those of B-spline {i - 1} in canonical order"),
-        (~(np.isfinite(scaling) & (scaling > 0)),
-         lambda i: f"B-spline {i}: scaling {float(scaling[i])!r} is not finite and above 0"),
-        (~np.isfinite(coeffs),
-         lambda i: f"B-spline {i}: coefficient {float(coeffs[i])!r} is not finite"),
-    ])
-    if fault is not None:
-        raise ValueError(fault)
-    knots = _lookup(tables, np.repeat([0, 1], [du + 2, dv + 2]), idx, "B-spline")
-    return LRSurface(degrees, mesh, knots, scaling, coeffs, units)
+    flat = np.concatenate([*tables, [np.nan]])
+    return flat[np.where((idx >= 0) & (idx < size), idx + table * len(tables[0]), -1)]
 
 
 def _merge_segments(mesh: BoxMesh, tables, degrees, axis, mult, idx) -> None:
@@ -232,45 +208,44 @@ def _merge_segments(mesh: BoxMesh, tables, degrees, axis, mult, idx) -> None:
     the table of its axis.  A bad record is named by its place in the file."""
     a = (np.asarray(axis) == 1).astype(np.int64)
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, 3)
-    values = _lookup(tables, np.column_stack([a, 1 - a, 1 - a]), idx, "segment")
+    values = _lookup(tables, np.column_stack([a, 1 - a, 1 - a]), idx)
+    bad = np.isnan(values).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"segment {i}: knot index out of range: {idx[i].tolist()}, the u "
+                         f"and v tables hold {len(tables[0])} and {len(tables[1])} knots")
     mesh._merge(_check_segments(mesh, np.column_stack([axis, values, mult]), degrees))
 
 
 @_names_path
 def read_surface_binary(path) -> LRSurface:
     """Read an ``LRSURF02`` file, whose B-splines are the replay of its
-    mesh, or an ``LRSURF01`` file, which lists them."""
+    mesh."""
     with open(path, "rb") as f:
         data = f.read()
     r = _Reader(data)
     magic = r.take(8)
-    if magic not in (_MAGIC_SURF, _MAGIC_SURF01):
-        raise ValueError("not a binary surface file (bad magic)")
+    if magic != _MAGIC_SURF:
+        raise ValueError("LRSURF01 is no longer read" if magic == b"LRSURF01" else
+                         "not a binary surface file (bad magic)")
     du, dv, _, *domain = r.unpack("<BBH4d")
     units = tuple(r.block("u1").tobytes().decode() for _ in range(2))
     mesh = BoxMesh(domain)
     tables = [_seed_table(mesh, axis, r.block("<f8").tolist()) for axis in (0, 1)]
     seg = r.block(_SEGMENT_RECORD)
     _merge_segments(mesh, tables, (du, dv), *seg["axis_mult"].T, seg["idx"])
-    rec = r.block(_bspline_record(du, dv) if magic == _MAGIC_SURF01 else "<f8")
+    coeffs = r.block("<f8")
     if r.off != len(data):
         raise ValueError("trailing bytes after surface data")
-    if magic == _MAGIC_SURF01:
-        return _bspline_surface(mesh, tables, (du, dv), rec["knots"], rec["scaling"],
-                                rec["coeff"], units)
-    coeffs = rec.astype(float)
-    bad = np.flatnonzero(~np.isfinite(coeffs))
-    if len(bad):
-        raise ValueError(f"coefficient {bad[0]} is not finite: {float(coeffs[bad[0]])!r}")
-    surface = replay(mesh, (du, dv))
-    if len(surface) != len(coeffs):
-        raise ValueError(f"{len(coeffs)} coefficients, but the replay of the mesh has "
-                         f"{len(surface)} B-splines")
-    surface.coeffs, surface.units = coeffs, units
-    return surface
+    return _lr_surface(mesh, (du, dv), coeffs, units)
 
 
 def write_surface_text(surface: LRSurface, path) -> None:
+    """Write ``surface`` as text, every B-spline listed.  Before the file is
+    opened, raises ValueError when the surface breaks the rule of
+    ``_lr_surface`` or a unit is not one word."""
+    _lr_surface(surface.mesh, surface.degrees, surface.coeffs, surface.units, surface.knots,
+                surface.scaling)
     for unit in surface.units:
         if unit.split() != [unit]:
             raise ValueError(f"unit {unit!r} cannot be written to a text surface: "
@@ -338,7 +313,8 @@ def read_surface_text(path) -> LRSurface:
     seg, _ = block("segments", 5, 5)
     _merge_segments(mesh, tables, (du, dv), seg[:, 0], seg[:, 1], seg[:, 2:])
     idx, values = block("bsplines", du + dv + 6, du + dv + 4)
-    return _bspline_surface(mesh, tables, (du, dv), idx, *values.T, units)
+    knots = _lookup(tables, np.repeat([0, 1], [du + 2, dv + 2]), idx)
+    return _lr_surface(mesh, (du, dv), values[:, 1], units, knots, values[:, 0])
 
 
 # -- surveys -----------------------------------------------------------
@@ -362,25 +338,28 @@ def read_survey_text(path):
     """
     meta: dict = {}
     rows = []
-    with open(path) as f:
-        for ln_no, ln in enumerate(f, 1):
-            ln = ln.strip()
-            if not ln:
-                continue
-            if ln.startswith("#"):
-                parts = ln[1:].split(None, 1)
-                if len(parts) == 2:
-                    meta[parts[0]] = parts[1]
-                continue
-            parts = ln.split()
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{ln_no}: expected 'x y z'")
-            try:
-                rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{ln_no}: expected numeric 'x y z', got {ln!r}"
-                ) from None
+    try:
+        with open(path) as f:
+            for ln_no, ln in enumerate(f, 1):
+                ln = ln.strip()
+                if not ln:
+                    continue
+                if ln.startswith("#"):
+                    parts = ln[1:].split(None, 1)
+                    if len(parts) == 2:
+                        meta[parts[0]] = parts[1]
+                    continue
+                parts = ln.split()
+                if len(parts) < 3:
+                    raise ValueError(f"{path}:{ln_no}: expected 'x y z'")
+                try:
+                    rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{ln_no}: expected numeric 'x y z', got {ln!r}"
+                    ) from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     pts = np.asarray(rows, dtype=float).reshape(-1, 3)
     if not np.isfinite(pts).all():
         raise ValueError(f"{path}: non-finite coordinates")
@@ -410,7 +389,7 @@ def read_survey_binary(path):
     with open(path, "rb") as f:
         data = f.read()
     if data[:8] != _MAGIC_SURV:
-        raise ValueError("not a binary survey file (bad magic)")
+        raise ValueError(f"{path}: not a binary survey file (bad magic)")
     try:
         (hlen,) = struct.unpack_from("<I", data, 8)
         meta = json.loads(data[12:12 + hlen].decode())
@@ -420,9 +399,10 @@ def read_survey_binary(path):
         raise ValueError(f"{path}: binary survey header lacks an integer 'count'")
     body = data[12 + hlen:]
     n = meta.pop("count")
+    if len(body) != 24 * n:
+        raise ValueError(f"{path}: header count {n} needs {24 * n} bytes of points, "
+                         f"the file holds {len(body)}")
     pts = np.frombuffer(body, dtype="<f8").reshape(-1, 3)
-    if len(pts) != n:
-        raise ValueError(f"{path}: header count {n} != {len(pts)} points")
     if not np.isfinite(pts).all():
         raise ValueError(f"{path}: non-finite coordinates")
     return pts.astype(float), meta
@@ -442,9 +422,10 @@ def read_survey(path):
 
 
 def is_binary_surface(path) -> bool:
-    """True when the file starts with a binary surface magic."""
+    """True when the file starts with ``LRSURF``, as every binary surface
+    magic does; the binary reader names a version it does not read."""
     with open(path, "rb") as f:
-        return f.read(8) in (_MAGIC_SURF, _MAGIC_SURF01)
+        return f.read(6) == _MAGIC_SURF[:6]
 
 
 def read_surface(path) -> LRSurface:

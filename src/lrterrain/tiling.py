@@ -644,5 +644,15 @@ def read_manifest(path) -> dict:
         if (t["ix"], t["iy"]) != (k % nx, k // nx):
             raise ValueError(f"manifest tile {k} is ({t['ix']}, {t['iy']}), "
                              f"not ({k % nx}, {k // nx}) of the row-major grid")
+        n = t.get("n_points", 0)
+        for key, holds, what in [
+            *((key, isinstance(t[key], list) and len(t[key]) == 4
+               and all(type(c) in (int, float) for c in t[key]), "four numbers")
+              for key in ("core", "expanded")),
+            ("surface", t["surface"] is None or isinstance(t["surface"], str), "a path or null"),
+            ("n_points", type(n) is int and n >= 0, "a non-negative integer"),
+        ]:
+            if not holds:
+                raise ValueError(f"manifest tile {k} '{key}' must be {what}, not {t.get(key)!r}")
     doc["tiles"] = [dict(t) for t in tiles]
     return doc

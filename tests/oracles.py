@@ -47,15 +47,9 @@ recursive call per sub-domain.  It takes the thresholds from
 ``lrterrain.deconflict`` and the reference's slopes from ``evaluate``, and
 nothing else; the tests compare the library's pair tests in arrays
 (``_test_pairs`` and its one-pair case) against it.
-
-``write_lrsurf01`` and ``lrsurf01_size`` are the binary surface writer and
-its size as they were before ``LRSURF02``: every B-spline's knot indices,
-scaling and coefficient.  The library only reads that format; the tests
-write their ``LRSURF01`` fixtures with them.
 """
 import bisect
 import math
-import struct
 import sys
 from collections import deque
 
@@ -66,8 +60,7 @@ from scipy import sparse
 import lrterrain.deconflict
 from lrterrain.evaluate import _CHUNK, _COLUMNS, _monomials, basis_matrix, eval_cache, evaluate
 from lrterrain.least_squares import GHOST_WEIGHT, _smoothing_terms
-from lrterrain.formats import _SEGMENT_RECORD, _bspline_record
-from lrterrain.mesh import ScaledBSpline, Segment, _knot_rows, residents_of
+from lrterrain.mesh import ScaledBSpline, Segment, residents_of
 
 # the package attribute ``lrterrain.deconflict`` is the function
 dc = sys.modules["lrterrain.deconflict"]
@@ -450,33 +443,6 @@ def mba_delta_collocation(surface, points, residuals, tau):
     delta = np.zeros(L)
     delta[active] = num[active] / den[active]
     return delta
-
-
-def lrsurf01_size(surface) -> int:
-    """Byte count of ``write_lrsurf01``: the 44-byte header, then six blocks
-    of a u32 count and their records."""
-    mesh = surface.mesh
-    return (44 + 6 * 4 + sum(len(unit.encode()) for unit in surface.units)
-            + 8 * (len(mesh.coords(0)) + len(mesh.coords(1)))
-            + _SEGMENT_RECORD.itemsize * len(mesh.segment_rows())
-            + _bspline_record(*surface.degrees).itemsize * len(surface))
-
-
-def write_lrsurf01(surface, path) -> None:
-    """Write ``surface`` as ``LRSURF01``, one record per B-spline."""
-    mesh, (du, dv) = surface.mesh, surface.degrees
-    segs = mesh.segment_rows()
-    seg = np.zeros(len(segs), dtype=_SEGMENT_RECORD)
-    seg["axis_mult"], seg["idx"] = segs[:, :2], segs[:, 2:]
-    rec = np.empty(len(surface), dtype=_bspline_record(du, dv))
-    rec["knots"] = _knot_rows(surface)
-    rec["scaling"], rec["coeff"] = surface.scaling, surface.coeffs
-    blocks = ([np.frombuffer(unit.encode(), "u1") for unit in surface.units]
-              + [mesh.coords(axis).astype("<f8") for axis in (0, 1)] + [seg, rec])
-    data = b"".join([b"LRSURF01", struct.pack("<BBH4d", du, dv, 0, *mesh.domain)]
-                    + [struct.pack("<I", len(b)) + b.tobytes() for b in blocks])
-    with open(path, "wb") as f:
-        f.write(data)
 
 
 def _stats(xy, r):

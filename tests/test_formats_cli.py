@@ -24,7 +24,7 @@ from lrterrain.formats import (
     write_survey_text,
 )
 from conftest import random_refined_surface
-from oracles import lrsurf01_size, segments, write_lrsurf01
+from oracles import segments
 from test_tiling import grid_fits
 
 
@@ -41,15 +41,19 @@ def sample(surface, n=1000, seed=0):
 def test_binary_surface_round_trip_is_bit_exact(tmp_path):
     s = random_refined_surface(4)
     p = tmp_path / "s.lrs"
-    write_lrsurf01(s, p)
-    assert p.stat().st_size == lrsurf01_size(s)
+    write_surface_binary(s, p)
+    assert p.stat().st_size == binary_size(s)
     t = read_surface_binary(p)
-    x, y, z = sample(s)
-    assert np.array_equal(evaluate(t, x, y), z)
-    # writing the loaded surface again reproduces the file byte for byte
+    # writing the loaded surface again reproduces the file byte for byte,
+    # and reading that gives the loaded surface bit for bit
     p2 = tmp_path / "s2.lrs"
-    write_lrsurf01(t, p2)
+    write_surface_binary(t, p2)
     assert p2.read_bytes() == p.read_bytes()
+    u = read_surface_binary(p2)
+    x, y, _ = sample(s)
+    assert np.array_equal(evaluate(u, x, y), evaluate(t, x, y))
+    assert all(np.array_equal(a, b) for a, b in
+               ((t.knots, u.knots), (t.scaling, u.scaling), (t.coeffs, u.coeffs)))
 
 
 def test_text_surface_round_trip(tmp_path):
@@ -79,9 +83,9 @@ def test_restricted_surface_round_trips(tmp_path):
     # restriction leaves partial-width knot segments; those must survive
     s = restrict(random_refined_surface(15, domain=(0, 2, 0, 1), grid=(9, 5)),
                  (0.0, 1.0, 0.0, 1.0))
-    p = tmp_path / "r.lrs"
-    write_lrsurf01(s, p)
-    t = read_surface_binary(p)
+    p = tmp_path / "r.lrs.txt"
+    write_surface_text(s, p)
+    t = read_surface_text(p)
     x, y, z = sample(s)
     assert np.array_equal(evaluate(t, x, y), z)
     assert len(segments(t.mesh)) == len(segments(s.mesh))
@@ -89,12 +93,10 @@ def test_restricted_surface_round_trips(tmp_path):
 
 def test_surface_sniffing(tmp_path):
     s = random_refined_surface(2, n_inserts=5)
-    pb, pt, p2 = tmp_path / "b.lrs", tmp_path / "t.lrs", tmp_path / "b2.lrs"
-    write_lrsurf01(s, pb)
+    pt, p2 = tmp_path / "t.lrs", tmp_path / "b2.lrs"
     write_surface_text(s, pt)  # extension does not matter, content does
     write_surface_binary(s, p2)
     x, y, z = sample(s, 50)
-    assert np.array_equal(evaluate(read_surface(pb), x, y), z)
     assert np.max(np.abs(evaluate(read_surface(pt), x, y) - z)) < 1e-12
     assert np.max(np.abs(evaluate(read_surface(p2), x, y) - z)) < 1e-13 * np.abs(z).max()
 
@@ -102,7 +104,7 @@ def test_surface_sniffing(tmp_path):
 def test_binary_surface_rejects_damage(tmp_path):
     s = random_refined_surface(2, n_inserts=5)
     p = tmp_path / "s.lrs"
-    write_lrsurf01(s, p)
+    write_surface_binary(s, p)
     data = p.read_bytes()
     (tmp_path / "trunc.lrs").write_bytes(data[:-9])
     with pytest.raises(ValueError, match="truncated"):
@@ -113,6 +115,19 @@ def test_binary_surface_rejects_damage(tmp_path):
     (tmp_path / "trail.lrs").write_bytes(data + b"\0")
     with pytest.raises(ValueError, match="trailing"):
         read_surface_binary(tmp_path / "trail.lrs")
+
+
+def test_retired_binary_version_is_rejected_by_name(tmp_path, capsys):
+    # an LRSURF02 file under the old magic: sniffed as binary, not parsed as text
+    path = tmp_path / "old.lrs"
+    write_surface_binary(random_refined_surface(2, n_inserts=5), path)
+    path.write_bytes(b"LRSURF01" + path.read_bytes()[8:])
+    with pytest.raises(ValueError, match=r"old\.lrs: LRSURF01 is no longer read"):
+        read_surface(path)
+    pts = tmp_path / "pts.xyz"
+    pts.write_text("0.5 0.5 0.0\n")
+    assert main(["eval", str(path), str(pts)]) == 2
+    assert "LRSURF01 is no longer read" in capsys.readouterr().err
 
 
 def _empty_text(s, path):
@@ -164,27 +179,17 @@ def _text_empty_support(s, path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _binary_knots_not_nondecreasing(s, path):
-    # swap the first and last u index of the last B-spline record
-    write_lrsurf01(s, path)
-    data = bytearray(path.read_bytes())
-    du, dv = s.degrees
-    at = len(data) - (4 * (du + 2) + 4 * (dv + 2) + 16)
-    end = at + 4 * (du + 1)
-    data[at:at + 4], data[end:end + 4] = data[end:end + 4], data[at:at + 4]
-    path.write_bytes(bytes(data))
-
-
 def _binary_index_out_of_range(s, path):
-    write_lrsurf01(s, path)
+    write_surface_binary(s, path)
     data = bytearray(path.read_bytes())
-    # the last v-knot index of the last B-spline, before its two f64
-    data[-20:-16] = (2**32 - 1).to_bytes(4, "little")
+    # the hi index of the last segment record, before the coefficient block
+    at = len(data) - 8 * len(s) - 4
+    data[at - 4:at] = (2**32 - 1).to_bytes(4, "little")
     path.write_bytes(bytes(data))
 
 
 def _binary_table_not_increasing(s, path):
-    write_lrsurf01(s, path)
+    write_surface_binary(s, path)
     data = bytearray(path.read_bytes())
     # the first two u knots, right after the u table count
     at = 44 + sum(4 + len(u.encode()) for u in s.units) + 4
@@ -211,7 +216,7 @@ def _text_lo_above_hi(s, path):
 
 def _binary_multiplicity_above_degree(s, path):
     # the multiplicity byte of the first segment record: 200 on a degree-2 axis
-    write_lrsurf01(s, path)
+    write_surface_binary(s, path)
     data = bytearray(path.read_bytes())
     at = (44 + sum(4 + len(u.encode()) for u in s.units)
           + sum(4 + 8 * len(s.mesh.coords(axis)) for axis in (0, 1)) + 4)
@@ -236,7 +241,7 @@ def test_bad_segment_record_is_named_by_its_position(tmp_path):
     with pytest.raises(ValueError, match="segment 2: knot index out of range"):
         read_surface_text(text)
     # a cut inside the segment block: the block is read whole
-    write_lrsurf01(s, binary)
+    write_surface_binary(s, binary)
     at = (44 + sum(4 + len(u.encode()) for u in s.units)
           + sum(4 + 8 * len(s.mesh.coords(axis)) for axis in (0, 1)) + 4)
     binary.write_bytes(binary.read_bytes()[:at + 16 * 2 + 5])
@@ -256,7 +261,7 @@ def _text_knot_outside_domain(s, path):
 
 def _binary_knot_outside_domain(s, path):
     # the last u knot, 1.0, replaced by 7.5: the table still increases
-    write_lrsurf01(s, path)
+    write_surface_binary(s, path)
     data = bytearray(path.read_bytes())
     at = 44 + sum(4 + len(u.encode()) for u in s.units) + 4 + 8 * len(s.mesh.coords(0))
     assert data[at - 8:at] == np.float64(1.0).tobytes()
@@ -275,7 +280,7 @@ def test_knot_table_value_outside_the_domain_is_rejected(damage, tmp_path):
 @pytest.mark.parametrize("damage", [
     _empty_text, _truncated_text, _text_index_out_of_range, _text_negative_index,
     _binary_index_out_of_range, _binary_table_not_increasing,
-    _text_knots_not_nondecreasing, _text_empty_support, _binary_knots_not_nondecreasing,
+    _text_knots_not_nondecreasing, _text_empty_support,
     _text_multiplicity_zero, _text_lo_above_hi, _binary_multiplicity_above_degree])
 def test_cli_eval_of_malformed_surface_exits_2(damage, tmp_path, capsys):
     s = random_refined_surface(2, n_inserts=5)
@@ -316,7 +321,7 @@ def test_lrsurf02_round_trip(build, tmp_path):
     for s in build():
         write_surface_binary(s, p)
         assert p.read_bytes()[:8] == b"LRSURF02"
-        assert p.stat().st_size == binary_size(s) < lrsurf01_size(s)
+        assert p.stat().st_size == binary_size(s)
         t = read_surface_binary(p)
         write_surface_binary(t, p2)
         assert p2.read_bytes() == p.read_bytes()
@@ -369,7 +374,7 @@ def _lrsurf02_side_below_full(s, data):
     (_lrsurf02_truncated, "truncated"),
     (_lrsurf02_trailing, "trailing bytes"),
     (_lrsurf02_count_not_replay, r"coefficients, but the replay of the mesh has \d+ B-splines"),
-    (_lrsurf02_coefficient_nan, r"coefficient \d+ is not finite"),
+    (_lrsurf02_coefficient_nan, r"B-spline \d+: coefficient nan is not finite"),
     (_lrsurf02_multiplicity_above_degree, "segment 0: multiplicity 200"),
     (_lrsurf02_side_below_full, "domain side u = 0.0 is not a line of multiplicity 3"),
 ], ids=["truncated", "trailing", "count", "nan", "segment", "side"])
@@ -398,53 +403,76 @@ def _line_without_splits(s):
     return r"B-spline \d+ differs from the replay"
 
 
-@pytest.mark.parametrize("edit", [_drop_bspline, _line_without_splits])
+def _scaling_off(s):
+    s.scaling[7] *= 1 - 5e-5
+    return r"B-spline 7 differs from the replay of the mesh: scaling"
+
+
+def _coefficient_inf(s):
+    s.coeffs[9] = np.inf
+    return r"B-spline 9: coefficient inf is not finite"
+
+
+@pytest.mark.parametrize("edit", [_drop_bspline, _line_without_splits, _scaling_off,
+                                  _coefficient_inf])
 def test_writer_refuses_a_surface_that_is_not_its_mesh_replay(edit, tmp_path):
     s = random_refined_surface(3, n_inserts=20)
     message = edit(s)
-    path = tmp_path / "s.lrs"
-    with pytest.raises(ValueError, match=message + ".*write_surface_text"):
-        write_surface_binary(s, path)
-    assert not path.exists()
-    write_surface_text(s, tmp_path / "s.lrs.txt")  # the text format lists every B-spline
+    for write, path in [(write_surface_binary, tmp_path / "s.lrs"),
+                        (write_surface_text, tmp_path / "s.lrs.txt")]:
+        with pytest.raises(ValueError, match=message):
+            write(s, path)
+        assert not path.exists()
 
 
-def _scaling_negative(s):
-    s.scaling[0] = -1.0
-    return "B-spline 0: scaling -1.0 is not finite and above 0"
+# Corruptions of the B-spline lines of a text surface file, each a list of
+# its fields: du + 2 u-indices, dv + 2 v-indices, scaling, coefficient.
 
 
-def _scaling_inf(s):
-    s.scaling[0] = np.inf
-    return "B-spline 0: scaling inf is not finite and above 0"
+def _scaling_negative(rows):
+    rows[0][-2] = "-1.0"
+    return "B-spline 0 differs from the replay of the mesh: scaling -1.0"
 
 
-def _coefficient_nan(s):
-    s.coeffs[0] = np.nan
+def _scaling_inf(rows):
+    rows[0][-2] = "inf"
+    return "B-spline 0 differs from the replay of the mesh: scaling inf"
+
+
+def _coefficient_nan(rows):
+    rows[0][-1] = "nan"
     return "B-spline 0: coefficient nan is not finite"
 
 
-def _record_repeated(s):
-    # record 1 copied over record 0
-    for a in (s.knots, s.scaling, s.coeffs):
-        a[0] = a[1]
-    return "B-spline 1: its knot indices .* do not follow those of B-spline 0"
+def _record_repeated(rows):
+    rows[0] = list(rows[1])
+    return "B-spline 0 differs from the replay of the mesh: knots"
 
 
-def _records_swapped(s):
-    for a in (s.knots, s.scaling, s.coeffs):
-        a[[0, 1]] = a[[1, 0]]
-    return "B-spline 1: its knot indices .* do not follow those of B-spline 0"
+def _records_swapped(rows):
+    rows[0], rows[1] = rows[1], rows[0]
+    return "B-spline 0 differs from the replay of the mesh: knots"
 
 
-@pytest.mark.parametrize("write", [write_lrsurf01, write_surface_text], ids=["lrsurf01", "text"])
+def _text_with_bsplines_edited(s, path, corrupt):
+    """Write ``s`` as text with ``corrupt`` applied to its B-spline lines;
+    the message ``corrupt`` returns."""
+    write_surface_text(s, path)
+    lines = path.read_text().splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith("bsplines")) + 1
+    rows = [ln.split() for ln in lines[at:]]
+    message = corrupt(rows)
+    path.write_text("\n".join(lines[:at] + [" ".join(r) for r in rows]) + "\n")
+    return message
+
+
+@pytest.mark.parametrize("write", [_text_with_bsplines_edited], ids=["text"])
 @pytest.mark.parametrize("corrupt", [_scaling_negative, _scaling_inf, _coefficient_nan,
                                      _record_repeated, _records_swapped])
 def test_cli_eval_of_corrupt_bspline_record_exits_2(corrupt, write, tmp_path, capsys):
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (5, 5), coeff=1.0)
-    message = corrupt(s)
     path = tmp_path / "bad.lrs"
-    write(s, path)
+    message = write(s, path, corrupt)
     with pytest.raises(ValueError, match=message):
         read_surface(path)
     pts = tmp_path / "pts.xyz"
@@ -452,6 +480,47 @@ def test_cli_eval_of_corrupt_bspline_record_exits_2(corrupt, write, tmp_path, ca
     assert main(["eval", str(path), str(pts)]) == 2
     err = capsys.readouterr().err
     assert "bad.lrs" in err and "B-spline" in err
+
+
+@pytest.fixture(scope="module")
+def fitted_text(tmp_path_factory):
+    """A two-iteration fit of 3,000 benchmark points (376 B-splines) as a
+    text surface, with its points: the directory, and the file's lines."""
+    d = tmp_path_factory.mktemp("fitted")
+    pts, tau = benchmark_points(3000, seed=1)
+    write_surface_text(fit(pts, FitConfig(tolerance=tau, max_iterations=2))[0], d / "s.lrs.txt")
+    write_survey_text(d / "pts.xyz", pts)
+    return d, (d / "s.lrs.txt").read_text().splitlines()
+
+
+def _v_index_lowered(f):
+    # the row 0 0 2 4 6 7 8 9 becomes 0 0 2 4 6 6 8 9
+    assert f[:8] == "0 0 2 4 6 7 8 9".split()
+    return f[:5] + ["6"] + f[6:]
+
+
+def _scaling_lowered(f):
+    return f[:-2] + [repr(float(f[-2]) - 5e-5), f[-1]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_v_index_lowered, "knots"), (_scaling_lowered, "scaling 0.99994999"),
+], ids=["knot-index", "scaling"])
+def test_cli_eval_of_a_surface_that_is_not_its_mesh_replay_exits_2(edit, message, fitted_text,
+                                                                    tmp_path, capsys):
+    d, lines = fitted_text
+    assert main(["eval", str(d / "s.lrs.txt"), str(d / "pts.xyz")]) == 0
+    capsys.readouterr()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith("bsplines")) + 1
+    lines = list(lines)
+    lines[at + 38] = " ".join(edit(lines[at + 38].split()))
+    bad = tmp_path / "bad.lrs.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["eval", str(bad), str(d / "pts.xyz")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {bad}: B-spline 38 differs from the replay of the mesh: "
+                          f"{message}")
 
 
 # -- survey files -----------------------------------------------------------
@@ -940,6 +1009,25 @@ def test_cli_report_table(bench_file, tmp_path, capsys):
     assert float(zr) > 5
 
 
+@pytest.mark.parametrize("cut", [1, 8, 29])
+def test_truncated_binary_survey_names_its_path(cut, tmp_path, capsys):
+    p = tmp_path / "cut.survey"
+    write_survey_binary(p, np.arange(30.0).reshape(10, 3))
+    p.write_bytes(p.read_bytes()[:-cut])
+    with pytest.raises(ValueError, match=rf"cut\.survey: header count 10 needs 240 bytes "
+                                         rf"of points, the file holds {240 - cut}"):
+        read_survey_binary(p)
+    assert main(["fit", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {p}: header count 10")
+
+
+def test_survey_that_is_not_utf8_names_its_path(tmp_path, capsys):
+    p = tmp_path / "latin.xyz"
+    p.write_bytes(b"# id caf\xe9\n1 2 3\n")
+    assert main(["fit", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {p}: 'utf-8' codec can't decode")
+
+
 def test_binary_survey_without_count_exits_2(tmp_path, capsys):
     header = json.dumps({"name": "x"}).encode()
     p = tmp_path / "x.survey"
@@ -1075,6 +1163,17 @@ def test_stitch_manifest_tile_without_surface_exits_2(tile_grid, capsys):
     err = _stitch_broken(tile_grid, "no_surface",
                          lambda m: m["tiles"][2].pop("surface"), capsys)
     assert "tile 2" in err and "surface" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_points", None), ("n_points", [1]), ("n_points", -1), ("n_points", 2.5),
+    ("surface", 5), ("surface", ["a.lrs"]), ("core", 5), ("expanded", [0, 1, 0]),
+])
+def test_stitch_manifest_tile_field_of_wrong_type_exits_2(key, value, tile_grid, capsys):
+    err = _stitch_broken(tile_grid, "wrong_type", lambda m: m["tiles"][1].update({key: value}),
+                         capsys)
+    assert err.startswith("error: ") and f"manifest tile 1 '{key}' must be" in err
+    assert "Traceback" not in err
 
 
 def test_stitch_manifest_with_one_count_exits_2(tile_grid, capsys):
