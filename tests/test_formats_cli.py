@@ -439,6 +439,11 @@ def _scaling_inf(rows):
     return "B-spline 0 differs from the replay of the mesh: scaling inf"
 
 
+def _scaling_nan(rows):
+    rows[0][-2] = "nan"
+    return "B-spline 0 differs from the replay of the mesh: scaling nan"
+
+
 def _coefficient_nan(rows):
     rows[0][-1] = "nan"
     return "B-spline 0: coefficient nan is not finite"
@@ -467,8 +472,8 @@ def _text_with_bsplines_edited(s, path, corrupt):
 
 
 @pytest.mark.parametrize("write", [_text_with_bsplines_edited], ids=["text"])
-@pytest.mark.parametrize("corrupt", [_scaling_negative, _scaling_inf, _coefficient_nan,
-                                     _record_repeated, _records_swapped])
+@pytest.mark.parametrize("corrupt", [_scaling_negative, _scaling_inf, _scaling_nan,
+                                     _coefficient_nan, _record_repeated, _records_swapped])
 def test_cli_eval_of_corrupt_bspline_record_exits_2(corrupt, write, tmp_path, capsys):
     s = make_tensor_surface((0, 1, 0, 1), (2, 2), (5, 5), coeff=1.0)
     path = tmp_path / "bad.lrs"

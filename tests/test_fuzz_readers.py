@@ -58,9 +58,7 @@ def _survey_holds(result, seen: set) -> None:
 
 
 def _surface():
-    s = random_refined_surface(2, n_inserts=12, grid=(5, 5))
-    s.units = ("local-xy", "m")
-    return s
+    return random_refined_surface(2, n_inserts=12, grid=(5, 5))
 
 
 def _survey():
