@@ -288,6 +288,8 @@ def read_surface_text(path) -> LRSurface:
         """The section ``tag``: its count n, then n lines of ``width``
         fields, as an (n, ints) int64 and an (n, width - ints) float array."""
         n = int(expect(tag, 1)[0])
+        if n < 0:
+            raise ValueError(f"the '{tag}' section has a negative count, {n}")
         lines = list(itertools.islice(it, n))
         if len(lines) < n:
             raise ValueError("truncated surface file")

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .evaluate import _dpowers, _gather, _locate, check_points, eval_cache
+from .evaluate import _gather, _locate, check_points, eval_cache
 from .mesh import LRSurface
 
 __all__ = [
@@ -44,8 +44,10 @@ __all__ = [
 
 # weight of a ghost anchor's squared residual, relative to a data point's
 GHOST_WEIGHT = 1e-3
-# points per block of the moment sums; bounds their temporary arrays
-_BLOCK = 1 << 16
+# points per block of the moment sums: the power rows of a block and the
+# product summed from them stay in cache (2^13 sums 180k points about
+# twice as fast as 2^16)
+_BLOCK = 1 << 13
 # unknowns above which the normal equations go to CG instead of sparse LU,
 # whose fill-in makes it the slower of the two on large spaces
 CG_THRESHOLD = 25_000
@@ -106,7 +108,8 @@ def _gram1(d: int, a1: int, a2: int) -> np.ndarray:
     return G
 
 
-def _kernel_parts(degrees, weights: SmoothingWeights) -> list:
+@functools.cache
+def _kernel_parts(degrees: tuple[int, int], weights: SmoothingWeights) -> tuple:
     """The energy J on one element in its local monomial basis.
 
     Returns one (pu, pv, K) part per term: an element of widths wu, wv
@@ -115,10 +118,16 @@ def _kernel_parts(degrees, weights: SmoothingWeights) -> list:
     order a in u scales by wu^-a and the area by wu wv, so a term's
     exponents are 1 - a1 - a2 and 1 - b1 - b2, and its reference
     integral is the product of one univariate Gram matrix per axis.
+    Built once per (degrees, weights); every caller shares the parts, so
+    each K is read-only.
     """
     du, dv = degrees
-    return [(1 - a1 - a2, 1 - b1 - b2, c * np.kron(_gram1(du, a1, a2), _gram1(dv, b1, b2)))
-            for c, (a1, b1), (a2, b2) in _smoothing_terms(weights, degrees)]
+    parts = []
+    for c, (a1, b1), (a2, b2) in _smoothing_terms(weights, degrees):
+        K = c * np.kron(_gram1(du, a1, a2), _gram1(dv, b1, b2))
+        K.flags.writeable = False
+        parts.append((1 - a1 - a2, 1 - b1 - b2, K))
+    return tuple(parts)
 
 
 def _element_system(surface: LRSurface, weights: SmoothingWeights, alpha1: float,
@@ -237,6 +246,15 @@ def _ghosts(surface: LRSurface, pts: np.ndarray, eid: np.ndarray, prior=None) ->
     return np.column_stack([centers, z])
 
 
+def _power_rows(t: np.ndarray, d: int) -> np.ndarray:
+    """Rows 1, t, ..., t^d of t, each contiguous, t^k by running product."""
+    out = np.empty((d + 1, len(t)))
+    out[0] = 1.0
+    for k in range(1, d + 1):
+        np.multiply(out[k - 1], t, out=out[k])
+    return out
+
+
 def _moments(surface: LRSurface, located, z: np.ndarray, ghosts: np.ndarray):
     """Per-element power moments of the data points and ghost anchors.
 
@@ -244,7 +262,7 @@ def _moments(surface: LRSurface, located, z: np.ndarray, ghosts: np.ndarray):
     nu[e, a, b] = sum w z tu^a tv^b for a <= du, b <= dv, over the points
     of element e in local coordinates, with w = 1 for a data point and
     ``GHOST_WEIGHT`` for a ghost.  Summed a block of ``_BLOCK`` points at
-    a time, so the temporaries stay bounded.
+    a time from contiguous power rows, so the temporaries stay in cache.
     """
     du, dv = surface.degrees
     cache = eval_cache(surface)
@@ -256,17 +274,18 @@ def _moments(surface: LRSurface, located, z: np.ndarray, ghosts: np.ndarray):
                                  (g[:3], ghosts[:, 2], GHOST_WEIGHT)):
         for s in range(0, len(eid), _BLOCK):
             e, blk = eid[s:s + _BLOCK], slice(s, s + _BLOCK)
-            pu = w * _dpowers(tu[blk], 2 * du, 0, 1.0)
-            pv = _dpowers(tv[blk], 2 * dv, 0, 1.0)
-            zu = zs[blk, None] * pu[:, :du + 1]
+            pu = w * _power_rows(tu[blk], 2 * du)
+            pv = _power_rows(tv[blk], 2 * dv)
+            zu = zs[blk] * pu[:du + 1]
+            prod = np.empty(len(e))
             for i in range(2 * du + 1):
                 for k in range(2 * dv + 1):
-                    mu[:, i, k] += np.bincount(e, weights=pu[:, i] * pv[:, k],
-                                               minlength=n_el)
+                    np.multiply(pu[i], pv[k], out=prod)
+                    mu[:, i, k] += np.bincount(e, weights=prod, minlength=n_el)
             for i in range(du + 1):
                 for k in range(dv + 1):
-                    nu[:, i, k] += np.bincount(e, weights=zu[:, i] * pv[:, k],
-                                               minlength=n_el)
+                    np.multiply(zu[i], pv[k], out=prod)
+                    nu[:, i, k] += np.bincount(e, weights=prod, minlength=n_el)
     return mu, nu
 
 

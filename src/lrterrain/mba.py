@@ -8,8 +8,9 @@ system is solved; repeated sweeps converge geometrically on fixed data.
 
 The sweep reads the points' basis values from the element layer a block
 of points at a time (``evaluate._basis_blocks``) and sums each block's
-share of every B-spline's numerator, denominator and out-of-tolerance
-count, so it never holds a collocation matrix.
+share of every B-spline's numerator and denominator, so it never holds a
+collocation matrix.  The out-of-tolerance gate is counted once per
+element and scattered to the element's residents.
 """
 from __future__ import annotations
 
@@ -47,8 +48,7 @@ def mba_update(surface: LRSurface, points: np.ndarray,
         k = int(np.argmax(bad))
         raise ValueError(f"residuals must be finite; row {k} is {r[k]}")
     L = len(surface)
-    num, den, n_big = np.zeros(L), np.zeros(L), np.zeros(L)
-    big = np.abs(r) > tau
+    num, den = np.zeros(L), np.zeros(L)
     eid, tu, tv = located[:3]
     for a, b, counts, pair, w in _basis_blocks(cache, eid, tu, tv):
         rows = np.repeat(np.arange(b - a), counts)
@@ -58,7 +58,10 @@ def mba_update(surface: LRSurface, points: np.ndarray,
         D = np.bincount(rows, weights=w2, minlength=b - a)
         num += np.bincount(cols, weights=w * w2 * (r[a:b] / D)[rows], minlength=L)
         den += np.bincount(cols, weights=w2, minlength=L)
-        n_big += np.bincount(cols, weights=big[a:b][rows], minlength=L)
+    # the gate: a point out of tolerance counts toward every resident of
+    # its element, so the counts are summed per element, then scattered
+    n_big_el = np.bincount(eid, weights=np.abs(r) > tau, minlength=len(cache.bounds))
+    n_big = np.bincount(cache.res, weights=n_big_el[cache.pair_element], minlength=L)
     active = (den > 0) & (n_big > 0)
     delta = np.zeros(L)
     delta[active] = num[active] / den[active]

@@ -118,7 +118,9 @@ class BoxMesh:
     """
 
     def __init__(self, domain: tuple[float, float, float, float]):
-        umin, umax, vmin, vmax = map(float, domain)
+        umin, umax, vmin, vmax = dom = tuple(map(float, domain))
+        if not np.isfinite(dom).all():
+            raise ValueError(f"domain {list(dom)} is not finite")
         if not (umax > umin and vmax > vmin):
             raise ValueError("degenerate domain")
         self.domain = (umin, umax, vmin, vmax)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,50 @@ def test_cli_eval_of_malformed_surface_exits_2(damage, tmp_path, capsys):
     pts.write_text("0.5 0.5 0.0\n")
     assert main(["eval", str(path), str(pts)]) == 2
     assert "bad.lrs" in capsys.readouterr().err
+
+
+def _text_domain_umax(s, path, value):
+    write_surface_text(s, path)
+    lines = path.read_text().splitlines()
+    i = next(k for k, ln in enumerate(lines) if ln.startswith("domain"))
+    f = lines[i].split()
+    lines[i] = " ".join(f[:2] + [value] + f[3:])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _binary_domain_umax(s, path, value):
+    # umax is the second f64 of the domain, at offset 12
+    write_surface_binary(s, path)
+    data = bytearray(path.read_bytes())
+    data[20:28] = np.float64(value).tobytes()
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("damage", [_text_domain_umax, _binary_domain_umax],
+                         ids=["text", "lrsurf02"])
+def test_cli_eval_of_non_finite_domain_exits_2(damage, value, tmp_path, capsys):
+    # an infinite umax used to pass the domain check and fail later on a
+    # segment, with an empty-extent message
+    path = tmp_path / "bad.lrs"
+    damage(random_refined_surface(2, n_inserts=5), path, value)
+    with pytest.raises(ValueError, match=rf"bad\.lrs: domain \[0\.0, {value}, 0\.0, 1\.0\] "
+                                         "is not finite"):
+        read_surface(path)
+    pts = tmp_path / "pts.xyz"
+    pts.write_text("0.5 0.5 0.0\n")
+    assert main(["eval", str(path), str(pts)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.lrs" in err and "is not finite" in err
+
+
+def test_negative_section_count_is_named(tmp_path):
+    path = tmp_path / "s.lrs.txt"
+    write_surface_text(random_refined_surface(2, n_inserts=5), path)
+    path.write_text(re.sub(r"^bsplines \d+$", "bsplines -3", path.read_text(), flags=re.M))
+    with pytest.raises(ValueError, match=r"s\.lrs\.txt: the 'bsplines' section has a "
+                                         r"negative count, -3"):
+        read_surface_text(path)
 
 
 # -- LRSURF02: the mesh and the coefficients --------------------------------

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from lrterrain.evaluate import _gather, eval_cache
 from lrterrain.least_squares import (
     SmoothingWeights,
     _element_system,
+    _kernel_parts,
     _moments,
     fit_least_squares,
     ghost_points,
@@ -113,9 +116,11 @@ def test_smoothing_matrix_matches_quadrature_oracle(degrees):
 
 
 @pytest.mark.parametrize("degrees", DEGREES)
-def test_moment_system_matches_collocation_oracle(degrees):
+def test_moment_system_matches_collocation_oracle(degrees, monkeypatch):
     # per-element moments against B^T B + G^T G and quadrature smoothing,
-    # with ghosts on the corner the data does not reach
+    # with ghosts on the corner the data does not reach; small blocks, so
+    # the moments of the 3,000 points are summed over several of them
+    monkeypatch.setattr(importlib.import_module("lrterrain.least_squares"), "_BLOCK", 1024)
     rng = np.random.default_rng(sum(degrees))
     s = random_refined_surface(71, n_inserts=30, degrees=degrees)
     x, y = rng.uniform(0, 0.7, 3000), rng.uniform(0.2, 1, 3000)
@@ -128,6 +133,17 @@ def test_moment_system_matches_collocation_oracle(degrees):
     A0, b0 = normal_equations_collocation(s, pts, ghosts, 1e-3, w)
     assert _max_rel(A, A0) <= 1e-12
     assert _max_rel(b, b0) <= 1e-12
+
+
+def test_kernel_parts_are_built_once_and_read_only():
+    w = SmoothingWeights(w1=0.1, w2=1.0, w3=0.5)
+    parts = _kernel_parts((3, 2), w)
+    assert _kernel_parts((3, 2), SmoothingWeights(w1=0.1, w2=1.0, w3=0.5)) is parts
+    assert _kernel_parts((2, 2), w) is not parts
+    for _, _, K in parts:
+        assert not K.flags.writeable
+        with pytest.raises(ValueError):
+            K[0, 0] = 1.0
 
 
 def test_linear_reproduction_through_penalty(rng):

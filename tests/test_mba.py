@@ -143,6 +143,29 @@ def test_sweep_matches_dense_reference_with_gate(rng):
     assert stats["n_updated"] == int((gate & (den > 0)).sum())
 
 
+def test_gate_counts_every_resident_of_the_element(rng):
+    # one point out of tolerance on the line u = 0.5 opens the gate of every
+    # resident of the element it is located in, also of the resident that
+    # is 0 there; points inside that element, all within tolerance, give
+    # each resident a positive denominator
+    from lrterrain.evaluate import _gather, basis_matrix, eval_cache
+
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (4, 4))
+    x = np.concatenate([[0.5], rng.uniform(0.55, 0.95, 200)])
+    y = np.concatenate([[0.25], rng.uniform(0.05, 0.45, 200)])
+    r = np.concatenate([[1.0], rng.uniform(-0.01, 0.01, 200)])
+    cache = eval_cache(s)
+    e = int(_gather(cache, x[:1], y[:1])[0][0])
+    residents = cache.res[cache.offsets[e]:cache.offsets[e + 1]]
+    assert (np.asarray(_gather(cache, x[1:], y[1:])[0]) == e).all()
+    # 0 up to the rounding of the element's monomial tensors
+    assert basis_matrix(s, x[:1], y[:1])[0].toarray()[0, residents].min() < 1e-15
+    before = s.coeffs.copy()
+    stats = mba_update(s, np.column_stack([x, y, evaluate(s, x, y) + r]), residuals=r, tau=0.1)
+    assert stats["n_updated"] == len(residents)
+    assert np.array_equal(np.flatnonzero(s.coeffs != before), np.sort(residents))
+
+
 def test_given_basis_gives_the_same_sweep(rng):
     # a pass after n_ls is a sweep on _approximate's one gather; it equals
     # the public call with the same residuals, and without them
