@@ -27,13 +27,24 @@ axis to find that cell: ``_BUCKETS`` uniform buckets per fine cell, each
 naming the cell that holds all of it, or marking that a fine coordinate
 falls inside it.  Most points read their cell from the table; only those
 in a marked bucket are settled by a binary search over the coordinates,
-so the result is that search's for every point.  ``evaluate`` and
-``distance_field`` then sum the coefficient-weighted tensors of only the
-elements their points hit, so a query costs what its points touch, not
-the size of the surface, and contract those sums with the points' power
-rows a block of ``_BLOCK`` points at a time, so the per-point tensors and
-rows never exceed one block.  ``_basis_blocks`` instead forms the basis value
-of every (point, resident) pair, a bounded block of points at a time:
+so the result is that search's for every point.
+
+On one coefficient vector each element's surface is one polynomial, the
+sum of its pairs' coefficient-weighted tensors.  The layer keeps one
+record of these sums (``_ElementPolynomials``): a copy of the
+coefficients, the polynomial tensor of every element, and which elements
+are filled.  A query fills only the unfilled elements its points hit, so
+it sums what its points touch, not the whole surface, and a repeated
+query on unchanged coefficients sums nothing; checking the copy reads
+each coefficient once.  The record holds until the coefficients differ
+from its copy bit for bit (an in-place write shows too) and goes with
+the layer on refinement; a ``coeffs`` override replaces it.  It costs
+n_elements * (du+1) * (dv+1) floats and one copy of the coefficients.
+``evaluate`` and ``distance_field`` contract the polynomials with the
+points' power rows a block of ``_BLOCK`` points at a time, so the
+per-point tensors and rows never exceed one block.  ``_basis_blocks``
+instead forms the basis value of every (point, resident) pair, a
+bounded block of points at a time:
 ``basis_matrix`` stores them as a CSR matrix, and the correction sweep
 (``mba``) sums them away block by block.  The least-squares layer reads
 only the gather and the tensors, so no fit builds a collocation matrix.
@@ -117,7 +128,9 @@ class _EvalCache:
     ``tensors[k]`` is scaling[res[k]] * pu[:, None] * pv[None, :] for the
     pair's univariate pieces pu and pv (see ``_pieces``); the pieces
     themselves are not kept.  ``tables`` holds the cell table of the u
-    and of the v coordinates (``_cell_table``).
+    and of the v coordinates (``_cell_table``).  ``polynomials`` is the
+    record of the last coefficient vector evaluated on this layer (see
+    ``_element_polynomials``), or None; it goes with the layer.
     """
 
     version: int
@@ -131,6 +144,21 @@ class _EvalCache:
     res: np.ndarray
     pair_element: np.ndarray
     tensors: np.ndarray
+    polynomials: _ElementPolynomials | None = None
+
+
+@dataclass
+class _ElementPolynomials:
+    """Element polynomials of one coefficient vector on one layer.
+
+    ``P[e]`` is sum_k coeffs[res[k]] * tensors[k] over element e's pairs,
+    where ``filled[e]``; the other rows are not yet summed.  ``coeffs`` is
+    a private copy of the vector.
+    """
+
+    coeffs: np.ndarray
+    P: np.ndarray
+    filled: np.ndarray
 
 
 def _monomials(knots: np.ndarray, lo: np.ndarray, hi: np.ndarray, d: int) -> np.ndarray:
@@ -286,40 +314,64 @@ def _dpowers(t: np.ndarray, d: int, order: int, scale) -> np.ndarray:
     return out
 
 
+def _element_polynomials(cache: _EvalCache, coeffs: np.ndarray, eid: np.ndarray) -> np.ndarray:
+    """The element polynomial tensors of ``coeffs``, filled at least for
+    the elements ``eid`` names.
+
+    The layer's record is kept while ``coeffs`` equals its copy bit for
+    bit, and replaced otherwise.  Only unfilled hit elements are summed:
+    the segment sum of coeffs[res] * T over each one's pairs, the same for
+    one element as over the whole layer.  When every element is summed at
+    once, that sum becomes the record's tensor without a second copy.
+    """
+    rec = cache.polynomials
+    n = len(cache.offsets) - 1
+    # bit for bit: -0.0 is a change from 0.0, and a NaN finds its own record
+    if (rec is None or rec.coeffs.shape != coeffs.shape
+            or not np.array_equal(rec.coeffs.view(np.int64), coeffs.view(np.int64))):
+        # drop the old record first, so two are never held
+        cache.polynomials = None
+        cache.polynomials = rec = _ElementPolynomials(
+            coeffs.copy(), np.empty((n,) + cache.tensors.shape[1:]), np.zeros(n, dtype=bool))
+    new = eid[~rec.filled.take(eid)]
+    if len(new) == 0:
+        return rec.P
+    mark = np.zeros(n, dtype=bool)
+    mark[new] = True
+    need = np.flatnonzero(mark)
+    offsets = cache.offsets
+    counts = offsets[need + 1] - offsets[need]
+    pair = _ranges(offsets[need], counts)
+    sums = np.add.reduceat(rec.coeffs[cache.res[pair], None, None] * cache.tensors[pair],
+                           np.cumsum(counts) - counts, axis=0)
+    if len(need) == n:
+        rec.P = sums
+    else:
+        rec.P[need] = sums
+    rec.filled[need] = True
+    return rec.P
+
+
 def _evaluate_at(cache: _EvalCache, coeffs: np.ndarray, eid, tu, tv, wu, wv,
                  order: int) -> np.ndarray:
     """Evaluate gathered points; columns as in ``evaluate``.
 
-    Only the elements the points hit get a polynomial tensor: the segment
-    sum of coeffs[res] * T over that element's pairs, in the same order as
-    over the whole layer.  Then, a block of ``_BLOCK`` points at a time,
-    each point gathers its element's tensor once and contracts it with its
-    power rows in v, then in u; a point's value does not depend on its
-    block.
+    Each point reads its element's polynomial tensor from the layer's
+    record of ``coeffs`` (``_element_polynomials``), which sums only the
+    hit elements not summed before.  Then, a block of ``_BLOCK`` points at
+    a time, each point gathers its element's tensor once and contracts it
+    with its power rows in v, then in u; a point's value does not depend
+    on its block.
     """
     du, dv = cache.tensors.shape[1] - 1, cache.tensors.shape[2] - 1
     cols = _COLUMNS[:{0: 1, 1: 3, 2: 6}[order]]
     if len(eid) == 0:
         return np.zeros((0, len(cols)))
-    offsets = cache.offsets
-    # the hit elements in increasing order, and each point's row of P: a
-    # position map written at the hit elements only, unless all are hit
-    mark = np.zeros(len(offsets) - 1, dtype=bool)
-    mark[eid] = True
-    hit = np.flatnonzero(mark)
-    row = eid
-    if len(hit) < len(mark):
-        row = np.empty(len(mark), dtype=np.intp)
-        row[hit] = np.arange(len(hit))
-        row = row.take(eid)
-    counts = offsets[hit + 1] - offsets[hit]
-    pair = _ranges(offsets[hit], counts)
-    P = np.add.reduceat(coeffs[cache.res[pair], None, None] * cache.tensors[pair],
-                        np.cumsum(counts) - counts, axis=0)
+    P = _element_polynomials(cache, coeffs, eid)
     out = np.empty((len(eid), len(cols)))
     for start in range(0, len(eid), _BLOCK):
         k = slice(start, start + _BLOCK)
-        Pe = P.take(row[k], axis=0)
+        Pe = P.take(eid[k], axis=0)
         su, sv = (1.0 / wu[k], 1.0 / wv[k]) if order else (1.0, 1.0)
         U = [_dpowers(tu[k], du, a, su) for a in range(order + 1)]
         PV = [np.einsum("njk,nk->nj", Pe, _dpowers(tv[k], dv, b, sv))
@@ -338,17 +390,28 @@ def evaluate(surface: LRSurface, x, y, order: int = 0,
     F, Fu, Fv; order 2 returns S + (6,), columns F, Fu, Fv, Fuu, Fuv, Fvv
     (a scalar counts as shape (1,)).  Points outside the domain raise
     ValueError.  ``coeffs`` overrides the stored coefficients without
-    touching the surface.
+    touching the surface: one value per B-spline, else ValueError.
+
+    The element polynomials of the coefficients are kept on the surface's
+    element layer until the coefficients change, so a repeated query on
+    the same surface sums no tensors again; an override replaces them,
+    and the next plain call sums the stored coefficients afresh.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
+    if coeffs is None:
+        coeffs = surface.coeffs
+    else:
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (len(surface),):
+            raise ValueError(f"coeffs must have shape ({len(surface)},), one per "
+                             f"B-spline; got shape {coeffs.shape}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:
         raise ValueError("x and y must have the same shape")
     cache = eval_cache(surface)
-    out = _evaluate_at(cache, surface.coeffs if coeffs is None else coeffs,
-                       *_gather(cache, x.ravel(), y.ravel()), order)
+    out = _evaluate_at(cache, coeffs, *_gather(cache, x.ravel(), y.ravel()), order)
     if order == 0:
         return out[:, 0].reshape(x.shape)
     return out.reshape(x.shape + out.shape[1:])
@@ -454,14 +517,19 @@ def distance_field(surface: LRSurface, points: np.ndarray, tau: float) -> dict:
 
     ``points`` is (n, 3) columns x, y, z.  Residual r = z - F(x, y), so
     points above the surface are positive.  Points outside the domain get
-    element_id -1 and NaN residual; they are reported, never dropped.
+    element_id -1 and NaN residual; they are reported, never dropped.  A
+    point inside whose residual is not finite (a NaN or infinite z) is not
+    judged.  ``tau`` must be finite and positive.
 
     Returns dict with residual (n,), element_id (n,), status int8 (n,)
-    where 0 = within tolerance, 1 = above, -1 = below, 2 = outside domain.
+    where 0 = within tolerance, 1 = above, -1 = below, 2 = outside the
+    domain or not judged.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 3:
         raise ValueError("points must be (n, 3)")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive; got {tau}")
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     cache = eval_cache(surface)
     inside = _inside(cache, x, y)
@@ -476,5 +544,6 @@ def distance_field(surface: LRSurface, points: np.ndarray, tau: float) -> dict:
         s = np.zeros(len(r), dtype=np.int8)
         s[r > tau] = 1
         s[r < -tau] = -1
+        s[~np.isfinite(r)] = 2
         status[inside] = s
     return {"residual": residual, "element_id": element_id, "status": status}

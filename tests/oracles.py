@@ -58,9 +58,10 @@ import numpy as np
 from scipy import sparse
 
 import lrterrain.deconflict
-from lrterrain.evaluate import _CHUNK, _COLUMNS, _monomials, basis_matrix, eval_cache, evaluate
+from lrterrain.evaluate import (_CHUNK, _COLUMNS, _dpowers, _monomials, basis_matrix, eval_cache,
+                                evaluate)
 from lrterrain.least_squares import GHOST_WEIGHT, _smoothing_terms
-from lrterrain.mesh import ScaledBSpline, Segment, residents_of
+from lrterrain.mesh import ScaledBSpline, Segment, _ranges, residents_of
 
 # the package attribute ``lrterrain.deconflict`` is the function
 dc = sys.modules["lrterrain.deconflict"]
@@ -311,6 +312,28 @@ def evaluate_at_all_elements(cache, coeffs, eid, tu, tv, wu, wv, order):
             p = P[eid, j, k]
             for c, (a, b) in enumerate(cols):
                 out[:, c] += p * U[a][:, j] * V[b][:, k]
+    return out
+
+
+def evaluate_summed_per_call(cache, coeffs, eid, tu, tv, wu, wv, order):
+    """Gathered points evaluated with the element polynomials summed afresh
+    for this call: the segment sums of only the hit elements, in increasing
+    element order, then the contraction of ``_evaluate_at`` in one block.
+    Keeps nothing between calls."""
+    du, dv = cache.tensors.shape[1] - 1, cache.tensors.shape[2] - 1
+    cols = _COLUMNS[:{0: 1, 1: 3, 2: 6}[order]]
+    hit, row = np.unique(eid, return_inverse=True)
+    counts = cache.offsets[hit + 1] - cache.offsets[hit]
+    pair = _ranges(cache.offsets[hit], counts)
+    P = np.add.reduceat(coeffs[cache.res[pair], None, None] * cache.tensors[pair],
+                        np.cumsum(counts) - counts, axis=0)
+    Pe = P[row]
+    su, sv = (1.0 / wu, 1.0 / wv) if order else (1.0, 1.0)
+    U = [_dpowers(tu, du, a, su) for a in range(order + 1)]
+    PV = [np.einsum("njk,nk->nj", Pe, _dpowers(tv, dv, b, sv)) for b in range(order + 1)]
+    out = np.empty((len(eid), len(cols)))
+    for c, (a, b) in enumerate(cols):
+        np.einsum("nj,nj->n", U[a], PV[b], out=out[:, c])
     return out
 
 

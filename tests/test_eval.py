@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from lrterrain.evaluate import (
 )
 from lrterrain.mesh import Segment, insert_segments
 from conftest import random_refined_surface
-from lrterrain.tiling import stitch_c1
-from oracles import eval_cache_per_pair, evaluate_at_all_elements
+from lrterrain.tiling import _set_gamma, stitch_c1
+from oracles import eval_cache_per_pair, evaluate_at_all_elements, evaluate_summed_per_call
 
 
 def brute_force_eval(surface, x, y):
@@ -175,6 +176,44 @@ def test_distance_field_classification():
     assert field["element_id"][3] == -1
     assert np.isnan(field["residual"][3])
     np.testing.assert_allclose(field["residual"][:3], [0.05, 0.31, -0.32], atol=1e-12)
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+def test_distance_field_does_not_judge_a_non_finite_height(z):
+    # a NaN height is not "within tolerance", nor an infinite one "above"
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (5, 5), coeff=0.0)
+    field = distance_field(s, np.array([[0.5, 0.5, z], [0.2, 0.8, 0.31]]), tau=0.3)
+    assert list(field["status"]) == [2, 1]
+    assert not np.isfinite(field["residual"][0])
+    assert field["element_id"][0] >= 0
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1.0])
+def test_distance_field_rejects_a_tau_that_is_not_finite_and_positive(tau):
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (5, 5), coeff=0.0)
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        distance_field(s, np.array([[0.5, 0.5, 0.0]]), tau=tau)
+
+
+@pytest.mark.parametrize("extra, columns", [(5, 1), (-1, 1), (0, 2)])
+def test_coeffs_override_of_the_wrong_shape_is_rejected(extra, columns):
+    s = random_refined_surface(71, n_inserts=20)
+    n = len(s)
+    c = np.ones((n + extra, columns)) if columns > 1 else np.ones(n + extra)
+    message = f"coeffs must have shape ({n},), one per B-spline; got shape {c.shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate(s, [0.5], [0.5], coeffs=c)
+
+
+def test_coeffs_override_may_be_any_sequence(rng):
+    s = random_refined_surface(71, n_inserts=20)
+    x, y = rng.uniform(0, 1, (2, 50))
+    c = rng.normal(size=len(s))
+    want = evaluate(s, x, y, order=1, coeffs=c)
+    np.testing.assert_array_equal(evaluate(s, x, y, order=1, coeffs=c.tolist()), want)
+    fresh = s.copy()
+    fresh.coeffs = c
+    np.testing.assert_array_equal(evaluate(fresh, x, y, order=1), want)
 
 
 def test_cache_is_owned_by_the_surface(rng):
@@ -347,3 +386,110 @@ def test_point_blocks_do_not_change_values(degrees, order, monkeypatch):
     monkeypatch.setattr(ev, "_BLOCK", 7)
     blocked = _evaluate_at(cache, s.coeffs, *located, order)
     assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_kept_polynomials_equal_a_per_call_sum_bit_for_bit(degrees, order):
+    # queries that fill the record piece by piece (or all at once when every
+    # element comes first) and repeat, across an in-place coefficient write
+    # and a refinement
+    rng = np.random.default_rng(41)
+    s = random_refined_surface(47, n_inserts=50, degrees=degrees)
+    for step in range(3):
+        cache = eval_cache(s)
+        cases = [c for c in _query_cases(s, rng).values() if len(c[0])]
+        for x, y in (cases if step != 1 else cases[::-1]) * 2:
+            located = _gather(cache, x, y)
+            got = _evaluate_at(cache, s.coeffs, *located, order)
+            want = evaluate_summed_per_call(cache, s.coeffs, *located, order)
+            assert np.array_equal(_bits(got), _bits(want)), step
+        if step == 0:
+            s.coeffs[::3] += 0.5
+        else:
+            insert_segments(s, [Segment(0, 0.5 + 2.0 ** -7, 0.0, 1.0)])
+
+
+def test_in_place_coefficient_write_shows_in_the_next_evaluate(rng):
+    # as stitching writes boundary coefficients
+    s = random_refined_surface(53, n_inserts=30)
+    x, y = rng.uniform(0, 1, (2, 300))
+    before = evaluate(s, x, y, order=1)
+    rows = rng.choice(len(s), 5, replace=False)
+    _set_gamma(s, rows, rng.normal(size=5))
+    got = evaluate(s, x, y, order=1)
+    assert not np.array_equal(got, before)
+    assert np.array_equal(_bits(got), _bits(evaluate(s.copy(), x, y, order=1)))
+
+
+def test_an_override_never_leaks_into_a_later_plain_evaluate(rng):
+    s = random_refined_surface(59, n_inserts=30)
+    x, y = rng.uniform(0, 1, (2, 300))
+    want = evaluate(s.copy(), x, y, order=1)
+    c = rng.normal(size=len(s))
+    other = s.copy()
+    other.coeffs = c
+    for query in (lambda: evaluate(s, x, y, order=1, coeffs=c),
+                  lambda: partition_of_unity(s, x, y)):
+        evaluate(s, x, y, order=1)
+        query()
+        assert np.array_equal(_bits(evaluate(s, x, y, order=1)), _bits(want))
+    got = evaluate(s, x, y, order=1, coeffs=c)
+    assert np.array_equal(_bits(got), _bits(evaluate(other, x, y, order=1)))
+
+
+def test_refinement_drops_the_record(rng):
+    s = random_refined_surface(61, n_inserts=20)
+    x, y = rng.uniform(0, 1, (2, 100))
+    evaluate(s, x, y)
+    old = eval_cache(s)
+    assert old.polynomials is not None
+    insert_segments(s, [Segment(0, 0.5 + 2.0 ** -7, 0.0, 1.0)])
+    new = eval_cache(s)
+    assert new is not old and new.polynomials is None
+    assert np.array_equal(_bits(evaluate(s, x, y)), _bits(evaluate(s.copy(), x, y)))
+
+
+def test_record_compares_coefficients_bit_for_bit():
+    s = make_tensor_surface((0, 1, 0, 1), (2, 2), (5, 5), coeff=0.0)
+    x = y = np.array([0.3, 0.7])
+    evaluate(s, x, y)
+    first = eval_cache(s).polynomials
+    evaluate(s, x, y)
+    assert eval_cache(s).polynomials is first
+    # -0.0 equals 0.0 as a value, but it is a change
+    s.coeffs[:] = -0.0
+    got = evaluate(s, x, y)
+    rec = eval_cache(s).polynomials
+    assert rec is not first and np.signbit(rec.coeffs).all()
+    assert np.array_equal(_bits(got), _bits(evaluate(s.copy(), x, y)))
+    # a NaN coefficient differs from itself as a value, but finds its record
+    s.coeffs[[3, 12]] = np.nan
+    a = evaluate(s, x, y)
+    rec = eval_cache(s).polynomials
+    b = evaluate(s, x, y)
+    assert eval_cache(s).polynomials is rec
+    assert np.array_equal(_bits(a), _bits(b)) and np.isnan(a).any()
+
+
+def test_a_query_fills_only_the_elements_it_hits(rng):
+    # the deterministic measure of a small query's cost: it sums only what
+    # it touches, however large the surface
+    s = random_refined_surface(67, n_inserts=60)
+    cache = eval_cache(s)
+    filled = np.zeros(len(cache.bounds), dtype=bool)
+    for _ in range(3):
+        x, y = rng.uniform(0, 1, (2, 5))
+        evaluate(s, x, y, order=1)
+        filled[_locate(cache, x, y)] = True
+        np.testing.assert_array_equal(cache.polynomials.filled, filled)
+    assert 0 < filled.sum() <= 15 < len(filled)
+    # a repeated query sums nothing and keeps the same tensor
+    P = cache.polynomials.P
+    evaluate(s, x, y, order=1)
+    assert cache.polynomials.P is P
+    np.testing.assert_array_equal(cache.polynomials.filled, filled)
