@@ -327,15 +327,17 @@ def _element_polynomials(cache: _EvalCache, coeffs: np.ndarray, eid: np.ndarray)
     rec = cache.polynomials
     n = len(cache.offsets) - 1
     # bit for bit: -0.0 is a change from 0.0, and a NaN finds its own record
-    if (rec is None or rec.coeffs.shape != coeffs.shape
-            or not np.array_equal(rec.coeffs.view(np.int64), coeffs.view(np.int64))):
+    if (rec is not None and rec.coeffs.shape == coeffs.shape
+            and (rec.coeffs.view(np.int64) == coeffs.view(np.int64)).all()):
+        new = eid[~rec.filled.take(eid)]
+        if len(new) == 0:
+            return rec.P
+    else:
         # drop the old record first, so two are never held
         cache.polynomials = None
         cache.polynomials = rec = _ElementPolynomials(
             coeffs.copy(), np.empty((n,) + cache.tensors.shape[1:]), np.zeros(n, dtype=bool))
-    new = eid[~rec.filled.take(eid)]
-    if len(new) == 0:
-        return rec.P
+        new = eid
     mark = np.zeros(n, dtype=bool)
     mark[new] = True
     need = np.flatnonzero(mark)
