@@ -324,6 +324,9 @@ def _element_polynomials(cache: _EvalCache, coeffs: np.ndarray, eid: np.ndarray)
     one element as over the whole layer.  When every element is summed at
     once, that sum becomes the record's tensor without a second copy.
     """
+    # as float64, which the product below would upcast them to anyway; the
+    # stored coefficients of a surface may have been assigned another dtype
+    coeffs = np.asarray(coeffs, dtype=float)
     rec = cache.polynomials
     n = len(cache.offsets) - 1
     # bit for bit: -0.0 is a change from 0.0, and a NaN finds its own record
@@ -333,8 +336,6 @@ def _element_polynomials(cache: _EvalCache, coeffs: np.ndarray, eid: np.ndarray)
         if len(new) == 0:
             return rec.P
     else:
-        # drop the old record first, so two are never held
-        cache.polynomials = None
         cache.polynomials = rec = _ElementPolynomials(
             coeffs.copy(), np.empty((n,) + cache.tensors.shape[1:]), np.zeros(n, dtype=bool))
         new = eid

@@ -476,6 +476,18 @@ def test_record_compares_coefficients_bit_for_bit():
     assert np.array_equal(_bits(a), _bits(b)) and np.isnan(a).any()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_stored_coefficients_of_another_dtype_evaluate_as_floats(dtype, rng):
+    # LRSurface.coeffs is a plain attribute, so a caller may assign any dtype
+    s = random_refined_surface(73, n_inserts=20)
+    x, y = rng.uniform(0, 1, (2, 50))
+    c = rng.normal(scale=100, size=len(s)).astype(dtype)
+    want = evaluate(s, x, y, order=1, coeffs=c.astype(float))
+    s.coeffs = c
+    for _ in range(2):
+        assert np.array_equal(_bits(evaluate(s, x, y, order=1)), _bits(want))
+
+
 def test_a_query_fills_only_the_elements_it_hits(rng):
     # the deterministic measure of a small query's cost: it sums only what
     # it touches, however large the surface
